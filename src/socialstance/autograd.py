@@ -7,6 +7,8 @@ is no grad zeroing; backward() topologically sorts the tape iteratively
 (sample graphs are deep enough to overflow Python's recursion limit).
 """
 
+import math
+
 import numpy as np
 
 
@@ -21,6 +23,22 @@ def _unbroadcast(grad, shape):
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+def _scatter_add(values, index, num_rows):
+    """out[index[i]] += values[i] over i in order, into num_rows zero rows.
+
+    Equals np.add.at(zeros, index, values) bit for bit: one flat bincount
+    visits the rows in the same order, so every bucket sums in the same
+    order. index must be 1-D and non-negative.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    index = np.asarray(index)
+    tail = values.shape[1:]
+    width = math.prod(tail)
+    flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+    out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
+    return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
 
 
 def _is_fancy(key):
@@ -194,6 +212,13 @@ def matmul(a, b) -> Tensor:
 
 def getitem(t: Tensor, key) -> Tensor:
     def backward(g):
+        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
+            rows = t.data.shape[0]
+            index = key.reshape(-1)
+            index = np.where(index < 0, index + rows, index)  # count from the end
+            t._accumulate(_scatter_add(g.reshape(index.shape + t.data.shape[1:]),
+                                      index, rows))
+            return
         buf = np.zeros_like(t.data)
         if _is_fancy(key):
             np.add.at(buf, key, g)
@@ -222,8 +247,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of t into num_segments buckets; empty buckets stay zero."""
     t = as_tensor(t)
-    out = np.zeros((num_segments,) + t.data.shape[1:], dtype=np.float64)
-    np.add.at(out, segment_ids, t.data)
+    out = _scatter_add(t.data, segment_ids, num_segments)
 
     def backward(g):
         if t.requires_grad:

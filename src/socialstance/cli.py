@@ -104,7 +104,11 @@ def _typed_settings(raw: dict) -> dict:
             if len(parts) != 3:
                 raise InputDataError("config key 'split': expected three "
                                      "comma-separated fractions")
-            out[key] = tuple(float(p) for p in parts)
+            try:
+                out[key] = tuple(float(p) for p in parts)
+            except ValueError:
+                raise InputDataError("config key 'split': expected numbers, "
+                                     f"got {value!r}") from None
         else:
             raise InputDataError(f"unknown config key {key!r}")
     return out
@@ -308,11 +312,19 @@ def cmd_agreement(args) -> int:
     return 0
 
 
+def _int_grid(flag: str, text: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InputDataError(f"{flag}: expected comma-separated integers, "
+                             f"got {text!r}") from None
+
+
 def cmd_sweep(args) -> int:
     plumbing, config = _split_settings(_train_settings(args))
     _require(plumbing, ("posts", "interactions", "embeddings"))
-    hops_values = [int(v) for v in args.hops_grid.split(",")]
-    lam_values = [int(v) for v in args.history_len_grid.split(",")]
+    hops_values = _int_grid("--hops-grid", args.hops_grid)
+    lam_values = _int_grid("--history-len-grid", args.history_len_grid)
     corpus = load_posts(plumbing["posts"])
     graph = _load_graph_from(plumbing)
     provider = load_embedding_store(plumbing["embeddings"], config.embed_dim)

@@ -5,20 +5,26 @@ post itself and a social code built by running a shell-attention encoder
 over the author's k-hop neighborhood, where every neighborhood node is
 summarized by a position-weighted aggregate of its recent post history.
 
-forward() evaluates one post: it induces the subgraph on the author's k-hop
-ball, builds each ball node's history vector from its last history_len posts
-before the target's timestamp, encodes, and applies a softmax head to
-[z_social || z_text]. Training runs the same computation through the
-autograd engine on per-sample compiled structures (index arrays instead of
-dict lookups), so analytic gradients come from the exact inference path.
+Each post is first compiled: the author's k-hop ball, each ball node's
+last history_len posts before the target's timestamp, and the exact-distance
+shell edges inside the ball, as index arrays. One batched forward,
+_batch_logits, then joins a batch of compiled posts into one block-diagonal
+graph (each ball's node indices offset by the sizes of the balls before it),
+encodes it and applies a softmax head to [z_social || z_text] at the author
+rows. train, loss, gradients, evaluate and forward (a batch of one) all run
+it through the autograd engine, so analytic gradients come from the exact
+inference path.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
 """
 
+import itertools
 import json
 import math
+import zipfile
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -251,7 +257,7 @@ def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _Comp
     )
 
 
-# -- engine forward ----------------------------------------------------------
+# -- engine ------------------------------------------------------------------
 
 
 def _make_tensors(params: ModelParams, requires_grad: bool):
@@ -259,76 +265,124 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
             for name, arr in params.tensors.items()}
 
 
-def _sample_logits(ts, sample: _CompiledSample, config: TrainConfig) -> Tensor:
-    B, h, k = sample.n_nodes, config.hidden_dim, config.hops
+class _Shell(NamedTuple):
+    """The edges of one shell order in a batch: edge i joins row centers[i]
+    to row neighbors[i] and feeds output row segments[i] of `size`."""
+
+    centers: np.ndarray
+    neighbors: np.ndarray
+    segments: np.ndarray
+    size: int
+
+
+def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
+    """Logits (S, 4) of S compiled samples, run as one disjoint-union graph.
+
+    Each sample's ball becomes a block of rows offset by the sizes of the
+    balls before it, so shell edges never cross samples and every op runs
+    once for the whole batch.
+    """
+    if not samples:
+        raise ValueError("empty batch")
+    k = config.hops
+    sizes = [sample.n_nodes for sample in samples]
+    offsets = np.cumsum([0] + sizes[:-1])
+    n = sum(sizes)
+    authors = offsets + np.array([sample.author_row for sample in samples])
+    # Only author rows reach the head, so the last layer aggregates just
+    # the edges centred on an author, into one row per sample.
+    slot = np.full(n, -1)
+    slot[authors] = np.arange(len(samples))
+    inner, last = [], []
+    for order in range(k):
+        centers = np.concatenate([sample.shell_edges[order][0] + off
+                                  for sample, off in zip(samples, offsets)])
+        neighbors = np.concatenate([sample.shell_edges[order][1] + off
+                                    for sample, off in zip(samples, offsets)])
+        inner.append(_Shell(centers, neighbors, centers, n))
+        keep = slot[centers] >= 0
+        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]],
+                           len(samples)))
     if config.history == "pe":
+        hist = np.concatenate([sample.hist for sample in samples])
         z_hist = None
         for m in range(config.history_len):
-            term = ts["position_weights"][m] * Tensor(sample.hist[:, m, :])
+            term = ts["position_weights"][m] * Tensor(hist[:, m, :])
             z_hist = term if z_hist is None else z_hist + term
     else:
-        z_hist = Tensor(sample.z_hist_mean)
+        z_hist = Tensor(np.concatenate([sample.z_hist_mean for sample in samples]))
     state = z_hist @ ts["input.w"] + ts["input.b"]
-    collected = [state]
+    author_codes = [state[authors]]
     for layer in range(1, k + 1):
-        parts = []
-        for order in range(1, k + 1):
-            centers, neighbors = sample.shell_edges[order - 1]
-            if centers.size == 0:
-                parts.append(Tensor(np.zeros((B, h))))
-                continue
-            base = f"layer{layer}.order{order}"
-            projected = state @ ts[base + ".w"]
-            if config.aggregator == "gat":
-                attn = ts[base + ".a"]
-                center_scores = projected @ attn[:h]
-                neighbor_scores = projected @ attn[h:]
-                scores = ag.leaky_relu(
-                    center_scores[centers] + neighbor_scores[neighbors], LEAKY_SLOPE)
-                # Max-shifted softmax per center; the shift is a constant.
-                shift = np.full(B, -np.inf)
-                np.maximum.at(shift, centers, scores.data)
-                expd = ag.exp(scores - Tensor(shift[centers]))
-                denom = ag.segment_sum(expd, centers, B)
-                weights = expd / denom[centers]
-                messages = weights.reshape((centers.size, 1)) * projected[neighbors]
-                parts.append(ag.segment_sum(messages, centers, B))
-            else:
-                sums = ag.segment_sum(projected[neighbors], centers, B)
-                counts = np.bincount(centers, minlength=B)
-                inv = 1.0 / np.maximum(counts, 1)
-                parts.append(sums * Tensor(inv[:, None]))
-        state = ag.concat(parts, axis=1)
-        collected.append(state)
-    z_social = ag.concat(collected, axis=1)[sample.author_row]
-    z = ag.concat([z_social, Tensor(sample.z_text)], axis=0)
+        shells = last if layer == k else inner
+        state = ag.concat([_aggregate(ts, f"layer{layer}.order{order}", state,
+                                      shell, config)
+                           for order, shell in enumerate(shells, 1)], axis=1)
+        author_codes.append(state if layer == k else state[authors])
+    z_text = Tensor(np.stack([sample.z_text for sample in samples]))
+    z = ag.concat(author_codes + [z_text], axis=1)
     return ag.relu(z) @ ts["head.w"] + ts["head.b"]
 
 
-def _sample_loss(ts, sample: _CompiledSample, config: TrainConfig) -> Tensor:
-    if sample.gold is None:
-        raise ValueError(f"post {sample.post_id!r} has no label")
-    logits = _sample_logits(ts, sample, config)
-    shifted = logits - float(np.max(logits.data))
+def _aggregate(ts, base: str, state: Tensor, shell: _Shell,
+               config: TrainConfig) -> Tensor:
+    """One (layer, order) shell aggregate: shell.size rows of hidden_dim."""
+    h = config.hidden_dim
+    centers, neighbors, segments = shell.centers, shell.neighbors, shell.segments
+    if centers.size == 0:
+        return Tensor(np.zeros((shell.size, h)))
+    projected = state @ ts[base + ".w"]
+    if config.aggregator == "gcn":
+        sums = ag.segment_sum(projected[neighbors], segments, shell.size)
+        counts = np.bincount(segments, minlength=shell.size)
+        return sums * Tensor(1.0 / np.maximum(counts, 1)[:, None])
+    attn = ts[base + ".a"]
+    center_scores = projected @ attn[:h]
+    neighbor_scores = projected @ attn[h:]
+    scores = ag.leaky_relu(center_scores[centers] + neighbor_scores[neighbors],
+                           LEAKY_SLOPE)
+    # Max-shifted softmax per segment; the shift is a constant.
+    shift = np.full(shell.size, -np.inf)
+    np.maximum.at(shift, segments, scores.data)
+    expd = ag.exp(scores - Tensor(shift[segments]))
+    denom = ag.segment_sum(expd, segments, shell.size)
+    weights = expd / denom[segments]
+    messages = weights.reshape((centers.size, 1)) * projected[neighbors]
+    return ag.segment_sum(messages, segments, shell.size)
+
+
+def _mean_cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
+    """Mean softmax cross-entropy of (S, C) logits against gold class ids."""
+    shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
     expd = ag.exp(shifted)
-    probs = expd / expd.sum()
-    return -ag.log(ag.clip_min(probs[sample.gold], PROB_FLOOR))
+    gold_probs = expd[np.arange(len(golds)), golds] / expd.sum(axis=1)
+    return -ag.log(ag.clip_min(gold_probs, PROB_FLOOR)).mean()
 
 
 def _batch_loss(ts, samples, config: TrainConfig) -> Tensor:
-    if not samples:
-        raise ValueError("empty batch")
-    total = None
     for sample in samples:
-        term = _sample_loss(ts, sample, config)
-        total = term if total is None else total + term
-    return total * (1.0 / len(samples))
+        if sample.gold is None:
+            raise ValueError(f"post {sample.post_id!r} has no label")
+    golds = np.array([sample.gold for sample in samples], dtype=np.intp)
+    return _mean_cross_entropy(_batch_logits(ts, samples, config), golds)
+
+
+def _predicted_labels(ts, samples, config: TrainConfig) -> list:
+    """Argmax class of each compiled sample, batch_size samples at a time,
+    so `samples` may be an iterator that compiles them lazily."""
+    samples = iter(samples)
+    labels = []
+    while batch := list(itertools.islice(samples, config.batch_size)):
+        probs = _softmax(_batch_logits(ts, batch, config).data)
+        labels.extend(int(label) for label in np.argmax(probs, axis=1))
+    return labels
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
+    """Softmax over the last axis."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     expd = np.exp(shifted)
-    return expd / expd.sum()
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 # -- public inference --------------------------------------------------------
@@ -346,7 +400,7 @@ def forward(post, graph, corpus, provider, params: ModelParams,
         raise KeyError(f"user not in social graph: {post.author_id!r}")
     sample = _compile_sample(post, graph, corpus, provider, config)
     ts = _make_tensors(params, requires_grad=False)
-    probs = _softmax(_sample_logits(ts, sample, config).data)
+    probs = _softmax(_batch_logits(ts, [sample], config).data[0])
     return Prediction(probabilities=probs, label=StanceLabel(int(np.argmax(probs))))
 
 
@@ -490,15 +544,6 @@ def split_dataset(items, fractions=(0.8, 0.1, 0.1), seed: int = 0):
 # -- training ----------------------------------------------------------------
 
 
-def _compiled_accuracy(ts, samples, config) -> float:
-    correct = 0
-    for sample in samples:
-        probs = _softmax(_sample_logits(ts, sample, config).data)
-        if int(np.argmax(probs)) == sample.gold:
-            correct += 1
-    return correct / len(samples)
-
-
 def eligible_training_posts(corpus, graph):
     """Labelled posts whose author is a graph node, in corpus order."""
     return [p for p in corpus.labelled() if p.author_id in graph]
@@ -539,7 +584,9 @@ def train(corpus, graph, provider, config: TrainConfig):
                       config.weight_decay)
             batch_losses.append(batch_loss)
         eval_ts = _make_tensors(params, requires_grad=False)
-        val_acc = _compiled_accuracy(eval_ts, val_samples, config)
+        predicted = _predicted_labels(eval_ts, val_samples, config)
+        hits = sum(label == sample.gold for label, sample in zip(predicted, val_samples))
+        val_acc = hits / len(val_samples)
         logs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                val_accuracy=val_acc))
         if val_acc > best_acc:
@@ -552,17 +599,14 @@ def train(corpus, graph, provider, config: TrainConfig):
 def evaluate(posts, graph, corpus, provider, params: ModelParams,
              config: TrainConfig):
     """MetricReport of the model over labelled posts."""
-    golds = []
-    preds = []
-    ts = _make_tensors(params, requires_grad=False)
+    posts = list(posts)
     for post in posts:
         if post.label is None:
             raise ValueError(f"post {post.id!r} has no label")
-        sample = _compile_sample(post, graph, corpus, provider, config)
-        probs = _softmax(_sample_logits(ts, sample, config).data)
-        preds.append(int(np.argmax(probs)))
-        golds.append(int(post.label))
-    return stance_report(preds, golds)
+    ts = _make_tensors(params, requires_grad=False)
+    samples = (_compile_sample(p, graph, corpus, provider, config) for p in posts)
+    preds = _predicted_labels(ts, samples, config)
+    return stance_report(preds, [int(post.label) for post in posts])
 
 
 def sweep(corpus, graph, provider, config: TrainConfig, hops_values,
@@ -607,7 +651,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path, allow_pickle=False) as data:
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        archive = None  # text, pickle, empty or broken zip
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise InputDataError(f"not a model checkpoint (not an .npz archive): {path}")
+    with archive as data:
         if "__meta__" not in data:
             raise InputDataError("not a model checkpoint (missing metadata)")
         meta = json.loads(str(data["__meta__"][()]))
@@ -643,16 +693,10 @@ def train_text_baseline(posts, provider, config: TrainConfig, epochs: int = 300,
         "b": np.zeros(N_CLASSES, dtype=np.float64),
     }
     state = AdamState.fresh(tensors)
-    n = len(train_posts)
-    rows = np.arange(n)
     for _ in range(epochs):
         w = Tensor(tensors["w"], requires_grad=True)
         b = Tensor(tensors["b"], requires_grad=True)
-        logits = Tensor(features) @ w + b
-        shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
-        expd = ag.exp(shifted)
-        probs_gold = expd[rows, golds] / expd.sum(axis=1)
-        total = -ag.log(ag.clip_min(probs_gold, PROB_FLOOR)).mean()
+        total = _mean_cross_entropy(Tensor(features) @ w + b, golds)
         total.backward()
         adam_step(tensors, {"w": w.grad, "b": b.grad}, state, learning_rate)
     return tensors

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from socialstance import autograd as ag
 
@@ -137,6 +140,51 @@ class TestGatherScatter:
         ag.tsum(ag.mul(joined, ag.Tensor(np.arange(10.0).reshape(5, 2)))).backward()
         np.testing.assert_array_equal(a.grad, [[0.0, 1.0], [2.0, 3.0]])
         np.testing.assert_array_equal(b.grad, [[4.0, 5.0], [6.0, 7.0], [8.0, 9.0]])
+
+
+@st.composite
+def scatter_cases(draw):
+    """Rows of 1-D or 2-D values, a bucket index per row (repeats, empty
+    buckets and buckets past the largest index included), and a bucket
+    count."""
+    used = draw(st.integers(1, 6))
+    n_rows = draw(st.integers(0, 24))
+    index = np.array(draw(st.lists(st.integers(0, used - 1), min_size=n_rows,
+                                   max_size=n_rows)), dtype=np.intp)
+    tail = draw(st.sampled_from([(), (1,), (3,)]))
+    values = draw(hnp.arrays(np.float64, (n_rows,) + tail,
+                             elements=st.floats(-1e6, 1e6)))
+    return values, index, used + draw(st.integers(0, 3))
+
+
+def add_at_oracle(values, index, num_segments):
+    out = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+class TestScatterMatchesAddAt:
+    """The bincount scatter sums each bucket in row order, as np.add.at
+    does, so both agree bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(scatter_cases())
+    def test_segment_sum_forward(self, case):
+        values, index, num_segments = case
+        got = ag.segment_sum(ag.Tensor(values), index, num_segments).data
+        want = add_at_oracle(values, index, num_segments)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scatter_cases())
+    def test_getitem_backward(self, case):
+        upstream, index, num_rows = case
+        x = ag.Tensor(np.zeros((num_rows,) + upstream.shape[1:]), requires_grad=True)
+        ag.tsum(ag.mul(ag.getitem(x, index), ag.Tensor(upstream))).backward()
+        want = add_at_oracle(upstream, index, num_rows)
+        assert x.grad.shape == want.shape
+        assert x.grad.tobytes() == want.tobytes()
 
 
 class TestShape:

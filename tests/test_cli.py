@@ -76,6 +76,14 @@ def write_config(path, world, **overrides):
     return path
 
 
+def assert_input_error(code, capsys, needle):
+    """Bad input: exit 2 and one clean error line naming the problem."""
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and needle in err
+    assert "Traceback" not in err and "pickle" not in err
+
+
 class TestConfigParsing:
     def test_comments_blanks_and_values(self, tmp_path):
         path = tmp_path / "c.cfg"
@@ -177,6 +185,10 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 2
         assert "expected integer" in capsys.readouterr().err
 
+    def test_non_numeric_split_exit_2(self, world, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.cfg", world, split="a,b,c")
+        assert_input_error(main(["train", "--config", str(cfg)]), capsys, "split")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_3(self, world, tmp_path, capsys):
         cfg = write_config(tmp_path / "t.cfg", world, learning_rate=1e200,
@@ -249,6 +261,15 @@ class TestClassify:
         assert code == 4
         err = capsys.readouterr().err
         assert "skipped user not in social graph: stranger" in err
+
+    def test_non_checkpoint_file_exit_2(self, world, tmp_path, capsys):
+        junk = tmp_path / "model.npz"
+        junk.write_text("not an archive\n", encoding="utf-8")
+        code = main(["classify", "--checkpoint", str(junk),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "not a model checkpoint")
 
     def test_needs_a_graph_source_exit_2(self, world, checkpoint, capsys):
         code = main(["classify", "--checkpoint", str(checkpoint),
@@ -447,6 +468,13 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == "hops,history_len,val_accuracy"
         assert len(lines) == 3
+
+
+    @pytest.mark.parametrize("flag", ["--hops-grid", "--history-len-grid"])
+    def test_non_integer_grid_exit_2(self, world, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "s.cfg", world, epochs=1)
+        code = main(["sweep", "--config", str(cfg), flag, "x"])
+        assert_input_error(code, capsys, flag)
 
 
 class TestArgparseSurface:

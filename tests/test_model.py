@@ -5,6 +5,8 @@ composition in reference_probabilities, gradients against central finite
 differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,8 @@ from socialstance.model import (
     train,
     train_text_baseline,
 )
-from socialstance.socialgraph import SocialGraph
+from socialstance.socialgraph import (SocialGraph, exact_order_neighborhood,
+                                      khop_neighborhood)
 
 
 def toy_world(n_users=8, history=2, embed_dim=8, seed=0):
@@ -219,6 +222,65 @@ class TestGradients:
         with pytest.raises(ValueError):
             loss([corpus.by_id["u0h0"]], graph, corpus, store, params, cfg)
         del bare
+
+
+def mixed_world():
+    """Balls of different sizes in one batch: a ring with one chord, and a
+    detached pair whose order-2 shells are empty; b has no history."""
+    ring = [f"u{i}" for i in range(8)]
+    edges = [(ring[i], ring[(i + 1) % 8]) for i in range(8)]
+    edges += [("u0", "u4"), ("a", "b")]
+    graph = SocialGraph(edges)
+    posts = []
+    for i, user in enumerate(ring + ["a", "b"]):
+        for m in range(0 if user == "b" else 1 + i % 3):
+            posts.append(Post(id=f"{user}h{m}", author_id=user, timestamp=10 + m,
+                              text=f"history {user} {m} says something new"))
+        posts.append(Post(id=f"{user}t", author_id=user, timestamp=100,
+                          text=f"target post by {user} number {i}",
+                          label=StanceLabel(i % 4)))
+    corpus = Corpus(posts)
+    store = precompute(corpus, HashedNgramEncoder(dim=8))
+    return corpus, graph, store
+
+
+@pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+@pytest.mark.parametrize("history", ["pe", "mean"])
+class TestBatchedEngine:
+    """A batch is one disjoint-union graph; it must agree with its posts
+    run one at a time."""
+
+    def setup_world(self, aggregator, history):
+        corpus, graph, store = mixed_world()
+        cfg = small_config(aggregator=aggregator, history=history, history_len=2,
+                           batch_size=4)
+        batch = eligible_training_posts(corpus, graph)
+        assert len({len(khop_neighborhood(graph, p.author_id, 2)) for p in batch}) > 2
+        assert not exact_order_neighborhood(graph, "a", 2)
+        return corpus, graph, store, cfg, ModelParams(cfg), batch
+
+    def test_loss_is_mean_of_single_post_losses(self, aggregator, history):
+        corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
+        total = loss(batch, graph, corpus, store, params, cfg)
+        singles = [loss([p], graph, corpus, store, params, cfg) for p in batch]
+        assert abs(total - np.mean(singles)) <= 1e-12
+
+    def test_gradients_are_mean_of_single_post_gradients(self, aggregator, history):
+        corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
+        grads = gradients(batch, graph, corpus, store, params, cfg)
+        singles = [gradients([p], graph, corpus, store, params, cfg) for p in batch]
+        for name, grad in grads.items():
+            mean = np.mean([single[name] for single in singles], axis=0)
+            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_evaluate_predicts_as_forward(self, aggregator, history):
+        corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
+        # Relabel every post with forward()'s prediction: evaluate, which
+        # runs batch_size posts at a time, must then score every one.
+        relabelled = [replace(p, label=forward(p, graph, corpus, store, params,
+                                               cfg).label) for p in batch]
+        report = evaluate(relabelled, graph, corpus, store, params, cfg)
+        assert report.accuracy == 1.0
 
 
 class TestAdam:
