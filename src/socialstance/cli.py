@@ -23,8 +23,8 @@ from . import gbdt
 from .corpus import load_posts
 from .errors import EmptyResultError, InputDataError, TrainingDivergedError
 from .hesitancy import (classify_change, daily_label_proportions,
-                        eligible_users, hesitancy_score, write_hesitancy_csv,
-                        write_timeseries_csv)
+                        eligible_users, hesitancy_score, open_out,
+                        write_hesitancy_csv, write_timeseries_csv)
 from .embed import load_embedding_store
 from .metrics import MetricReport, agreement_report, load_ratings_csv
 from .model import (ModelParams, TrainConfig, eligible_training_posts,
@@ -214,14 +214,10 @@ def cmd_classify(args) -> int:
         print(f"skipped user not in social graph: {user}", file=sys.stderr)
     if not rows:
         raise EmptyResultError("no posts could be classified")
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-    try:
+    with open_out(args.out or sys.stdout) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(CLASSIFY_HEADER.split(","))
         writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 
@@ -229,7 +225,7 @@ def cmd_track(args) -> int:
     corpus = load_posts(args.posts)
     start, end = parse_timestamp(args.start), parse_timestamp(args.end)
     per_day = daily_label_proportions(corpus, start, end)
-    write_timeseries_csv(per_day, args.out if args.out else sys.stdout)
+    write_timeseries_csv(per_day, args.out or sys.stdout)
     return 0
 
 
@@ -256,8 +252,7 @@ def cmd_hesitancy(args) -> int:
             & eligible_users(corpus, *after, args.min_posts))
         if not users:
             raise EmptyResultError("no users eligible in both windows")
-        out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
-        try:
+        with open_out(args.out or sys.stdout) as out:
             writer = csv.writer(out, lineterminator="\n")
             writer.writerow(CHANGE_HEADER.split(","))
             for user in users:
@@ -265,9 +260,6 @@ def cmd_hesitancy(args) -> int:
                 a = hesitancy_score(corpus, user, *after)
                 writer.writerow([user, repr(b.score), repr(a.score),
                                  classify_change(b.score, a.score).name])
-        finally:
-            if args.out:
-                out.close()
         return 0
     if not (args.start and args.end):
         raise InputDataError("hesitancy needs --start/--end or "
@@ -276,7 +268,7 @@ def cmd_hesitancy(args) -> int:
     records = _windowed_records(corpus, start, end, args.min_posts)
     if not records:
         raise EmptyResultError("no eligible users in window")
-    write_hesitancy_csv(records, args.out if args.out else sys.stdout)
+    write_hesitancy_csv(records, args.out or sys.stdout)
     return 0
 
 

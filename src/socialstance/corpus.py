@@ -2,19 +2,23 @@
 
 Posts arrive as JSON Lines, one object per line, with the fields described on
 :class:`Post`. A :class:`Corpus` wraps a validated list of posts and indexes
-them by id and by author so downstream modules can ask for a user's recent
-history in O(log n).
+them by id and, on first use, by (author, timestamp, id), so the recent
+histories of a batch of users come from one searchsorted.
 """
 
 import json
+import weakref
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from enum import IntEnum
+from functools import cached_property
 from urllib.parse import urlparse
+
+import numpy as np
 
 from .errors import InputDataError
 
-POST_KINDS = ("original", "retweet", "quote")
+POST_KINDS = ("original", "retweet", "quote", "reply")
 
 # Case-insensitive substrings that mark a post as vaccine-related. "vaccin"
 # covers vaccine/vaccinated/vaccination; the German and Spanish/Portuguese
@@ -44,8 +48,9 @@ class StanceLabel(IntEnum):
 class Post:
     """One social-media post.
 
-    kind is "original", "retweet", or "quote"; source_post_id points at the
-    reposted/quoted post and is required whenever kind != "original".
+    kind is "original", "retweet", "quote", or "reply"; source_post_id
+    points at the reposted, quoted or replied-to post and is required
+    whenever kind != "original". Every kind but retweet is authored text.
     timestamp is Unix seconds (UTC). label is None for unannotated posts.
     """
 
@@ -76,7 +81,12 @@ def _validate_post(post: Post) -> None:
 
 
 class Corpus:
-    """Validated post collection with id and per-user timestamp indexes."""
+    """Validated post collection with an id index and a history index.
+
+    Row r of the corpus is posts[r]. The history index orders every post by
+    (author, timestamp, id); it is built on first use, so loading stays a
+    single validation pass.
+    """
 
     def __init__(self, posts):
         self.posts = list(posts)
@@ -86,14 +96,7 @@ class Corpus:
             if post.id in self.by_id:
                 raise InputDataError(f"duplicate post id: {post.id!r}")
             self.by_id[post.id] = post
-        self._by_user = {}
-        for post in self.posts:
-            self._by_user.setdefault(post.author_id, []).append(post)
-        self._ts_by_user = {}
-        for user, seq in self._by_user.items():
-            # Ties on timestamp order by id so history windows are stable.
-            seq.sort(key=lambda p: (p.timestamp, p.id))
-            self._ts_by_user[user] = [p.timestamp for p in seq]
+        self._embeddings = weakref.WeakKeyDictionary()
 
     def __len__(self):
         return len(self.posts)
@@ -101,17 +104,90 @@ class Corpus:
     def __iter__(self):
         return iter(self.posts)
 
+    @cached_property
+    def _history(self) -> "_HistoryIndex":
+        return _HistoryIndex(self.posts)
+
     def users(self):
         """Author ids present in the corpus, sorted."""
-        return sorted(self._by_user)
+        return list(self._history.users)
 
     def posts_by(self, user_id: str):
         """All posts by one user, oldest first. Unknown user yields []."""
-        return list(self._by_user.get(user_id, ()))
+        index = self._history
+        user = index.user_index.get(user_id)
+        if user is None:
+            return []
+        rows = index.rows[index.starts[user]:index.starts[user + 1]]
+        return [self.posts[r] for r in rows.tolist()]
+
+    def history(self, users, before: int, limit: int):
+        """Each user's last `limit` posts strictly before `before`, newest
+        first, as corpus rows.
+
+        Returns a (len(users), limit) int array padded with -1 and the
+        (len(users),) count of real rows. Equal timestamps order by post
+        id; unknown users get no rows.
+        """
+        index = self._history
+        # An unknown user maps one past the last author, whose slice is empty.
+        authors = np.fromiter((index.user_index.get(u, len(index.users)) for u in users),
+                              np.intp, len(users))
+        cuts = np.searchsorted(index.keys, authors * index.stride
+                               + bisect_left(index.timestamps, before))
+        counts = np.minimum(cuts - index.starts[authors], limit)
+        back = np.arange(limit)
+        real = back < counts[:, None]
+        rows = np.full((len(users), limit), -1, dtype=np.intp)
+        rows[real] = index.rows[(cuts[:, None] - 1 - back)[real]]
+        return rows, counts
+
+    def embeddings(self, provider, rows) -> np.ndarray:
+        """provider.embed_post of the posts at `rows`, as (len(rows), dim).
+
+        Vectors are kept per provider for as long as the provider lives,
+        so each post is embedded at most once per provider.
+        """
+        if provider not in self._embeddings:
+            self._embeddings[provider] = (
+                np.zeros((len(self.posts), provider.dim)),
+                np.zeros(len(self.posts), dtype=bool))
+        table, done = self._embeddings[provider]
+        for r in np.unique(rows[~done[rows]]).tolist():
+            table[r] = provider.embed_post(self.posts[r])
+            done[r] = True
+        return table[rows]
 
     def labelled(self):
         """Posts carrying a stance label, in corpus order."""
         return [p for p in self.posts if p.label is not None]
+
+
+class _HistoryIndex:
+    """A corpus's rows in one flat (author, timestamp, id) order.
+
+    rows[starts[a]:starts[a + 1]] are the rows of users[a], oldest first.
+    Timestamps are replaced by their rank among the distinct timestamps,
+    so Python ints of any size sort as int64; keys[i] = author * stride +
+    rank of flat position i never decreases, and one searchsorted finds
+    every user's cut at a timestamp.
+    """
+
+    def __init__(self, posts):
+        n = len(posts)
+        self.users = sorted({post.author_id for post in posts})
+        self.user_index = {user: a for a, user in enumerate(self.users)}
+        self.timestamps = sorted({post.timestamp for post in posts})
+        rank = {ts: i for i, ts in enumerate(self.timestamps)}
+        authors = np.fromiter((self.user_index[p.author_id] for p in posts), np.intp, n)
+        ranks = np.fromiter((rank[p.timestamp] for p in posts), np.intp, n)
+        id_ranks = np.empty(n, dtype=np.intp)
+        id_ranks[sorted(range(n), key=lambda r: posts[r].id)] = np.arange(n)
+        self.rows = np.lexsort((id_ranks, ranks, authors))
+        self.stride = len(self.timestamps) + 1
+        self.keys = (authors * self.stride + ranks)[self.rows]
+        self.starts = np.searchsorted(self.keys,
+                                      np.arange(len(self.users) + 1) * self.stride)
 
 
 def _parse_label(raw, lineno):
@@ -240,14 +316,21 @@ def filter_vaccine_related(corpus: Corpus, keywords=VACCINE_KEYWORDS) -> Corpus:
     return Corpus(hits)
 
 
+def rank_authored(posts):
+    """Authored posts (every kind but retweet: a plain retweet adds no text
+    and its popularity belongs to its source) by retweet_count descending,
+    ties by id ascending."""
+    return sorted((p for p in posts if p.kind != "retweet"),
+                  key=lambda p: (-p.retweet_count, p.id))
+
+
 def select_annotation_set(corpus: Corpus):
     """Greedy user-covering selection of high-visibility authored posts.
 
-    Authored posts (kind original or quote; plain retweets add no new text)
-    are ranked by retweet_count descending, ties by id ascending, then taken
-    in order. Taking a post covers its author and every user whose retweet
-    points at it. Selection stops as soon as every user in the corpus is
-    covered, so the result is a prefix of the ranking.
+    Authored posts are taken in rank_authored order. Taking a post covers
+    its author and every user whose retweet points at it. Selection stops
+    as soon as every user in the corpus is covered, so the result is a
+    prefix of the ranking.
     """
     if not corpus.posts:
         raise InputDataError("corpus is empty")
@@ -256,13 +339,9 @@ def select_annotation_set(corpus: Corpus):
         if post.kind == "retweet":
             retweeters.setdefault(post.source_post_id, set()).add(post.author_id)
     everyone = {p.author_id for p in corpus.posts}
-    ranked = sorted(
-        (p for p in corpus.posts if p.kind != "retweet"),
-        key=lambda p: (-p.retweet_count, p.id),
-    )
     covered = set()
     selected = []
-    for post in ranked:
+    for post in rank_authored(corpus.posts):
         if covered >= everyone:
             break
         covered.add(post.author_id)
@@ -279,13 +358,8 @@ def recent_posts(corpus: Corpus, user_id: str, before: int, limit: int):
     """
     if limit < 0:
         raise InputDataError("limit must be non-negative")
-    seq = corpus._by_user.get(user_id)
-    if not seq:
-        return []
-    # seq is sorted by (timestamp, id); find the first index at `before`.
-    cut = bisect_left(corpus._ts_by_user[user_id], before)
-    start = max(0, cut - limit)
-    return list(reversed(seq[start:cut]))
+    rows, counts = corpus.history([user_id], before, limit)
+    return [corpus.posts[r] for r in rows[0, :counts[0]].tolist()]
 
 
 def relabel(corpus: Corpus, labels) -> Corpus:

@@ -7,13 +7,14 @@ Windows are half-open [start, end) in Unix seconds; days are UTC days.
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 
 import numpy as np
 
-from .corpus import Corpus, StanceLabel
+from .corpus import Corpus, StanceLabel, rank_authored
 from .errors import InputDataError
 
 THEME_ANNOTATION_HEADER = "post_id,theme"
@@ -172,18 +173,12 @@ def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
 def select_popular(posts, quantile: float = 0.25):
     """The most-retweeted ceil(quantile * n) authored posts.
 
-    Only originals and quotes rank (a retweet's popularity belongs to its
-    source). Ties in retweet_count break by id ascending, so the output is
-    a deterministic prefix of the ranking. Empty input yields [].
+    Posts rank by rank_authored (retweets do not rank), so the output is a
+    deterministic prefix of the ranking. Empty input yields [].
     """
     if not 0.0 < quantile <= 1.0:
         raise InputDataError(f"quantile must be in (0, 1], got {quantile}")
-    ranked = sorted(
-        (p for p in posts if p.kind != "retweet"),
-        key=lambda p: (-p.retweet_count, p.id),
-    )
-    if not ranked:
-        return []
+    ranked = rank_authored(posts)
     return ranked[:math.ceil(quantile * len(ranked))]
 
 
@@ -243,10 +238,15 @@ def load_theme_annotations(path) -> dict:
     return themes
 
 
-def _open_out(path_or_file):
-    if hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, "w", encoding="utf-8", newline=""), True
+@contextmanager
+def open_out(out):
+    """`out` as a writable text file: a path is opened for the block and
+    closed after it, an open file is used as it is."""
+    if hasattr(out, "write"):
+        yield out
+        return
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        yield fh
 
 
 def write_hesitancy_csv(records, out) -> None:
@@ -254,16 +254,12 @@ def write_hesitancy_csv(records, out) -> None:
 
     `out` is a path or an open text file.
     """
-    fh, owned = _open_out(out)
-    try:
+    with open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HESITANCY_HEADER.split(","))
         for rec in records:
             writer.writerow([rec.user, rec.window_start, rec.window_end,
                              rec.n_positive, rec.n_negative, repr(rec.score)])
-    finally:
-        if owned:
-            fh.close()
 
 
 def write_timeseries_csv(per_day: dict, out) -> None:
@@ -272,8 +268,7 @@ def write_timeseries_csv(per_day: dict, out) -> None:
     Days without posts leave their fraction cells empty. `out` is a path
     or an open text file.
     """
-    fh, owned = _open_out(out)
-    try:
+    with open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TIMESERIES_HEADER.split(","))
         for day in sorted(per_day):
@@ -283,6 +278,3 @@ def write_timeseries_csv(per_day: dict, out) -> None:
                 value = fractions[label.name]
                 row.append("" if value is None else repr(value))
             writer.writerow(row)
-    finally:
-        if owned:
-            fh.close()

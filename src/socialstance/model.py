@@ -5,15 +5,18 @@ post itself and a social code built by running a shell-attention encoder
 over the author's k-hop neighborhood, where every neighborhood node is
 summarized by a position-weighted aggregate of its recent post history.
 
-Each post is first compiled: the author's k-hop ball, each ball node's
-last history_len posts before the target's timestamp, and the exact-distance
-shell edges inside the ball, as index arrays. One batched forward,
-_batch_logits, then joins a batch of compiled posts into one block-diagonal
-graph (each ball's node indices offset by the sizes of the balls before it),
-encodes it and applies a softmax head to [z_social || z_text] at the author
-rows. train, loss, gradients, evaluate and forward (a batch of one) all run
-it through the autograd engine, so analytic gradients come from the exact
-inference path.
+Each post is first compiled into index arrays, with array operations and
+no per-node Python loop: the author's k-hop ball by frontier expansion over
+the graph's CSR arrays, the exact-distance shell edges between all pairs of
+ball nodes by one multi-source BFS over the ball's induced CSR, and each
+ball node's last history_len posts before the target's timestamp by one
+query of the corpus's history index (the corpus memoizes their embeddings
+per provider). One batched forward, _batch_logits, then joins a batch of
+compiled posts into one block-diagonal graph (each ball's node indices
+offset by the sizes of the balls before it), encodes it and applies a
+softmax head to [z_social || z_text] at the author rows. train, loss,
+gradients, evaluate and forward (a batch of one) all run it through the
+autograd engine, so analytic gradients come from the exact inference path.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -36,7 +39,8 @@ from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
                       init_position_weights, social_encode)
 from .errors import InputDataError, TrainingDivergedError
 from .metrics import stance_report
-from .socialgraph import induced_subgraph, khop_neighborhood
+from .socialgraph import (exact_shells, induced_csr, induced_subgraph,
+                          khop_neighborhood)
 
 HISTORY_KINDS = ("pe", "mean")
 N_CLASSES = 4
@@ -96,14 +100,29 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data):
-        fields = set(cls.__dataclass_fields__)
-        unknown = set(data) - fields
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise InputDataError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            kind = fields[key].type
+            if kind is tuple:
+                ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            elif kind is float:
+                ok = _is_number(value)
+            else:
+                ok = isinstance(value, kind) and not isinstance(value, bool)
+            if not ok:
+                raise InputDataError(
+                    f"config key {key!r}: expected {kind.__name__}, got {value!r}")
         kwargs = dict(data)
         if "split" in kwargs:
             kwargs["split"] = tuple(kwargs["split"])
         return cls(**kwargs)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -205,49 +224,25 @@ def _check_provider(provider, config: TrainConfig) -> None:
 
 
 def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _CompiledSample:
-    k = config.hops
-    ball = sorted(khop_neighborhood(graph, post.author_id, k))
-    index = {node: i for i, node in enumerate(ball)}
-    members = set(ball)
-    local_adj = [
-        tuple(index[u] for u in graph.neighbors(node) if u in members)
-        for node in ball
-    ]
-    # Exact-distance shells inside the induced subgraph, one BFS per node.
-    edges = [([], []) for _ in range(k)]
-    for center in range(len(ball)):
-        seen = {center}
-        frontier = [center]
-        for order in range(k):
-            nxt = set()
-            for cur in frontier:
-                for neigh in local_adj[cur]:
-                    if neigh not in seen:
-                        nxt.add(neigh)
-            if not nxt:
-                break
-            seen.update(nxt)
-            for neigh in sorted(nxt):
-                edges[order][0].append(center)
-                edges[order][1].append(neigh)
-            frontier = nxt
-    shell_edges = tuple(
-        (np.asarray(ci, dtype=np.intp), np.asarray(ni, dtype=np.intp))
-        for ci, ni in edges
-    )
-    d, lam = config.embed_dim, config.history_len
-    hist = np.zeros((len(ball), lam, d), dtype=np.float64)
-    counts = np.zeros(len(ball), dtype=np.intp)
-    for i, node in enumerate(ball):
-        history = recent_posts(corpus, node, post.timestamp, lam)
-        counts[i] = len(history)
-        for m, past in enumerate(history):
-            hist[i, m] = provider.embed_post(past)
+    k, lam = config.hops, config.history_len
+    author = graph.index(post.author_id)
+    reached = exact_shells(graph.indptr, graph.indices, [author], k)
+    ball = np.sort(np.concatenate([[author]] + [nodes for _, nodes in reached]))
+    # Exact-distance shells inside the induced subgraph, from every ball
+    # node at once; pairs come out sorted by (center, neighbor).
+    local_indptr, local_indices = induced_csr(graph.indptr, graph.indices, ball)
+    shell_edges = tuple(exact_shells(local_indptr, local_indices,
+                                     np.arange(ball.size), k))
+    rows, counts = corpus.history([graph.node_ids[i] for i in ball.tolist()],
+                                  post.timestamp, lam)
+    real = rows >= 0
+    hist = np.zeros((ball.size, lam, config.embed_dim), dtype=np.float64)
+    hist[real] = corpus.embeddings(provider, rows[real])
     z_hist_mean = hist.sum(axis=1) / np.maximum(counts, 1)[:, None]
     return _CompiledSample(
         post_id=post.id,
-        author_row=index[post.author_id],
-        n_nodes=len(ball),
+        author_row=int(np.searchsorted(ball, author)),
+        n_nodes=ball.size,
         hist=hist,
         hist_counts=counts,
         z_hist_mean=z_hist_mean,
@@ -660,16 +655,27 @@ def load_checkpoint(path) -> ModelParams:
     with archive as data:
         if "__meta__" not in data:
             raise InputDataError("not a model checkpoint (missing metadata)")
-        meta = json.loads(str(data["__meta__"][()]))
+        try:
+            meta = json.loads(str(data["__meta__"][()]))
+        except ValueError:  # not JSON, or an object array
+            meta = None
+        if not isinstance(meta, dict):
+            raise InputDataError("not a model checkpoint (metadata is not a JSON object)")
         if meta.get("format_version") != CHECKPOINT_VERSION:
             raise InputDataError(
                 f"unsupported checkpoint version {meta.get('format_version')!r}")
+        if not isinstance(meta.get("config"), dict):
+            raise InputDataError("checkpoint config is not a JSON object")
         config = TrainConfig.from_dict(meta["config"])
         tensors = {key[len("param:"):]: data[key]
                    for key in data.files if key.startswith("param:")}
-    expected = set(ModelParams(config).tensors)
-    if set(tensors) != expected:
+    expected = ModelParams(config).tensors
+    if set(tensors) != set(expected):
         raise InputDataError("checkpoint parameter names do not match its config")
+    for name, arr in tensors.items():
+        if arr.shape != expected[name].shape or arr.dtype != np.float64:
+            raise InputDataError(
+                f"checkpoint parameter {name!r} does not match its config")
     return ModelParams(config, tensors)
 
 

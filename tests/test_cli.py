@@ -271,6 +271,38 @@ class TestClassify:
                      "--interactions", str(world["interactions"])])
         assert_input_error(code, capsys, "not a model checkpoint")
 
+    @pytest.mark.parametrize("meta, needle", [
+        ("not json", "not a model checkpoint"),
+        ("[1,2]", "not a model checkpoint"),
+        ('{"format_version": 1, "config": [1]}', "config is not a JSON object"),
+        ('{"format_version": 1, "config": {"epochs": "x"}}', "config key 'epochs'"),
+    ])
+    def test_malformed_checkpoint_metadata_exit_2(self, world, tmp_path, capsys,
+                                                  meta, needle):
+        bad = tmp_path / "model.npz"
+        np.savez(bad, __meta__=np.asarray(meta))
+        code = main(["classify", "--checkpoint", str(bad),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1 and needle in err
+        assert "Traceback" not in err
+
+    def test_misshapen_checkpoint_parameter_exit_2(self, world, checkpoint, tmp_path,
+                                                  capsys):
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        arrays["param:input.w"] = arrays["param:input.w"][:, :1]
+        bad = tmp_path / "model.npz"
+        np.savez(bad, **arrays)
+        code = main(["classify", "--checkpoint", str(bad),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "parameter 'input.w' does not match")
+
     def test_needs_a_graph_source_exit_2(self, world, checkpoint, capsys):
         code = main(["classify", "--checkpoint", str(checkpoint),
                      "--posts", str(world["posts"]),

@@ -1,9 +1,12 @@
 """Corpus container, JSONL round-trips, text cleanup, annotation selection."""
 
 import json
+from bisect import bisect_left
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance.corpus import (
     VACCINE_KEYWORDS,
@@ -95,6 +98,25 @@ class TestJsonl:
         assert loaded.by_id["c"].kind == "retweet"
         assert loaded.by_id["c"].source_post_id == "a"
         assert loaded.by_id["c"].retweet_count == 2
+
+    def test_reply_round_trip(self, tmp_path):
+        posts = [make_post("a", "u1", 5, "first post"),
+                 Post(id="r", author_id="u2", timestamp=6, text="replying",
+                      kind="reply", source_post_id="a", retweet_count=3)]
+        path = tmp_path / "posts.jsonl"
+        write_posts(posts, path)
+        loaded = load_posts(path)
+        assert loaded.by_id["r"] == posts[1]
+        again = tmp_path / "again.jsonl"
+        write_posts(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_reply_requires_source(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps({"id": "r", "author_id": "u", "timestamp": 0,
+                                    "text": "x", "kind": "reply"}) + "\n")
+        with pytest.raises(InputDataError, match="line 1: .*requires source_post_id"):
+            load_posts(path)
 
     def test_label_is_name_string(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -233,6 +255,19 @@ class TestSelectAnnotationSet:
         selected = select_annotation_set(Corpus(posts))
         assert all(p.kind != "retweet" for p in selected)
 
+    def test_replies_rank_like_quotes(self):
+        posts = [
+            make_post("o", "u1", 0, retweet_count=4),
+            Post(id="q", author_id="u2", timestamp=0, text="x", kind="quote",
+                 source_post_id="o", retweet_count=7),
+            Post(id="p", author_id="u3", timestamp=0, text="x", kind="reply",
+                 source_post_id="o", retweet_count=7),
+            Post(id="r", author_id="u4", timestamp=1, text="x", kind="reply",
+                 source_post_id="q", retweet_count=9),
+        ]
+        # r leads on retweets; p and q tie and break by id.
+        assert [p.id for p in select_annotation_set(Corpus(posts))] == ["r", "p", "q", "o"]
+
     def test_empty_corpus_is_error(self):
         with pytest.raises(InputDataError):
             select_annotation_set(Corpus([]))
@@ -259,6 +294,50 @@ class TestRecentPosts:
         corpus = Corpus([make_post("a")])
         with pytest.raises(ValueError):
             recent_posts(corpus, "u1", before=10, limit=-1)
+
+
+def bisect_recent(posts, user, before, limit):
+    """The per-user sorted list and bisect that history queries replaced."""
+    seq = sorted((p for p in posts if p.author_id == user),
+                 key=lambda p: (p.timestamp, p.id))
+    cut = bisect_left([p.timestamp for p in seq], before)
+    return list(reversed(seq[max(0, cut - limit):cut]))
+
+
+BIG = 2 ** 70
+
+
+@st.composite
+def history_corpora(draw):
+    """Posts by a few authors on few, often tied timestamps, some of them
+    outside int64."""
+    stamps = draw(st.lists(st.sampled_from([-BIG, -3, 0, 1, 2, 5, BIG]) | st.integers(-4, 9),
+                           min_size=0, max_size=24))
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), unique=True,
+                        min_size=len(stamps), max_size=len(stamps)))
+    authors = draw(st.lists(st.sampled_from(["u1", "u2", "u3"]),
+                            min_size=len(stamps), max_size=len(stamps)))
+    return [make_post(i, a, ts) for i, a, ts in zip(ids, authors, stamps)]
+
+
+class TestHistoryQuery:
+    @settings(max_examples=150, deadline=None)
+    @given(history_corpora(), st.integers(0, 4))
+    def test_matches_bisect(self, posts, limit):
+        corpus = Corpus(posts)
+        users = ["u1", "u2", "u3", "ghost"]
+        cutoffs = {-2 * BIG, 2 * BIG}
+        for p in posts:
+            cutoffs |= {p.timestamp - 1, p.timestamp, p.timestamp + 1}
+        for before in sorted(cutoffs):
+            rows, counts = corpus.history(users, before, limit)
+            assert rows.shape == (len(users), limit)
+            for user, row, count in zip(users, rows, counts):
+                expected = bisect_recent(posts, user, before, limit)
+                assert count == len(expected)
+                assert [corpus.posts[r] for r in row[:count]] == expected
+                assert (row[count:] == -1).all()
+                assert recent_posts(corpus, user, before, limit) == expected
 
 
 class TestRelabel:

@@ -197,6 +197,12 @@ class TestSelectPopular:
         top = select_popular(posts, quantile=1.0)
         assert [p.id for p in top] == ["a"]
 
+    def test_replies_rank_like_quotes(self):
+        posts = [post("q", "u1", 0, kind="quote", source="x", rts=5),
+                 post("p", "u2", 0, kind="reply", source="q", rts=5),
+                 post("o", "u3", 0, rts=9)]
+        assert [p.id for p in select_popular(posts, quantile=1.0)] == ["o", "p", "q"]
+
     def test_empty_and_bad_quantile(self):
         assert select_popular([]) == []
         with pytest.raises(InputDataError):

@@ -5,16 +5,20 @@ composition in reference_probabilities, gradients against central finite
 differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
+from collections import deque
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
 from socialstance.model import (
     AdamState,
+    _compile_sample,
     ModelParams,
     TrainConfig,
     adam_step,
@@ -281,6 +285,85 @@ class TestBatchedEngine:
                                                cfg).label) for p in batch]
         report = evaluate(relabelled, graph, corpus, store, params, cfg)
         assert report.accuracy == 1.0
+
+
+def bfs_distances(adj, start):
+    dist = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for nxt in sorted(adj[node]):
+            if nxt not in dist:
+                dist[nxt] = dist[node] + 1
+                queue.append(nxt)
+    return dist
+
+
+def oracle_compile(nodes, edges, author, k):
+    """Ball and per-order (centers, neighbors) lists by one straight-line BFS
+    per node: the ball around the author, then every ball node's exact
+    distances inside the subgraph the ball induces."""
+    adj = {v: set() for v in nodes}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    ball = sorted(v for v, d in bfs_distances(adj, author).items() if d <= k)
+    inside = {v: adj[v] & set(ball) for v in ball}
+    shells = [([], []) for _ in range(k)]
+    for c, center in enumerate(ball):
+        dist = bfs_distances(inside, center)
+        for order in range(1, k + 1):
+            for j, node in enumerate(ball):
+                if dist.get(node) == order:
+                    shells[order - 1][0].append(c)
+                    shells[order - 1][1].append(j)
+    return ball, shells
+
+
+@st.composite
+def compile_worlds(draw):
+    """A random graph with isolated and degree-1 nodes, posts on a few of
+    its nodes, an author and a hop count of 1 to 3."""
+    n = draw(st.integers(1, 10))
+    nodes = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14) if pairs else st.just([]))
+    author = draw(st.sampled_from(nodes))
+    stamps = draw(st.lists(st.tuples(st.sampled_from(nodes), st.integers(0, 6)),
+                           max_size=12))
+    posts = [Post(id=f"p{i}", author_id=user, timestamp=ts, text=f"post {i} by {user}")
+             for i, (user, ts) in enumerate(stamps)]
+    return nodes, edges, author, posts, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+
+class TestCompile:
+    @settings(max_examples=150, deadline=None)
+    @given(compile_worlds())
+    def test_matches_per_node_bfs_oracle(self, world):
+        nodes, edges, author, posts, k, lam = world
+        graph = SocialGraph(edges, nodes=nodes)
+        target = Post(id="target", author_id=author, timestamp=4, text="the target")
+        corpus = Corpus(posts)
+        encoder = HashedNgramEncoder(dim=4)
+        cfg = small_config(hops=k, history_len=lam, embed_dim=4)
+        sample = _compile_sample(target, graph, corpus, encoder, cfg)
+        ball, shells = oracle_compile(nodes, edges, author, k)
+        assert sample.n_nodes == len(ball)
+        assert sample.author_row == ball.index(author)
+        assert len(sample.shell_edges) == k
+        for (centers, neighbors), (want_c, want_n) in zip(sample.shell_edges, shells):
+            assert centers.dtype == neighbors.dtype == np.intp
+            assert centers.tolist() == want_c and neighbors.tolist() == want_n
+        for i, node in enumerate(ball):
+            earlier = sorted((p for p in posts if p.author_id == node
+                              and p.timestamp < target.timestamp),
+                             key=lambda p: (p.timestamp, p.id))
+            history = earlier[::-1][:lam]
+            assert sample.hist_counts[i] == len(history)
+            want = np.zeros((lam, 4))
+            for m, past in enumerate(history):
+                want[m] = encoder.embed_post(past)
+            assert np.array_equal(sample.hist[i], want)
 
 
 class TestAdam:

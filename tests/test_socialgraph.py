@@ -8,12 +8,15 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance.errors import InputDataError
 from socialstance.socialgraph import (
     InteractionRecord,
     SocialGraph,
     WeightedGraph,
+    _component_labels,
     build_interaction_graph,
     build_social_graph,
     exact_order_neighborhood,
@@ -173,6 +176,22 @@ class TestLargestComponent:
             tied = [c for c in comps.values() if len(c) == len(best)]
             best = min(tied, key=min)
             assert set(got.node_ids) == best
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))))
+    def test_component_labels_are_smallest_member(self, drawn):
+        n, pairs = drawn
+        names = [f"n{i:02d}" for i in range(n)]
+        edges = [(names[a], names[b]) for a, b in pairs if a != b]
+        g = SocialGraph(edges, nodes=names)
+        uf = UnionFind(names)
+        for u, v in edges:
+            uf.union(u, v)
+        want = [min(g.index(w) for w in names if uf.find(w) == uf.find(v))
+                for v in g.node_ids]
+        assert _component_labels(g.indptr, g.indices).tolist() == want
 
     def test_returns_social_graph_with_inner_edges(self):
         g = WeightedGraph()
