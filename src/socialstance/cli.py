@@ -12,6 +12,7 @@ byte-identical outputs.
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -26,8 +27,9 @@ from .hesitancy import (classify_change, daily_label_proportions,
                         eligible_users, hesitancy_score, open_out,
                         write_hesitancy_csv, write_timeseries_csv)
 from .embed import load_embedding_store
+from .encoder import AGGREGATOR_KINDS
 from .metrics import MetricReport, agreement_report, load_ratings_csv
-from .model import (ModelParams, TrainConfig, eligible_training_posts,
+from .model import (HISTORY_KINDS, TrainConfig, eligible_training_posts,
                     evaluate, forward, load_checkpoint, save_checkpoint,
                     save_metric_log, split_dataset, sweep, train)
 from .socialgraph import (build_social_graph, graph_stats, load_edge_list,
@@ -40,13 +42,15 @@ CHANGE_HEADER = "user,before_score,after_score,change"
 
 SECONDS_PER_DAY = 86_400
 
-# Config keys that are not TrainConfig fields.
-_PATH_KEYS = ("posts", "interactions", "followers", "embeddings",
-              "checkpoint_out", "log_out")
-_INT_KEYS = ("epochs", "hops", "history_len", "embed_dim", "hidden_dim",
-             "batch_size", "seed", "min_weight")
-_FLOAT_KEYS = ("learning_rate", "weight_decay")
-_STR_KEYS = ("aggregator", "history")
+# Config keys that are not TrainConfig fields, with their types.
+_PLUMBING_KEYS = {"posts": str, "interactions": str, "followers": str,
+                  "embeddings": str, "checkpoint_out": str, "log_out": str,
+                  "min_weight": int}
+# Every key of train/sweep, typed; TrainConfig's own annotations type its fields.
+_CONFIG_KEYS = {**_PLUMBING_KEYS,
+                **{f.name: f.type for f in dataclasses.fields(TrainConfig)}}
+_CHOICES = {"aggregator": AGGREGATOR_KINDS, "history": HISTORY_KINDS}
+_EXPECTED = {int: "integer", float: "number", tuple: "comma-separated numbers"}
 
 
 def parse_timestamp(text: str) -> int:
@@ -82,42 +86,28 @@ def load_config_file(path) -> dict:
 
 
 def _typed_settings(raw: dict) -> dict:
-    """Convert raw config strings to typed values; unknown keys rejected."""
+    """Convert raw config strings to typed values; unknown keys rejected.
+
+    Only the types are checked here; TrainConfig and the graph builder
+    check the values.
+    """
     out = {}
     for key, value in raw.items():
-        if key in _PATH_KEYS or key in _STR_KEYS:
-            out[key] = value
-        elif key in _INT_KEYS:
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise InputDataError(f"config key {key!r}: expected integer, "
-                                     f"got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                out[key] = float(value)
-            except ValueError:
-                raise InputDataError(f"config key {key!r}: expected number, "
-                                     f"got {value!r}") from None
-        elif key == "split":
-            parts = value.split(",")
-            if len(parts) != 3:
-                raise InputDataError("config key 'split': expected three "
-                                     "comma-separated fractions")
-            try:
-                out[key] = tuple(float(p) for p in parts)
-            except ValueError:
-                raise InputDataError("config key 'split': expected numbers, "
-                                     f"got {value!r}") from None
-        else:
+        kind = _CONFIG_KEYS.get(key)
+        if kind is None:
             raise InputDataError(f"unknown config key {key!r}")
+        try:
+            out[key] = tuple(map(float, value.split(","))) if kind is tuple else kind(value)
+        except ValueError:
+            raise InputDataError(f"config key {key!r}: expected {_EXPECTED[kind]}, "
+                                 f"got {value!r}") from None
     return out
 
 
 def _train_settings(args) -> dict:
     """Config file merged with overriding flags."""
     settings = _typed_settings(load_config_file(args.config)) if args.config else {}
-    for key in (*_PATH_KEYS, *_INT_KEYS, *_FLOAT_KEYS, *_STR_KEYS):
+    for key in _CONFIG_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
@@ -126,11 +116,8 @@ def _train_settings(args) -> dict:
 
 def _split_settings(settings: dict):
     """Separate path/plumbing keys from TrainConfig fields."""
-    plumbing = {}
-    for key in (*_PATH_KEYS, "min_weight"):
-        if key in settings:
-            plumbing[key] = settings.pop(key)
-    return plumbing, TrainConfig.from_dict(settings)
+    plumbing = {key: settings.pop(key) for key in _PLUMBING_KEYS if key in settings}
+    return plumbing, TrainConfig(**settings)
 
 
 def _require(plumbing: dict, keys) -> None:
@@ -156,9 +143,7 @@ def _report_json(report: MetricReport) -> str:
 
 
 def cmd_build_graph(args) -> int:
-    records = load_interactions(args.interactions)
-    followers = load_follower_edges(args.followers) if args.followers else None
-    graph = build_social_graph(records, followers, min_weight=args.min_weight)
+    graph = _load_graph_from(vars(args))
     stats = graph_stats(graph)
     write_edge_list(graph, f"{args.out_dir}/edges.csv")
     write_nodes(graph, f"{args.out_dir}/nodes.txt")
@@ -195,11 +180,7 @@ def cmd_classify(args) -> int:
     else:
         if not args.interactions:
             raise InputDataError("classify needs --edges or --interactions")
-        graph = _load_graph_from({
-            "interactions": args.interactions,
-            "followers": args.followers,
-            "min_weight": args.min_weight,
-        })
+        graph = _load_graph_from(vars(args))
     provider = load_embedding_store(args.embeddings, config.embed_dim)
     rows = []
     skipped = []
@@ -276,9 +257,11 @@ def cmd_predict_change(args) -> int:
     features, labels = gbdt.load_training_csv(args.data)
     config = gbdt.GbdtConfig(rounds=args.rounds, max_depth=args.max_depth,
                              shrinkage=args.shrinkage)
+    if not args.sessions >= 1:
+        raise InputDataError("--sessions must be >= 1")
     n = features.shape[0]
-    cut = math.floor(n * args.train_frac)
-    if cut < 2 or cut >= n:
+    cut = math.floor(n * args.train_frac) if math.isfinite(args.train_frac) else 0
+    if not 2 <= cut < n:
         raise InputDataError(
             f"train fraction {args.train_frac} leaves no usable split of {n} rows")
     reports = []
@@ -339,19 +322,11 @@ def cmd_sweep(args) -> int:
 
 def _add_train_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value settings file")
-    for key in _PATH_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key,
-                         help=f"overrides config key {key}")
-    for key in _INT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int,
-                         help=f"overrides config key {key}")
-    for key in _FLOAT_KEYS:
-        sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float,
-                         help=f"overrides config key {key}")
-    sub.add_argument("--aggregator", choices=("gat", "gcn"),
-                     help="shell aggregation kind (overrides config)")
-    sub.add_argument("--history", choices=("pe", "mean"),
-                     help="history aggregation kind (overrides config)")
+    for key, kind in _CONFIG_KEYS.items():
+        if kind is not tuple:  # split is set in the config file only
+            sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
+                             choices=_CHOICES.get(key),
+                             help=f"overrides config key {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -466,8 +441,10 @@ def main(argv=None) -> int:
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (InputDataError, OSError, KeyError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (InputDataError, OSError, KeyError, UnicodeDecodeError) as exc:
+        # str() of a KeyError quotes its message; an OSError's args[0] is
+        # the bare errno, while its str() names the file.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
     except Exception as exc:  # never abort uncleanly

@@ -1,8 +1,11 @@
 """Post corpus: loading, validation, text cleanup, and per-user history access.
 
 Posts arrive as JSON Lines, one object per line, with the fields described on
-:class:`Post`. A :class:`Corpus` wraps a validated list of posts and indexes
-them by id and, on first use, by (author, timestamp, id), so the recent
+:class:`Post`. Each input is checked once, where it enters: a :class:`Post`
+validates its own fields, so every Post is valid by construction; a
+:class:`Corpus` adds only the check that post ids are unique; and
+:func:`load_posts` checks only what the JSON alone can tell. A Corpus indexes
+its posts by id and, on first use, by (author, timestamp, id), so the recent
 histories of a batch of users come from one searchsorted.
 """
 
@@ -46,12 +49,14 @@ class StanceLabel(IntEnum):
 
 @dataclass(frozen=True)
 class Post:
-    """One social-media post.
+    """One social-media post, valid by construction.
 
     kind is "original", "retweet", "quote", or "reply"; source_post_id
     points at the reposted, quoted or replied-to post and is required
     whenever kind != "original". Every kind but retweet is authored text.
-    timestamp is Unix seconds (UTC). label is None for unannotated posts.
+    timestamp is Unix seconds (UTC), an int. retweet_count is an int >= 0.
+    label is None for unannotated posts. A field that breaks any of this
+    raises InputDataError.
     """
 
     id: str
@@ -63,36 +68,42 @@ class Post:
     retweet_count: int = 0
     label: StanceLabel | None = None
 
+    def __post_init__(self):
+        if not self.id:
+            raise InputDataError("post id must be a non-empty string")
+        if not self.author_id:
+            raise InputDataError(f"post {self.id!r}: author_id must be non-empty")
+        if self.kind not in POST_KINDS:
+            raise InputDataError(f"post {self.id!r}: unknown kind {self.kind!r}")
+        if self.kind != "original" and not self.source_post_id:
+            raise InputDataError(
+                f"post {self.id!r}: kind {self.kind!r} requires source_post_id")
+        if not _is_int(self.timestamp):
+            raise InputDataError(f"post {self.id!r}: timestamp must be an integer")
+        if not isinstance(self.text, str):
+            raise InputDataError(f"post {self.id!r}: text must be a string")
+        if not (_is_int(self.retweet_count) and self.retweet_count >= 0):
+            raise InputDataError(
+                f"post {self.id!r}: retweet_count must be a non-negative integer")
 
-def _validate_post(post: Post) -> None:
-    if not post.id:
-        raise InputDataError("post id must be a non-empty string")
-    if not post.author_id:
-        raise InputDataError(f"post {post.id!r}: author_id must be non-empty")
-    if post.kind not in POST_KINDS:
-        raise InputDataError(f"post {post.id!r}: unknown kind {post.kind!r}")
-    if post.kind != "original" and not post.source_post_id:
-        raise InputDataError(
-            f"post {post.id!r}: kind {post.kind!r} requires source_post_id")
-    if not isinstance(post.timestamp, int) or isinstance(post.timestamp, bool):
-        raise InputDataError(f"post {post.id!r}: timestamp must be an integer")
-    if post.retweet_count < 0:
-        raise InputDataError(f"post {post.id!r}: negative retweet_count")
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Corpus:
-    """Validated post collection with an id index and a history index.
+    """Posts with unique ids, with an id index and a history index.
 
-    Row r of the corpus is posts[r]. The history index orders every post by
-    (author, timestamp, id); it is built on first use, so loading stays a
-    single validation pass.
+    Each Post checked itself when it was built; the corpus checks only that
+    no id repeats. Row r of the corpus is posts[r]. The history index
+    orders every post by (author, timestamp, id); it is built on first use,
+    so loading stays a single pass.
     """
 
     def __init__(self, posts):
         self.posts = list(posts)
         self.by_id = {}
         for post in self.posts:
-            _validate_post(post)
             if post.id in self.by_id:
                 raise InputDataError(f"duplicate post id: {post.id!r}")
             self.by_id[post.id] = post
@@ -190,62 +201,51 @@ class _HistoryIndex:
                                       np.arange(len(self.users) + 1) * self.stride)
 
 
-def _parse_label(raw, lineno):
+def _parse_label(raw):
     if raw is None:
         return None
     try:
         return StanceLabel[raw]
     except (KeyError, TypeError):
-        raise InputDataError(f"line {lineno}: unknown label {raw!r}") from None
+        raise InputDataError(f"unknown label {raw!r}") from None
 
 
 def load_posts(path) -> Corpus:
     """Read a JSONL post file into a Corpus.
 
-    Raises InputDataError naming the offending line and field on malformed
-    input, and naming the id on duplicates.
+    Raises InputDataError naming the offending line on malformed input, and
+    naming the id on duplicates. Field values are checked by Post itself.
     """
     posts = []
-    seen = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputDataError(f"line {lineno}: invalid JSON ({exc.msg})") from None
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers JSONDecodeError and integer literals past
+                # the int-string conversion limit; RecursionError deep nesting.
+                raise InputDataError(
+                    f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
             if not isinstance(obj, dict):
                 raise InputDataError(f"line {lineno}: expected a JSON object")
             for field in ("id", "author_id", "timestamp", "text"):
                 if field not in obj:
                     raise InputDataError(f"line {lineno}: missing field {field!r}")
-            if not isinstance(obj["timestamp"], int) or isinstance(obj["timestamp"], bool):
-                raise InputDataError(f"line {lineno}: field 'timestamp' must be an integer")
-            if not isinstance(obj["text"], str):
-                raise InputDataError(f"line {lineno}: field 'text' must be a string")
-            rt = obj.get("retweet_count", 0)
-            if not isinstance(rt, int) or isinstance(rt, bool) or rt < 0:
-                raise InputDataError(
-                    f"line {lineno}: field 'retweet_count' must be a non-negative integer")
-            post = Post(
-                id=str(obj["id"]),
-                author_id=str(obj["author_id"]),
-                timestamp=obj["timestamp"],
-                text=obj["text"],
-                kind=obj.get("kind", "original"),
-                source_post_id=obj.get("source_post_id"),
-                retweet_count=rt,
-                label=_parse_label(obj.get("label"), lineno),
-            )
-            if post.id in seen:
-                raise InputDataError(f"duplicate post id: {post.id!r}")
-            seen.add(post.id)
             try:
-                _validate_post(post)
+                posts.append(Post(
+                    id=str(obj["id"]),
+                    author_id=str(obj["author_id"]),
+                    timestamp=obj["timestamp"],
+                    text=obj["text"],
+                    kind=obj.get("kind", "original"),
+                    source_post_id=obj.get("source_post_id"),
+                    retweet_count=obj.get("retweet_count", 0),
+                    label=_parse_label(obj.get("label")),
+                ))
             except InputDataError as exc:
                 raise InputDataError(f"line {lineno}: {exc}") from None
-            posts.append(post)
     return Corpus(posts)
 
 

@@ -237,32 +237,6 @@ class EncoderParams:
         return self.hidden_dim * (1 + self.hops ** 2)
 
 
-def init_encoder_params(embed_dim: int, hidden_dim: int, hops: int, rng) -> EncoderParams:
-    """Xavier-uniform matrices, zero bias. rng is a numpy Generator."""
-    if hops < 1:
-        raise ValueError("hops must be >= 1")
-
-    def xavier(fan_in, fan_out, shape):
-        limit = np.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, size=shape)
-
-    layers = []
-    for layer_idx in range(hops):
-        in_dim = hidden_dim if layer_idx == 0 else hops * hidden_dim
-        orders = []
-        for _ in range(hops):
-            orders.append(AggregateParams(
-                w_proj=xavier(in_dim, hidden_dim, (in_dim, hidden_dim)),
-                attn=xavier(2 * hidden_dim, 1, (2 * hidden_dim,)),
-            ))
-        layers.append(orders)
-    return EncoderParams(
-        w_in=xavier(embed_dim, hidden_dim, (embed_dim, hidden_dim)),
-        b_in=np.zeros(hidden_dim, dtype=np.float64),
-        layers=layers,
-    )
-
-
 def social_encode(graph, z_hist: np.ndarray, params: EncoderParams,
                   kind: str = "gat") -> np.ndarray:
     """Full encoder: input projection, k layers, concat of all layer states.

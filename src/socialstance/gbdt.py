@@ -34,12 +34,12 @@ class GbdtConfig:
     shrinkage: float = 0.1
 
     def __post_init__(self):
-        if self.rounds < 0:
+        if not self.rounds >= 0:
             raise InputDataError("rounds must be >= 0")
-        if self.max_depth < 1:
+        if not self.max_depth >= 1:
             raise InputDataError("max_depth must be >= 1")
-        if not self.shrinkage > 0.0:
-            raise InputDataError("shrinkage must be > 0")
+        if not (math.isfinite(self.shrinkage) and self.shrinkage > 0.0):
+            raise InputDataError("shrinkage must be finite and > 0")
 
 
 class TreeNode:

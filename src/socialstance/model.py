@@ -74,24 +74,21 @@ class TrainConfig:
     history: str = "pe"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise InputDataError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise InputDataError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise InputDataError("weight_decay must be non-negative")
-        for name in ("hops", "history_len", "embed_dim", "hidden_dim", "batch_size"):
-            if getattr(self, name) < 1:
+        # Written as "not (wanted)" so that NaN, which fails every
+        # comparison, is rejected too.
+        for name in ("epochs", "hops", "history_len", "embed_dim", "hidden_dim",
+                     "batch_size"):
+            if not getattr(self, name) >= 1:
                 raise InputDataError(f"{name} must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InputDataError("learning_rate must be finite and positive")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise InputDataError("weight_decay must be finite and non-negative")
         if self.aggregator not in AGGREGATOR_KINDS:
             raise InputDataError(f"unknown aggregator {self.aggregator!r}")
         if self.history not in HISTORY_KINDS:
             raise InputDataError(f"unknown history kind {self.history!r}")
-        self.split = tuple(float(f) for f in self.split)
-        if len(self.split) != 3 or any(f <= 0 for f in self.split):
-            raise InputDataError("split must be three positive fractions")
-        if abs(sum(self.split) - 1.0) > 1e-9:
-            raise InputDataError("split fractions must sum to 1")
+        self.split = _split_fractions(self.split)
 
     def as_dict(self):
         out = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -125,6 +122,24 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _split_fractions(fractions) -> tuple:
+    """The train/val/test fractions as three floats, each finite and
+    positive, summing to 1; InputDataError otherwise."""
+    fractions = tuple(float(f) for f in fractions)
+    if not (len(fractions) == 3
+            and all(math.isfinite(f) and f > 0 for f in fractions)):
+        raise InputDataError("split must be three finite positive fractions")
+    if not abs(sum(fractions) - 1.0) <= 1e-9:
+        raise InputDataError("split fractions must sum to 1")
+    return fractions
+
+
+def _xavier(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
+    """Xavier-uniform draws of `shape` from the numpy Generator rng."""
+    limit = math.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
 @dataclass(frozen=True)
 class Prediction:
     probabilities: np.ndarray  # (4,), sums to 1
@@ -156,25 +171,20 @@ class ModelParams:
             self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
             return
         rng = np.random.default_rng(config.seed)
-
-        def xavier(fan_in, fan_out, shape):
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            return rng.uniform(-limit, limit, size=shape)
-
         d, h, k = config.embed_dim, config.hidden_dim, config.hops
         self.tensors = {}
         if config.history == "pe":
             self.tensors["position_weights"] = init_position_weights(config.history_len)
-        self.tensors["input.w"] = xavier(d, h, (d, h))
+        self.tensors["input.w"] = _xavier(rng, d, h, (d, h))
         self.tensors["input.b"] = np.zeros(h, dtype=np.float64)
         for layer in range(1, k + 1):
             in_dim = h if layer == 1 else k * h
             for order in range(1, k + 1):
                 base = f"layer{layer}.order{order}"
-                self.tensors[base + ".w"] = xavier(in_dim, h, (in_dim, h))
-                self.tensors[base + ".a"] = xavier(2 * h, 1, (2 * h,))
+                self.tensors[base + ".w"] = _xavier(rng, in_dim, h, (in_dim, h))
+                self.tensors[base + ".a"] = _xavier(rng, 2 * h, 1, (2 * h,))
         z_dim = social_code_dim(config) + d
-        self.tensors["head.w"] = xavier(z_dim, N_CLASSES, (z_dim, N_CLASSES))
+        self.tensors["head.w"] = _xavier(rng, z_dim, N_CLASSES, (z_dim, N_CLASSES))
         self.tensors["head.b"] = np.zeros(N_CLASSES, dtype=np.float64)
 
     def copy(self) -> "ModelParams":
@@ -224,6 +234,9 @@ def _check_provider(provider, config: TrainConfig) -> None:
 
 
 def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _CompiledSample:
+    """Every engine path compiles its posts here, so the provider's
+    dimension is checked here and nowhere else in the engine."""
+    _check_provider(provider, config)
     k, lam = config.hops, config.history_len
     author = graph.index(post.author_id)
     reached = exact_shells(graph.indptr, graph.indices, [author], k)
@@ -390,9 +403,6 @@ def forward(post, graph, corpus, provider, params: ModelParams,
     The author must be a node of `graph`; ties in the probabilities resolve
     to the lowest class index.
     """
-    _check_provider(provider, config)
-    if post.author_id not in graph:
-        raise KeyError(f"user not in social graph: {post.author_id!r}")
     sample = _compile_sample(post, graph, corpus, provider, config)
     ts = _make_tensors(params, requires_grad=False)
     probs = _softmax(_batch_logits(ts, [sample], config).data[0])
@@ -407,7 +417,6 @@ def classify(post, graph, corpus, provider, params: ModelParams,
 def loss(batch, graph, corpus, provider, params: ModelParams,
          config: TrainConfig) -> float:
     """Mean cross-entropy of gold labels over a batch of labelled posts."""
-    _check_provider(provider, config)
     samples = [_compile_sample(p, graph, corpus, provider, config) for p in batch]
     ts = _make_tensors(params, requires_grad=False)
     return float(_batch_loss(ts, samples, config).data)
@@ -421,7 +430,6 @@ def gradients(batch, graph, corpus, provider, params: ModelParams,
     sample) get zero gradients. Non-finite values raise immediately, naming
     the parameter.
     """
-    _check_provider(provider, config)
     samples = [_compile_sample(p, graph, corpus, provider, config) for p in batch]
     ts = _make_tensors(params, requires_grad=True)
     return _gradients_from_samples(ts, samples, config)[1]
@@ -518,11 +526,7 @@ def split_dataset(items, fractions=(0.8, 0.1, 0.1), seed: int = 0):
     0.8/0.1/0.1 the parts hold 14596/1825/1825 items. Every part must be
     non-empty.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise InputDataError("split needs three positive fractions")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise InputDataError("split fractions must sum to 1")
+    fractions = _split_fractions(fractions)
     items = list(items)
     n = len(items)
     perm = np.random.default_rng(seed).permutation(n)
@@ -553,7 +557,6 @@ def train(corpus, graph, provider, config: TrainConfig):
     validation accuracy (earliest epoch wins ties). Also returns the per
     epoch EpochStats list.
     """
-    _check_provider(provider, config)
     labelled = eligible_training_posts(corpus, graph)
     train_posts, val_posts, _ = split_dataset(labelled, config.split, config.seed)
     train_samples = [_compile_sample(p, graph, corpus, provider, config)
@@ -693,9 +696,8 @@ def train_text_baseline(posts, provider, config: TrainConfig, epochs: int = 300,
     features = np.stack([provider.embed_post(p) for p in train_posts])
     golds = np.array([int(p.label) for p in train_posts])
     rng = np.random.default_rng(config.seed)
-    limit = math.sqrt(6.0 / (provider.dim + N_CLASSES))
     tensors = {
-        "w": rng.uniform(-limit, limit, size=(provider.dim, N_CLASSES)),
+        "w": _xavier(rng, provider.dim, N_CLASSES, (provider.dim, N_CLASSES)),
         "b": np.zeros(N_CLASSES, dtype=np.float64),
     }
     state = AdamState.fresh(tensors)

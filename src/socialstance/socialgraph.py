@@ -128,8 +128,8 @@ def prune_edges(graph: WeightedGraph, min_weight: int = 2) -> WeightedGraph:
     min_weight=1 is the identity. Nodes whose edges are all pruned stay in
     the graph as isolated nodes; component extraction decides their fate.
     """
-    if min_weight < 1:
-        raise ValueError("min_weight must be >= 1")
+    if not min_weight >= 1:
+        raise InputDataError("min_weight must be >= 1")
     pruned = WeightedGraph()
     pruned.nodes = set(graph.nodes)
     for u, v, w in graph.edges():
@@ -368,13 +368,10 @@ def build_social_graph(records, follower_edges=None, min_weight: int = 2) -> Soc
     if follower_edges is None:
         return core
     keep = set(core.node_ids)
-    fg = WeightedGraph()
-    for u, v in follower_edges:
-        if u != v and u in keep and v in keep and not fg.weight(u, v):
-            fg.add_edge(u, v)
-    if not fg.nodes:
+    pairs = [(u, v) for u, v in follower_edges if u != v and u in keep and v in keep]
+    if not pairs:
         raise InputDataError("empty graph: no follower edges among core users")
-    return largest_weakly_connected_component(fg)
+    return largest_weakly_connected_component(SocialGraph(pairs))
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ invocations produce byte-identical files and stdout).
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance import gbdt
 from socialstance.cli import load_config_file, main, parse_timestamp
@@ -140,6 +144,11 @@ class TestBuildGraph:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_min_weight_zero_exit_2(self, world, tmp_path, capsys):
+        code = main(["build-graph", "--interactions", str(world["interactions"]),
+                     "--min-weight", "0", "--out-dir", str(tmp_path)])
+        assert_input_error(code, capsys, "min_weight")
+
 
 class TestTrain:
     def test_trains_and_is_byte_deterministic(self, world, tmp_path, capsys):
@@ -188,6 +197,18 @@ class TestTrain:
     def test_non_numeric_split_exit_2(self, world, tmp_path, capsys):
         cfg = write_config(tmp_path / "t.cfg", world, split="a,b,c")
         assert_input_error(main(["train", "--config", str(cfg)]), capsys, "split")
+
+    @pytest.mark.parametrize("key,value", [("learning_rate", "nan"),
+                                           ("weight_decay", "inf"),
+                                           ("split", "nan,0.5,0.5")])
+    def test_non_finite_config_value_exit_2(self, world, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path / "t.cfg", world, **{key: value})
+        assert_input_error(main(["train", "--config", str(cfg)]), capsys, key)
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_bytes(b"epochs = 1\n# caf\xe9\n")
+        assert_input_error(main(["train", "--config", str(cfg)]), capsys, "utf-8")
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exit_3(self, world, tmp_path, capsys):
@@ -303,6 +324,13 @@ class TestClassify:
                      "--interactions", str(world["interactions"])])
         assert_input_error(code, capsys, "parameter 'input.w' does not match")
 
+    def test_missing_checkpoint_named_exit_2(self, world, tmp_path, capsys):
+        code = main(["classify", "--checkpoint", str(tmp_path / "x.npz"),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "x.npz")
+
     def test_needs_a_graph_source_exit_2(self, world, checkpoint, capsys):
         code = main(["classify", "--checkpoint", str(checkpoint),
                      "--posts", str(world["posts"]),
@@ -358,6 +386,44 @@ class TestTrack:
         assert main(["track", "--posts", str(posts), "--start", "soon",
                      "--end", "later"]) == 2
         capsys.readouterr()
+
+    def test_missing_posts_file_named_exit_2(self, tmp_path, capsys):
+        code = main(["track", "--posts", str(tmp_path / "missing.jsonl"),
+                     "--start", "0", "--end", "10"])
+        assert_input_error(code, capsys, "missing.jsonl")
+
+    def test_non_utf8_posts_exit_2(self, tmp_path, capsys):
+        posts = tmp_path / "posts.jsonl"
+        posts.write_bytes(b'{"id": "a", "author_id": "u", "timestamp": 0, '
+                          b'"text": "caf\xe9"}\n')
+        code = main(["track", "--posts", str(posts), "--start", "0", "--end", "10"])
+        assert_input_error(code, capsys, "utf-8")
+
+
+# Post-shaped JSON objects with fields of any JSON type, and raw bytes.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(
+        st.text(max_size=3), inner, max_size=2),
+    max_leaves=4)
+_post_lines = st.dictionaries(
+    st.sampled_from(["id", "author_id", "timestamp", "text", "kind",
+                     "source_post_id", "retweet_count", "label"]),
+    _json_values | st.sampled_from(["PO", "NG", "quote", "reply", "retweet", 0, 5]),
+    max_size=8).map(lambda obj: json.dumps(obj).encode())
+_post_files = st.lists(_post_lines | st.binary(max_size=40), max_size=4).map(
+    b"\n".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_post_files)
+def test_track_on_arbitrary_bytes_never_exits_3(data):
+    with tempfile.TemporaryDirectory() as root:
+        posts = Path(root) / "posts.jsonl"
+        posts.write_bytes(data)
+        code = main(["track", "--posts", str(posts), "--start", "0",
+                     "--end", str(3 * DAY), "--out", str(Path(root) / "out.csv")])
+    assert code in (0, 2, 4)
 
 
 class TestHesitancy:
@@ -437,6 +503,15 @@ def training_csv(tmp_path_factory):
 
 
 class TestPredictChange:
+    @pytest.mark.parametrize("flag,value,needle", [
+        ("--train-frac", "nan", "train fraction"),
+        ("--shrinkage", "inf", "shrinkage"),
+        ("--sessions", "0", "sessions"),
+    ])
+    def test_bad_value_exit_2(self, training_csv, capsys, flag, value, needle):
+        code = main(["predict-change", "--data", str(training_csv), flag, value])
+        assert_input_error(code, capsys, needle)
+
     def test_reports_mean_metrics(self, training_csv, capsys):
         code = main(["predict-change", "--data", str(training_csv),
                      "--rounds", "10", "--max-depth", "3", "--sessions", "2"])
@@ -501,6 +576,11 @@ class TestSweep:
         assert lines[0] == "hops,history_len,val_accuracy"
         assert len(lines) == 3
 
+
+    def test_min_weight_zero_exit_2(self, world, tmp_path, capsys):
+        cfg = write_config(tmp_path / "s.cfg", world, epochs=1)
+        code = main(["sweep", "--config", str(cfg), "--min-weight", "0"])
+        assert_input_error(code, capsys, "min_weight")
 
     @pytest.mark.parametrize("flag", ["--hops-grid", "--history-len-grid"])
     def test_non_integer_grid_exit_2(self, world, tmp_path, capsys, flag):

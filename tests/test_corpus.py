@@ -53,6 +53,17 @@ class TestPost:
         with pytest.raises(AttributeError):
             p.text = "other"
 
+    @pytest.mark.parametrize("bad", [
+        dict(pid=""), dict(user=""), dict(ts=1.5), dict(ts=True), dict(text=5),
+        dict(text=None), dict(retweet_count=-1), dict(retweet_count=True),
+        dict(retweet_count=1.0), dict(kind="poll"), dict(kind="quote"),
+    ])
+    def test_invalid_fields_rejected_on_construction(self, bad):
+        fields = dict(pid="a", user="u1", ts=0, text="hello")
+        fields.update(bad)
+        with pytest.raises(InputDataError):
+            make_post(**fields)
+
 
 class TestCorpus:
     def test_indexes(self):
@@ -155,6 +166,14 @@ class TestJsonl:
         with pytest.raises(InputDataError) as err:
             load_posts(path)
         assert "2" in str(err.value)
+
+    @pytest.mark.parametrize("line", ['{"id": ' + "1" * 5000 + "}", "[" * 100_000],
+                             ids=["huge-integer", "deep-nesting"])
+    def test_json_past_parser_limits_is_input_error(self, tmp_path, line):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(InputDataError, match="line 1: invalid JSON"):
+            load_posts(path)
 
 
 class TestCleanText:

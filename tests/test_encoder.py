@@ -18,10 +18,10 @@ from socialstance.encoder import (
     gat_attention,
     gcn_aggregate,
     h2_layer,
-    init_encoder_params,
     init_position_weights,
     social_encode,
 )
+from socialstance.model import ModelParams, TrainConfig
 from socialstance.socialgraph import SocialGraph
 
 
@@ -224,7 +224,8 @@ class TestSocialEncode:
         rng = np.random.default_rng(12)
         g = SocialGraph([("a", "b"), ("b", "c")])
         for k in (1, 2, 3):
-            params = init_encoder_params(embed_dim=5, hidden_dim=4, hops=k, rng=rng)
+            config = TrainConfig(embed_dim=5, hidden_dim=4, hops=k)
+            params = ModelParams(config).encoder_params()
             out = social_encode(g, rng.standard_normal((len(g), 5)), params)
             assert out.shape == (len(g), 4 * (1 + k * k))
             assert params.out_dim == 4 * (1 + k * k)
@@ -232,7 +233,7 @@ class TestSocialEncode:
     def test_layer_zero_is_input_projection(self):
         rng = np.random.default_rng(13)
         g = SocialGraph([("a", "b")])
-        params = init_encoder_params(embed_dim=3, hidden_dim=2, hops=1, rng=rng)
+        params = ModelParams(TrainConfig(embed_dim=3, hidden_dim=2, hops=1)).encoder_params()
         z = rng.standard_normal((2, 3))
         out = social_encode(g, z, params)
         np.testing.assert_allclose(out[:, :2], z @ params.w_in + params.b_in,
@@ -241,7 +242,7 @@ class TestSocialEncode:
     def test_matches_manual_layer_stack(self):
         rng = np.random.default_rng(14)
         g = SocialGraph([("a", "b"), ("b", "c"), ("c", "d")])
-        params = init_encoder_params(embed_dim=4, hidden_dim=3, hops=2, rng=rng)
+        params = ModelParams(TrainConfig(embed_dim=4, hidden_dim=3, hops=2)).encoder_params()
         z = rng.standard_normal((len(g), 4))
         got = social_encode(g, z, params, kind="gat")
         state = z @ params.w_in + params.b_in
@@ -252,9 +253,8 @@ class TestSocialEncode:
         np.testing.assert_array_equal(got, np.concatenate(parts, axis=1))
 
     def test_shape_mismatch_rejected(self):
-        rng = np.random.default_rng(15)
         g = SocialGraph([("a", "b")])
-        params = init_encoder_params(embed_dim=4, hidden_dim=3, hops=1, rng=rng)
+        params = ModelParams(TrainConfig(embed_dim=4, hidden_dim=3, hops=1)).encoder_params()
         with pytest.raises(ValueError):
             social_encode(g, np.zeros((2, 9)), params)
 

@@ -179,6 +179,11 @@ class TestFit:
         with pytest.raises(InputDataError):
             GbdtConfig(max_depth=0)
 
+    @pytest.mark.parametrize("shrinkage", [float("inf"), float("nan")])
+    def test_non_finite_shrinkage_rejected(self, shrinkage):
+        with pytest.raises(InputDataError, match="shrinkage"):
+            GbdtConfig(shrinkage=shrinkage)
+
 
 class TestPredict:
     def test_proba_rows_sum_to_one(self):

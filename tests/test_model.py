@@ -101,6 +101,15 @@ class TestTrainConfig:
             with pytest.raises(InputDataError):
                 small_config(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+        dict(weight_decay=float("nan")), dict(weight_decay=float("inf")),
+        dict(split=(float("nan"), 0.5, 0.5)), dict(split=(0.5, float("inf"), 0.5)),
+    ])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InputDataError):
+            small_config(**bad)
+
 
 class TestModelParams:
     def test_tensor_names_and_shapes(self):
@@ -182,6 +191,22 @@ class TestForward:
         params = ModelParams(cfg)
         pred = forward(corpus.by_id["at"], graph, corpus, store, params, cfg)
         np.testing.assert_allclose(pred.probabilities.sum(), 1.0, atol=1e-12)
+
+    def test_provider_dim_checked_on_every_engine_path(self):
+        corpus, graph, store = toy_world(embed_dim=8)
+        cfg = small_config(embed_dim=16)
+        params = ModelParams(cfg)
+        batch = corpus.labelled()[:2]
+        calls = [
+            lambda: forward(batch[0], graph, corpus, store, params, cfg),
+            lambda: loss(batch, graph, corpus, store, params, cfg),
+            lambda: gradients(batch, graph, corpus, store, params, cfg),
+            lambda: evaluate(batch, graph, corpus, store, params, cfg),
+            lambda: train(corpus, graph, store, cfg),
+        ]
+        for call in calls:
+            with pytest.raises(InputDataError, match="provider dim 8"):
+                call()
 
 
 class TestGradients:
@@ -434,6 +459,10 @@ class TestSplitDataset:
             split_dataset(range(5), fractions=(0.9, 0.05, 0.1))
         with pytest.raises(InputDataError):
             split_dataset(range(3), fractions=(0.98, 0.01, 0.01))
+
+    def test_non_finite_fraction_rejected(self):
+        with pytest.raises(InputDataError, match="finite"):
+            split_dataset(range(20), fractions=(float("nan"), 0.5, 0.5))
 
 
 class TestTraining:

@@ -152,6 +152,11 @@ class TestInteractionGraph:
         assert pruned.weight("a", "b") == 1
         assert pruned.nodes == g.nodes
 
+    def test_prune_min_weight_below_one_is_input_error(self):
+        g = build_interaction_graph([InteractionRecord("a", "b", "mention", 0)])
+        with pytest.raises(InputDataError, match="min_weight"):
+            prune_edges(g, min_weight=0)
+
 
 class TestLargestComponent:
     def test_against_union_find(self):
@@ -332,6 +337,16 @@ class TestBuildSocialGraph:
         g = build_social_graph(records, followers, min_weight=2)
         assert set(g.node_ids) == {"u1", "u2"}
         assert g.neighbors("u1") == ("u2",)
+
+    def test_repeated_reversed_and_self_follows_collapse(self):
+        records = [InteractionRecord(u, v, "mention", 0)
+                   for u, v in [("a", "b"), ("b", "c"), ("c", "d")] * 2]
+        clean = build_social_graph(records, [("a", "b"), ("c", "b")])
+        noisy = build_social_graph(records, [("a", "b"), ("b", "a"), ("c", "b"),
+                                             ("a", "b"), ("d", "d"), ("c", "c")])
+        assert noisy.node_ids == clean.node_ids == ("a", "b", "c")
+        np.testing.assert_array_equal(noisy.indptr, clean.indptr)
+        np.testing.assert_array_equal(noisy.indices, clean.indices)
 
     def test_no_records_is_error(self):
         with pytest.raises(InputDataError):
