@@ -75,6 +75,8 @@ class Post:
             raise InputDataError(f"post {self.id!r}: author_id must be non-empty")
         if self.kind not in POST_KINDS:
             raise InputDataError(f"post {self.id!r}: unknown kind {self.kind!r}")
+        if not isinstance(self.source_post_id, (str, type(None))):
+            raise InputDataError(f"post {self.id!r}: source_post_id must be a string")
         if self.kind != "original" and not self.source_post_id:
             raise InputDataError(
                 f"post {self.id!r}: kind {self.kind!r} requires source_post_id")
@@ -233,6 +235,7 @@ def load_posts(path) -> Corpus:
             for field in ("id", "author_id", "timestamp", "text"):
                 if field not in obj:
                     raise InputDataError(f"line {lineno}: missing field {field!r}")
+            source = obj.get("source_post_id")
             try:
                 posts.append(Post(
                     id=str(obj["id"]),
@@ -240,7 +243,7 @@ def load_posts(path) -> Corpus:
                     timestamp=obj["timestamp"],
                     text=obj["text"],
                     kind=obj.get("kind", "original"),
-                    source_post_id=obj.get("source_post_id"),
+                    source_post_id=str(source) if _is_int(source) else source,
                     retweet_count=obj.get("retweet_count", 0),
                     label=_parse_label(obj.get("label")),
                 ))

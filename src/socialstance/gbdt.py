@@ -4,7 +4,8 @@ Softmax objective: per boosting round and per class, a regression tree is
 fit to the pseudo-residuals (one-hot minus predicted probability) by exact
 greedy squared-error split search, and its leaves take the standard Newton
 step for multiclass log-loss. Scores start at the per-class log-priors and
-accumulate shrinkage-weighted tree outputs.
+accumulate shrinkage-weighted tree outputs, which fit takes from the leaves
+as they grow. Each node's split search covers all features in one array pass.
 """
 
 import math
@@ -42,29 +43,26 @@ class GbdtConfig:
             raise InputDataError("shrinkage must be finite and > 0")
 
 
+@dataclass(slots=True, eq=False)
 class TreeNode:
     """One node; internal nodes carry (feature, threshold), leaves a value."""
 
-    __slots__ = ("feature", "threshold", "value", "left", "right")
-
-    def __init__(self, feature=None, threshold=None, value=None,
-                 left=None, right=None):
-        self.feature = feature
-        self.threshold = threshold
-        self.value = value
-        self.left = left
-        self.right = right
+    feature: int | None = None
+    threshold: float | None = None
+    value: float | None = None
+    left: "TreeNode | None" = None
+    right: "TreeNode | None" = None
 
     @property
     def is_leaf(self):
         return self.feature is None
 
 
+@dataclass(eq=False)
 class RegressionTree:
     """Binary regression tree; routing is x[feature] <= threshold → left."""
 
-    def __init__(self, root: TreeNode):
-        self.root = root
+    root: TreeNode
 
     def predict_one(self, x) -> float:
         node = self.root
@@ -73,25 +71,32 @@ class RegressionTree:
         return node.value
 
     def predict(self, features: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in features])
-
-    def n_nodes(self) -> int:
-        count, stack = 0, [self.root]
+        """predict_one for every row of a 2-D array, routing row sets."""
+        out = np.empty(features.shape[0])
+        stack = [(self.root, np.arange(features.shape[0]))]
         while stack:
-            node = stack.pop()
-            count += 1
-            if not node.is_leaf:
-                stack.extend((node.right, node.left))
-        return count
+            node, rows = stack.pop()
+            if node.is_leaf:
+                out[rows] = node.value
+            elif rows.size:
+                left = features[rows, node.feature] <= node.threshold
+                stack.extend(((node.left, rows[left]), (node.right, rows[~left])))
+        return out
 
-    def depth(self) -> int:
-        best, stack = 0, [(self.root, 0)]
+    def walk(self):
+        """(node, depth) for every node, in preorder."""
+        stack = [(self.root, 0)]
         while stack:
             node, d = stack.pop()
-            best = max(best, d)
+            yield node, d
             if not node.is_leaf:
-                stack.extend(((node.left, d + 1), (node.right, d + 1)))
-        return best
+                stack.extend(((node.right, d + 1), (node.left, d + 1)))
+
+    def n_nodes(self) -> int:
+        return sum(1 for _ in self.walk())
+
+    def depth(self) -> int:
+        return max(d for _, d in self.walk())
 
 
 def _leaf_value(residuals: np.ndarray, n_classes: int) -> float:
@@ -105,59 +110,56 @@ def _leaf_value(residuals: np.ndarray, n_classes: int) -> float:
 
 
 def _best_split(features: np.ndarray, residuals: np.ndarray, idx: np.ndarray):
-    """Exact greedy SSE split over all (feature, midpoint) candidates.
+    """Exact greedy SSE split over all (feature, midpoint) candidates at once.
 
     Returns (feature, threshold) or None when no split reduces squared
     error. Ties break toward the lowest feature index, then the lowest
-    threshold (argmax picks the first, and candidates ascend with the
-    sorted values).
+    threshold: argmax takes the first maximum of the feature-major ravel of
+    the (n - 1, f) gains, and each column's candidates ascend with its values.
     """
     node_r = residuals[idx]
     n = idx.size
     total = node_r.sum()
     total_sq = float(node_r @ node_r)
     parent_sse = total_sq - total * total / n
-    best_gain = _MIN_GAIN
-    best = None
-    for f in range(features.shape[1]):
-        vals = features[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
-        if sv[0] == sv[-1]:
-            continue
-        sr = node_r[order]
-        left_sum = np.cumsum(sr)[:-1]
-        left_sq = np.cumsum(sr * sr)[:-1]
-        n_left = np.arange(1, n, dtype=np.float64)
-        n_right = n - n_left
-        left_sse = left_sq - left_sum * left_sum / n_left
-        right_sum = total - left_sum
-        right_sse = (total_sq - left_sq) - right_sum * right_sum / n_right
-        gain = parent_sse - left_sse - right_sse
-        # Splitting between equal values is meaningless; mask those slots.
-        gain[sv[1:] == sv[:-1]] = -np.inf
-        i = int(np.argmax(gain))
-        if gain[i] > best_gain:
-            best_gain = float(gain[i])
-            best = (f, (float(sv[i]) + float(sv[i + 1])) / 2.0)
-    return best
+    vals = features[idx]
+    order = np.argsort(vals, axis=0, kind="stable")
+    sv = np.take_along_axis(vals, order, axis=0)
+    sr = node_r[order]
+    left_sum = np.cumsum(sr, axis=0)[:-1]
+    left_sq = np.cumsum(sr * sr, axis=0)[:-1]
+    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    left_sse = left_sq - left_sum * left_sum / n_left
+    right_sum = total - left_sum
+    right_sse = (total_sq - left_sq) - right_sum * right_sum / (n - n_left)
+    gain = parent_sse - left_sse - right_sse
+    # Splitting between equal values is meaningless; mask those slots.
+    gain[sv[1:] == sv[:-1]] = -np.inf
+    best = int(np.argmax(gain.T.ravel()))
+    f, i = divmod(best, n - 1)
+    if not gain[i, f] > _MIN_GAIN:
+        return None
+    return f, (float(sv[i, f]) + float(sv[i + 1, f])) / 2.0
 
 
-def _grow_tree(features, residuals, idx, depth, max_depth, n_classes) -> TreeNode:
-    if depth >= max_depth or idx.size < 2:
-        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
-    split = _best_split(features, residuals, idx)
+def _grow_tree(features, residuals, idx, depth, max_depth, n_classes,
+               out) -> TreeNode:
+    """Grow the subtree over rows idx; write each leaf's value to out[rows]."""
+    split = None
+    if depth < max_depth and idx.size >= 2:
+        split = _best_split(features, residuals, idx)
     if split is None:
-        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
+        out[idx] = value = _leaf_value(residuals[idx], n_classes)
+        return TreeNode(value=value)
     feature, threshold = split
     left_mask = features[idx, feature] <= threshold
     return TreeNode(
         feature=feature,
         threshold=threshold,
         left=_grow_tree(features, residuals, idx[left_mask],
-                        depth + 1, max_depth, n_classes),
+                        depth + 1, max_depth, n_classes, out),
         right=_grow_tree(features, residuals, idx[~left_mask],
-                         depth + 1, max_depth, n_classes),
+                         depth + 1, max_depth, n_classes, out),
     )
 
 
@@ -183,13 +185,15 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def _check_features(features, n_features) -> np.ndarray:
+def _check_features(features, n_features=None) -> np.ndarray:
+    """Finite (n, f) float features; a 1-D vector is one row. n_features
+    None (fit) takes the width from the array."""
     arr = np.asarray(features, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
-    if arr.ndim != 2 or arr.shape[1] != n_features:
+    if arr.ndim != 2 or not arr.shape[1] or n_features not in (None, arr.shape[1]):
         raise InputDataError(
-            f"expected {n_features} feature columns, got shape {arr.shape}")
+            f"expected (n, {n_features or 'f'}) features, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InputDataError("features contain non-finite values")
     return arr
@@ -198,18 +202,18 @@ def _check_features(features, n_features) -> np.ndarray:
 def fit(features, labels, config: GbdtConfig = GbdtConfig(),
         n_classes: int = N_CHANGE_CLASSES) -> GbdtModel:
     """Train a booster on (n, f) features and integer class labels."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2:
-        raise InputDataError("features must be a 2-D array")
-    features = _check_features(features, features.shape[1])
-    labels = np.asarray(labels, dtype=np.int64)
+    features = _check_features(features)
+    labels = np.asarray(labels)
     n = features.shape[0]
     if n < 2:
         raise InputDataError("need at least 2 training samples")
     if labels.shape != (n,):
         raise InputDataError("labels length does not match features")
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise InputDataError(f"labels must be class indices in [0, {n_classes})")
+    # Refuse bool and float labels rather than cast them: 1.7 would become 1.
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
+        raise InputDataError(
+            f"labels must be integer class indices in [0, {n_classes})")
+    labels = labels.astype(np.int64)
 
     priors = np.bincount(labels, minlength=n_classes) / n
     base_scores = np.log(np.maximum(priors, PROB_FLOOR))
@@ -220,16 +224,16 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig(),
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     all_idx = np.arange(n)
+    leaf_out = np.empty(n)  # every row lands in one leaf, so all are rewritten
     for _ in range(config.rounds):
         probs = _softmax_rows(scores)
         residuals = onehot - probs
         round_trees = []
         for c in range(n_classes):
             root = _grow_tree(features, residuals[:, c], all_idx, 0,
-                              config.max_depth, n_classes)
-            tree = RegressionTree(root)
-            round_trees.append(tree)
-            scores[:, c] += config.shrinkage * tree.predict(features)
+                              config.max_depth, n_classes, leaf_out)
+            round_trees.append(RegressionTree(root))
+            scores[:, c] += config.shrinkage * leaf_out
         model.trees.append(round_trees)
     return model
 
@@ -286,15 +290,6 @@ def evaluate(model: GbdtModel, features, labels) -> MetricReport:
 # -- serialization -----------------------------------------------------------
 
 
-def _write_node(node: TreeNode, lines: list) -> None:
-    if node.is_leaf:
-        lines.append(f"leaf {node.value!r}")
-    else:
-        lines.append(f"split {node.feature} {node.threshold!r}")
-        _write_node(node.left, lines)
-        _write_node(node.right, lines)
-
-
 def save_model(model: GbdtModel, path) -> None:
     """Versioned text serialization; floats use repr for exact round-trip.
 
@@ -313,7 +308,9 @@ def save_model(model: GbdtModel, path) -> None:
     for rnd, round_trees in enumerate(model.trees):
         for c, tree in enumerate(round_trees):
             lines.append(f"tree {rnd} {c} {tree.n_nodes()}")
-            _write_node(tree.root, lines)
+            lines.extend(f"leaf {node.value!r}" if node.is_leaf
+                         else f"split {node.feature} {node.threshold!r}"
+                         for node, _ in tree.walk())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -129,6 +129,27 @@ class TestJsonl:
         with pytest.raises(InputDataError, match="line 1: .*requires source_post_id"):
             load_posts(path)
 
+    def test_numeric_ids_link_retweet_to_source(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        rows = [{"id": 5, "author_id": 1, "timestamp": 0, "text": "x"},
+                {"id": 6, "author_id": 2, "timestamp": 1, "text": "",
+                 "kind": "retweet", "source_post_id": 5}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        corpus = load_posts(path)
+        assert corpus.by_id["6"].source_post_id == "5"
+        # the retweeter counts as covered by the source post
+        assert [p.id for p in select_annotation_set(corpus)] == ["5"]
+
+    @pytest.mark.parametrize("source", [["5"], {"id": "5"}, 5.0, True])
+    def test_non_string_source_rejected(self, tmp_path, source):
+        path = tmp_path / "posts.jsonl"
+        rows = [{"id": "5", "author_id": "u", "timestamp": 0, "text": "x"},
+                {"id": "6", "author_id": "v", "timestamp": 1, "text": "",
+                 "kind": "retweet", "source_post_id": source}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(InputDataError, match="line 2: .*source_post_id must be a string"):
+            load_posts(path)
+
     def test_label_is_name_string(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         rows = [

@@ -4,17 +4,25 @@ The leaf-value and split tests verify against directly-computed formulas;
 the fitting tests use constructed datasets whose optimal behavior is known.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance.errors import InputDataError
 from socialstance.gbdt import (
     GbdtConfig,
     GbdtModel,
+    PROB_FLOOR,
     RegressionTree,
     TreeNode,
+    _MIN_GAIN,
     _best_split,
     _leaf_value,
+    _softmax_rows,
     decision_scores,
     evaluate,
     fit,
@@ -30,6 +38,83 @@ from socialstance.gbdt import (
     write_training_csv,
 )
 from socialstance.hesitancy import ChangeLabel
+
+
+# -- reference: the per-feature split search and predict-based score update ----
+
+
+def reference_best_split(features, residuals, idx):
+    """One feature at a time; the vectorized search must match it exactly."""
+    node_r = residuals[idx]
+    n = idx.size
+    total = node_r.sum()
+    total_sq = float(node_r @ node_r)
+    parent_sse = total_sq - total * total / n
+    best_gain = _MIN_GAIN
+    best = None
+    for f in range(features.shape[1]):
+        vals = features[idx, f]
+        order = np.argsort(vals, kind="stable")
+        sv = vals[order]
+        if sv[0] == sv[-1]:
+            continue
+        sr = node_r[order]
+        left_sum = np.cumsum(sr)[:-1]
+        left_sq = np.cumsum(sr * sr)[:-1]
+        n_left = np.arange(1, n, dtype=np.float64)
+        n_right = n - n_left
+        left_sse = left_sq - left_sum * left_sum / n_left
+        right_sum = total - left_sum
+        right_sse = (total_sq - left_sq) - right_sum * right_sum / n_right
+        gain = parent_sse - left_sse - right_sse
+        gain[sv[1:] == sv[:-1]] = -np.inf
+        i = int(np.argmax(gain))
+        if gain[i] > best_gain:
+            best_gain = float(gain[i])
+            best = (f, (float(sv[i]) + float(sv[i + 1])) / 2.0)
+    return best
+
+
+def reference_grow_tree(features, residuals, idx, depth, max_depth, n_classes):
+    if depth >= max_depth or idx.size < 2:
+        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
+    split = reference_best_split(features, residuals, idx)
+    if split is None:
+        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
+    feature, threshold = split
+    left_mask = features[idx, feature] <= threshold
+    return TreeNode(
+        feature=feature,
+        threshold=threshold,
+        left=reference_grow_tree(features, residuals, idx[left_mask],
+                                 depth + 1, max_depth, n_classes),
+        right=reference_grow_tree(features, residuals, idx[~left_mask],
+                                  depth + 1, max_depth, n_classes),
+    )
+
+
+def reference_fit(features, labels, config, n_classes=3):
+    """fit as a loop: grow with the reference, update scores by predict_one."""
+    n = features.shape[0]
+    priors = np.bincount(labels, minlength=n_classes) / n
+    base_scores = np.log(np.maximum(priors, PROB_FLOOR))
+    model = GbdtModel(config=config, n_classes=n_classes,
+                      n_features=features.shape[1], base_scores=base_scores)
+    scores = np.tile(base_scores, (n, 1))
+    onehot = np.zeros((n, n_classes))
+    onehot[np.arange(n), labels] = 1.0
+    for _ in range(config.rounds):
+        residuals = onehot - _softmax_rows(scores)
+        round_trees = []
+        for c in range(n_classes):
+            tree = RegressionTree(reference_grow_tree(
+                features, residuals[:, c], np.arange(n), 0, config.max_depth,
+                n_classes))
+            round_trees.append(tree)
+            scores[:, c] += config.shrinkage * np.array(
+                [tree.predict_one(row) for row in features])
+        model.trees.append(round_trees)
+    return model
 
 
 def separable_dataset(rng, n=120, n_features=6, n_classes=3):
@@ -109,6 +194,63 @@ class TestBestSplit:
                 vals = np.sort(features[:, f])
                 assert np.any((vals[:-1] < t) & (t < vals[1:]))
 
+    def test_tie_goes_to_lower_feature_over_lower_threshold(self):
+        # Both features isolate row 0 (gain 6 exactly). Feature 1 does so at
+        # the first sorted position, threshold 2.5; feature 0 at the second,
+        # threshold 5.0. The lower feature still wins.
+        features = np.array([[9.0, 0.0], [0.0, 5.0], [1.0, 6.0]])
+        residuals = np.array([2.0, -1.0, -1.0])
+        assert _best_split(features, residuals, np.arange(3)) == (0, 5.0)
+        assert reference_best_split(features, residuals, np.arange(3)) == (0, 5.0)
+
+
+@st.composite
+def boosting_inputs(draw):
+    n = draw(st.integers(2, 60))
+    n_features = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        features = rng.standard_normal((n, n_features))
+    else:
+        features = rng.integers(0, 3, size=(n, n_features)).astype(np.float64)
+    constant = draw(st.lists(st.integers(0, n_features - 1), max_size=2))
+    features[:, constant] = 1.0
+    labels = rng.integers(0, 3, size=n)
+    config = GbdtConfig(rounds=draw(st.integers(1, 3)),
+                        max_depth=draw(st.integers(1, 6)))
+    return features, labels, config
+
+
+def model_text(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.txt"
+        save_model(model, path)
+        return path.read_text()
+
+
+class TestAgainstReference:
+    @settings(max_examples=60, deadline=None)
+    @given(boosting_inputs())
+    def test_fit_matches_per_feature_search_byte_for_byte(self, inputs):
+        features, labels, config = inputs
+        assert model_text(fit(features, labels, config)) == \
+            model_text(reference_fit(features, labels, config))
+
+    def test_predict_matches_predict_one_row_by_row(self):
+        rng = np.random.default_rng(13)
+        features, labels = separable_dataset(rng, n=80, n_features=4)
+        model = fit(features, labels, GbdtConfig(rounds=4, max_depth=4))
+        # training rows, fresh rows, and rows sitting exactly on thresholds
+        thresholds = [node.threshold for trees in model.trees for tree in trees
+                      for node, _ in tree.walk() if not node.is_leaf]
+        rows = np.vstack([features, rng.standard_normal((40, 4)),
+                          np.tile(np.array(thresholds)[:, None], (1, 4))])
+        for round_trees in model.trees:
+            for tree in round_trees:
+                np.testing.assert_array_equal(
+                    tree.predict(rows), [tree.predict_one(row) for row in rows])
+
 
 class TestTree:
     def test_predict_walk(self):
@@ -170,6 +312,16 @@ class TestFit:
             fit(np.zeros((3, 2)), np.array([0, 1, 3]), n_classes=3)
         with pytest.raises(InputDataError):
             fit(np.zeros(3), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0],
+                                        [True, False, True], ["0", "1", "2"]])
+    def test_non_class_labels_rejected(self, labels):
+        with pytest.raises(InputDataError, match="integer class indices"):
+            fit(np.zeros((3, 2)), labels)
+
+    def test_featureless_rows_rejected(self):
+        with pytest.raises(InputDataError, match="got shape"):
+            fit(np.zeros((3, 0)), np.array([0, 1, 2]))
 
     def test_config_validation(self):
         with pytest.raises(InputDataError):
