@@ -30,8 +30,9 @@ from .metrics import (MetricReport, agreement_report,
 from .model import (ModelParams, Prediction, TrainConfig, classify, evaluate,
                     forward, load_checkpoint, save_checkpoint, split_dataset,
                     sweep, train)
-from .socialgraph import (InteractionRecord, SocialGraph, WeightedGraph,
-                          build_interaction_graph, build_social_graph,
+from .socialgraph import (InteractionRecord, Interactions, SocialGraph,
+                          WeightedGraph, build_interaction_graph,
+                          build_social_graph,
                           exact_order_neighborhood, induced_subgraph,
                           khop_neighborhood,
                           largest_weakly_connected_component, prune_edges)

@@ -51,12 +51,12 @@ class StanceLabel(IntEnum):
 class Post:
     """One social-media post, valid by construction.
 
-    kind is "original", "retweet", "quote", or "reply"; source_post_id
-    points at the reposted, quoted or replied-to post and is required
-    whenever kind != "original". Every kind but retweet is authored text.
-    timestamp is Unix seconds (UTC), an int. retweet_count is an int >= 0.
-    label is None for unannotated posts. A field that breaks any of this
-    raises InputDataError.
+    id and author_id are non-empty strings. kind is "original", "retweet",
+    "quote", or "reply"; source_post_id points at the reposted, quoted or
+    replied-to post and is required whenever kind != "original". Every kind
+    but retweet is authored text. timestamp is Unix seconds (UTC), an int.
+    retweet_count is an int >= 0. label is None for unannotated posts. A
+    field that breaks any of this raises InputDataError.
     """
 
     id: str
@@ -69,10 +69,10 @@ class Post:
     label: StanceLabel | None = None
 
     def __post_init__(self):
-        if not self.id:
+        if not (isinstance(self.id, str) and self.id):
             raise InputDataError("post id must be a non-empty string")
-        if not self.author_id:
-            raise InputDataError(f"post {self.id!r}: author_id must be non-empty")
+        if not (isinstance(self.author_id, str) and self.author_id):
+            raise InputDataError(f"post {self.id!r}: author_id must be a non-empty string")
         if self.kind not in POST_KINDS:
             raise InputDataError(f"post {self.id!r}: unknown kind {self.kind!r}")
         if not isinstance(self.source_post_id, (str, type(None))):
@@ -216,7 +216,9 @@ def load_posts(path) -> Corpus:
     """Read a JSONL post file into a Corpus.
 
     Raises InputDataError naming the offending line on malformed input, and
-    naming the id on duplicates. Field values are checked by Post itself.
+    naming the id on duplicates. Field values are checked by Post itself;
+    id, author_id and source_post_id may be JSON strings or integers, and
+    integers become their decimal strings.
     """
     posts = []
     with open(path, encoding="utf-8") as fh:
@@ -235,21 +237,25 @@ def load_posts(path) -> Corpus:
             for field in ("id", "author_id", "timestamp", "text"):
                 if field not in obj:
                     raise InputDataError(f"line {lineno}: missing field {field!r}")
-            source = obj.get("source_post_id")
             try:
                 posts.append(Post(
-                    id=str(obj["id"]),
-                    author_id=str(obj["author_id"]),
+                    id=_as_id(obj["id"]),
+                    author_id=_as_id(obj["author_id"]),
                     timestamp=obj["timestamp"],
                     text=obj["text"],
                     kind=obj.get("kind", "original"),
-                    source_post_id=str(source) if _is_int(source) else source,
+                    source_post_id=_as_id(obj.get("source_post_id")),
                     retweet_count=obj.get("retweet_count", 0),
                     label=_parse_label(obj.get("label")),
                 ))
             except InputDataError as exc:
                 raise InputDataError(f"line {lineno}: {exc}") from None
     return Corpus(posts)
+
+
+def _as_id(value):
+    """A JSON id field: integers become strings; Post refuses other non-strings."""
+    return str(value) if _is_int(value) else value
 
 
 def write_posts(posts, path) -> None:

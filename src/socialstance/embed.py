@@ -4,10 +4,14 @@ Two providers cover the pipeline: a file-backed store of precomputed vectors
 (the usual route when a sentence encoder ran offline) and a self-contained
 hashed character n-gram encoder that needs no model weights, used by tests,
 demos, and anywhere a deterministic lightweight text signal is enough. Both
-expose `dim` and `embed_post`.
+expose `dim` and `embed_post`. The store holds its vectors as the rows of
+one matrix; its loader reads the file in chunks of lines, parses each
+chunk's floats with one numpy call and checks finiteness once over the
+matrix, falling back to a line-by-line read only to name a bad line.
 """
 
 import string
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -21,6 +25,8 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Strip punctuation but keep '#' so hashtags survive normalization.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation.replace("#", ""))
+# Lines parsed and checked together by load_embedding_store.
+_CHUNK_LINES = 4096
 
 
 def fnv1a64(data: bytes) -> int:
@@ -74,42 +80,56 @@ class HashedNgramEncoder:
 
 
 class PrecomputedStore:
-    """Embedding lookup for posts whose vectors were computed elsewhere."""
+    """Embedding lookup for posts whose vectors were computed elsewhere.
+
+    The vectors are the rows of one (n, dim) float64 matrix, found through
+    an id -> row dict. Built from an id -> vector mapping, each vector must
+    be 1-D of one length (dim, when given); the matrix is then checked for
+    non-finite values once.
+    """
 
     def __init__(self, vectors, dim: int | None = None):
-        self._vectors = {}
-        self.dim = dim
+        rows = []
         for post_id, vec in vectors.items():
             arr = np.asarray(vec, dtype=np.float64)
             if arr.ndim != 1:
                 raise InputDataError(f"embedding for {post_id!r} is not a vector")
-            if self.dim is None:
-                self.dim = arr.shape[0]
-            if arr.shape[0] != self.dim:
+            if dim is None:
+                dim = arr.shape[0]
+            if arr.shape[0] != dim:
                 raise InputDataError(
-                    f"embedding for {post_id!r} has dim {arr.shape[0]}, expected {self.dim}")
-            if not np.all(np.isfinite(arr)):
-                raise InputDataError(f"embedding for {post_id!r} contains non-finite values")
-            self._vectors[post_id] = arr
-        if self.dim is None:
+                    f"embedding for {post_id!r} has dim {arr.shape[0]}, expected {dim}")
+            rows.append(arr)
+        if dim is None:
             raise InputDataError("embedding store is empty and no dim was given")
+        self._set(dict(zip(vectors, range(len(rows)))),
+                  np.array(rows, dtype=np.float64).reshape(len(rows), dim))
+
+    def _set(self, rows, matrix):
+        """Hold the matrix and its id -> row dict, refusing non-finite rows."""
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            post_id = next(islice(rows, int(np.argmin(finite)), None))
+            raise InputDataError(f"embedding for {post_id!r} contains non-finite values")
+        self._rows, self._matrix, self.dim = rows, matrix, matrix.shape[1]
 
     def __len__(self):
-        return len(self._vectors)
+        return len(self._rows)
 
     def __contains__(self, post_id):
-        return post_id in self._vectors
+        return post_id in self._rows
 
     def vector(self, post_id: str) -> np.ndarray:
-        if post_id not in self._vectors:
+        if post_id not in self._rows:
             raise KeyError(f"unknown post id: {post_id!r}")
-        return self._vectors[post_id]
+        return self._matrix[self._rows[post_id]]
 
     def embed_post(self, post) -> np.ndarray:
         return self.vector(post.id)
 
     def items(self):
-        return self._vectors.items()
+        """(post id, vector) pairs in row order."""
+        return zip(self._rows, self._matrix)
 
 
 def precompute(corpus, encoder) -> PrecomputedStore:
@@ -127,9 +147,61 @@ def save_embedding_store(store: PrecomputedStore, path) -> None:
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"d={store.dim}\n")
-        for post_id in sorted(store._vectors):
-            floats = " ".join(repr(float(x)) for x in store._vectors[post_id])
+        for post_id in sorted(store._rows):
+            floats = " ".join(map(repr, store.vector(post_id).tolist()))
             fh.write(f"{post_id}\t{floats}\n")
+
+
+def _store_rows(lines, lineno, dim, rows):
+    """(ids, (k, dim) float64 matrix) of a chunk of store lines, lineno
+    being the first one's number; blank lines are skipped and `rows` holds
+    the ids of earlier chunks.
+
+    Each check runs once over the whole chunk, and all its floats are parsed
+    by one np.array call, which accepts exactly the tokens float() accepts.
+    If a check fails the chunk is read again line by line, so the error
+    names the first bad line.
+    """
+    ids, seps, rests = [], [], []
+    for line in map(str.rstrip, lines, repeat("\n")):
+        if line:
+            post_id, sep, rest = line.partition("\t")
+            ids.append(post_id)
+            seps.append(sep)
+            rests.append(rest)
+    tokens = list(map(str.split, rests))
+    new = set(ids)
+    if ("" not in seps and "" not in ids and len(new) == len(ids)
+            and rows.keys().isdisjoint(new) and all(len(t) == dim for t in tokens)):
+        try:
+            return ids, np.array(list(chain.from_iterable(tokens)),
+                                 dtype=np.float64).reshape(len(ids), dim)
+        except ValueError:
+            pass
+    return _store_rows_by_line(lines, lineno, dim, rows)
+
+
+def _store_rows_by_line(lines, lineno, dim, rows):
+    vectors = {}
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        post_id, sep, rest = line.partition("\t")
+        if not sep or not post_id:
+            raise InputDataError(f"line {lineno}: expected '<post_id>\\t<floats>'")
+        parts = rest.split()
+        if len(parts) != dim:
+            raise InputDataError(
+                f"line {lineno}: expected {dim} floats, got {len(parts)}")
+        try:
+            vec = [float(p) for p in parts]
+        except ValueError:
+            raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
+        if post_id in vectors or post_id in rows:
+            raise InputDataError(f"duplicate embedding for post {post_id!r}")
+        vectors[post_id] = vec
+    return list(vectors), np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
 
 
 def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
@@ -137,9 +209,9 @@ def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
 
     When `dim` is given it must match the file's declared dimension; rows
     are always validated against the declared dimension, with the offending
-    line named in the error.
+    line named in the error. The file is read in chunks of lines.
     """
-    vectors = {}
+    rows, blocks = {}, []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("d=") or not header[2:].isdigit():
@@ -150,23 +222,12 @@ def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
         if dim is not None and dim != file_dim:
             raise InputDataError(
                 f"store declares d={file_dim}, expected d={dim}")
-        dim = file_dim
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            post_id, sep, rest = line.partition("\t")
-            if not sep or not post_id:
-                raise InputDataError(f"line {lineno}: expected '<post_id>\\t<floats>'")
-            parts = rest.split()
-            if len(parts) != dim:
-                raise InputDataError(
-                    f"line {lineno}: expected {dim} floats, got {len(parts)}")
-            try:
-                vec = np.array([float(p) for p in parts], dtype=np.float64)
-            except ValueError:
-                raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
-            if post_id in vectors:
-                raise InputDataError(f"duplicate embedding for post {post_id!r}")
-            vectors[post_id] = vec
-    return PrecomputedStore(vectors, dim=dim)
+        lineno = 2
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            ids, block = _store_rows(lines, lineno, file_dim, rows)
+            lineno += len(lines)
+            rows.update(zip(ids, range(len(rows), len(rows) + len(ids))))
+            blocks.append(block)
+    store = PrecomputedStore.__new__(PrecomputedStore)
+    store._set(rows, np.concatenate(blocks + [np.zeros((0, file_dim))]))
+    return store

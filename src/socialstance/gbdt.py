@@ -199,21 +199,28 @@ def _check_features(features, n_features=None) -> np.ndarray:
     return arr
 
 
+def _check_labels(labels, n_classes: int, n: int | None = None) -> np.ndarray:
+    """labels as an int64 vector of class indices in [0, n_classes), of
+    length n when n is given."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or (n is not None and labels.shape != (n,)):
+        raise InputDataError("labels length does not match features")
+    # Refuse bool and float labels rather than cast them: 1.7 would become 1.
+    if labels.dtype.kind not in "iu" or (
+            labels.size and (labels.min() < 0 or labels.max() >= n_classes)):
+        raise InputDataError(
+            f"labels must be integer class indices in [0, {n_classes})")
+    return labels.astype(np.int64)
+
+
 def fit(features, labels, config: GbdtConfig = GbdtConfig(),
         n_classes: int = N_CHANGE_CLASSES) -> GbdtModel:
     """Train a booster on (n, f) features and integer class labels."""
     features = _check_features(features)
-    labels = np.asarray(labels)
     n = features.shape[0]
     if n < 2:
         raise InputDataError("need at least 2 training samples")
-    if labels.shape != (n,):
-        raise InputDataError("labels length does not match features")
-    # Refuse bool and float labels rather than cast them: 1.7 would become 1.
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= n_classes:
-        raise InputDataError(
-            f"labels must be integer class indices in [0, {n_classes})")
-    labels = labels.astype(np.int64)
+    labels = _check_labels(labels, n_classes, n)
 
     priors = np.bincount(labels, minlength=n_classes) / n
     base_scores = np.log(np.maximum(priors, PROB_FLOOR))
@@ -264,15 +271,15 @@ def predict(model: GbdtModel, x):
 
 def log_loss(model: GbdtModel, features, labels) -> float:
     """Mean negative log-probability of the true class."""
-    labels = np.asarray(labels, dtype=np.int64)
     probs = _softmax_rows(decision_scores(model, features))
+    labels = _check_labels(labels, model.n_classes, len(probs))
     picked = np.maximum(probs[np.arange(labels.size), labels], PROB_FLOOR)
     return float(np.mean(-np.log(picked)))
 
 
 def priors_log_loss(labels, n_classes: int = N_CHANGE_CLASSES) -> float:
     """Log-loss of predicting the training priors for every sample."""
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _check_labels(labels, n_classes)
     priors = np.bincount(labels, minlength=n_classes) / labels.size
     picked = np.maximum(priors[labels], PROB_FLOOR)
     return float(np.mean(-np.log(picked)))
@@ -280,10 +287,10 @@ def priors_log_loss(labels, n_classes: int = N_CHANGE_CLASSES) -> float:
 
 def evaluate(model: GbdtModel, features, labels) -> MetricReport:
     """Accuracy and macro precision/recall/F1 on a held-out set."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
+    if np.size(labels) == 0:
         raise InputDataError("empty evaluation set")
-    predictions = predict(model, features)
+    predictions = np.argmax(decision_scores(model, features), axis=1)
+    labels = _check_labels(labels, model.n_classes, len(predictions))
     return multiclass_report(list(predictions), list(labels), model.n_classes)
 
 
@@ -466,8 +473,8 @@ def write_training_csv(features, labels, path) -> None:
 
 def majority_baseline_accuracy(train_labels, test_labels) -> float:
     """Accuracy of always predicting the training majority class."""
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
+    train_labels = _check_labels(train_labels, N_CHANGE_CLASSES)
+    test_labels = _check_labels(test_labels, N_CHANGE_CLASSES)
     counts = np.bincount(train_labels, minlength=N_CHANGE_CLASSES)
     majority = int(np.argmax(counts))
     return float(np.mean(test_labels == majority))

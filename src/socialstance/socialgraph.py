@@ -1,17 +1,26 @@
 """Interaction and follower graph construction plus k-hop neighborhood queries.
 
-The pipeline is: count pairwise interactions into a weighted undirected graph,
-prune weak edges, keep the largest connected component, then (optionally)
-restrict a follower edge list to those core users and keep its largest
-component. The result is a :class:`SocialGraph`, index arrays in CSR form,
-the input the stance encoder aggregates over. Balls and exact-distance
-shells all come from one vectorized frontier BFS, :func:`exact_shells`,
-which sample compilation also runs inside each ball; components come from
-vectorized min-label hooking (FastSV).
+load_interactions reads the interaction CSV in chunks of lines into a
+columnar :class:`Interactions` table: users coded to sorted integer ids,
+each chunk checked with whole-chunk operations and rescanned line by line
+only when a check fails, so errors still name the first bad line. The
+pipeline is: count interactions per unordered user pair (one sort of
+integer pair keys) into a weighted undirected graph, prune weak edges (a
+mask over the pairs), keep the largest connected component, then
+(optionally) restrict a follower edge list to those core users and keep its
+largest component. The result is a :class:`SocialGraph`, index arrays in
+CSR form, the input the stance encoder aggregates over. Balls and
+exact-distance shells all come from one vectorized frontier BFS,
+:func:`exact_shells`, which sample compilation also runs inside each ball;
+components come from vectorized min-label hooking (FastSV).
 """
 
 import operator
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress, islice, repeat
 
 import numpy as np
 
@@ -20,6 +29,9 @@ from .errors import InputDataError
 INTERACTION_HEADER = "source,target,kind,timestamp"
 FOLLOWER_HEADER = "u,v"
 INTERACTION_KINDS = ("retweet", "mention")
+_KIND_CODES = {kind: code for code, kind in enumerate(INTERACTION_KINDS)}
+# Lines parsed and checked together by load_interactions.
+_CHUNK_LINES = 8192
 
 
 @dataclass(frozen=True)
@@ -30,68 +42,179 @@ class InteractionRecord:
     timestamp: int
 
 
+@dataclass(frozen=True, eq=False)
+class Interactions(Sequence):
+    """Interaction records as a read-only columnar table.
+
+    names is the sorted tuple of users; source and target are int arrays of
+    indices into it, kind an int array of indices into INTERACTION_KINDS,
+    and timestamp a list of Python ints. Item i is the InteractionRecord of
+    row i, and the table compares equal to any sequence of equal records.
+    """
+
+    names: tuple
+    source: np.ndarray
+    target: np.ndarray
+    kind: np.ndarray
+    timestamp: list
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        return InteractionRecord(self.names[self.source[i]], self.names[self.target[i]],
+                                 INTERACTION_KINDS[self.kind[i]], self.timestamp[i])
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 class WeightedGraph:
-    """Undirected graph with integer edge weights (interaction counts)."""
+    """Undirected graph with integer edge weights (interaction counts).
 
-    def __init__(self):
-        self.nodes = set()
-        self._weights = {}
+    nodes is the sorted tuple of node ids. Edge (nodes[u], nodes[v]), u < v,
+    is the key u * len(nodes) + v; keys is sorted and weights[i] is the
+    weight of keys[i]. Each (u, v) pair of `edges` counts once, in either
+    direction; self-edges are an error.
+    """
 
-    @staticmethod
-    def _key(u, v):
-        return (u, v) if u <= v else (v, u)
+    def __init__(self, edges=(), nodes=()):
+        self.nodes, us, vs = _code_pairs(edges, nodes)
+        self.keys, self.weights = _count_pairs(len(self.nodes), us, vs)
 
-    def add_edge(self, u, v, weight=1):
-        if u == v:
-            raise ValueError("self-edges are not allowed")
-        self.nodes.add(u)
-        self.nodes.add(v)
-        key = self._key(u, v)
-        self._weights[key] = self._weights.get(key, 0) + weight
+    def _code(self, node):
+        i = bisect_left(self.nodes, node)
+        return i if i < len(self.nodes) and self.nodes[i] == node else None
 
     def weight(self, u, v):
-        return self._weights.get(self._key(u, v), 0)
+        i, j = self._code(u), self._code(v)
+        if i is None or j is None:
+            return 0
+        key = min(i, j) * len(self.nodes) + max(i, j)
+        k = int(np.searchsorted(self.keys, key))
+        return int(self.weights[k]) if k < len(self.keys) and self.keys[k] == key else 0
 
     def edges(self):
         """(u, v, weight) triples with u < v, sorted."""
-        return [(u, v, w) for (u, v), w in sorted(self._weights.items())]
+        us, vs = np.divmod(self.keys, max(len(self.nodes), 1))
+        names = self.nodes
+        return [(names[u], names[v], w)
+                for u, v, w in zip(us.tolist(), vs.tolist(), self.weights.tolist())]
 
     def n_edges(self):
-        return len(self._weights)
+        return len(self.keys)
 
 
-def load_interactions(path):
-    """Read interaction records from CSV (source,target,kind,timestamp).
+def _weighted_graph(nodes, keys, weights) -> WeightedGraph:
+    graph = WeightedGraph.__new__(WeightedGraph)
+    graph.nodes, graph.keys, graph.weights = nodes, keys, weights
+    return graph
+
+
+def _code_pairs(edges, nodes=()):
+    """(sorted node ids, us, vs): the (u, v) name pairs of `edges` as int
+    arrays of indices into the node ids, which also hold `nodes`."""
+    edges = [(u, v) for u, v in edges]
+    us = [u for u, _ in edges]
+    vs = [v for _, v in edges]
+    if any(map(operator.eq, us, vs)):
+        raise ValueError("self-edges are not allowed")
+    node_ids = tuple(sorted({*nodes, *us, *vs}))
+    index = dict(zip(node_ids, range(len(node_ids))))
+    return (node_ids, np.fromiter(map(index.__getitem__, us), np.intp, len(us)),
+            np.fromiter(map(index.__getitem__, vs), np.intp, len(vs)))
+
+
+def _count_pairs(n, us, vs):
+    """(keys, counts): the sorted distinct undirected pair keys
+    min * n + max of the int pairs (us, vs), and how often each occurs."""
+    keys = np.minimum(us, vs) * n + np.maximum(us, vs)
+    keys.sort()
+    starts = np.flatnonzero(_run_starts(keys))
+    return keys[starts], np.diff(np.append(starts, keys.size))
+
+
+def _interaction_fields(lines, lineno):
+    """(sources, targets, kind codes, timestamps) of a chunk of CSV lines,
+    lineno being the first one's number; blank lines are skipped.
+
+    Each check runs once over the whole chunk. If one fails the chunk is
+    read again line by line, so the error names the first bad line.
+    """
+    rows = [line for line in map(str.strip, lines) if line]
+    if list(map(str.count, rows, repeat(","))).count(3) == len(rows):
+        fields = ",".join(rows).split(",")
+        sources, targets = fields[0::4], fields[1::4]
+        if "" not in sources and "" not in targets:
+            try:
+                return (sources, targets, list(map(_KIND_CODES.__getitem__, fields[2::4])),
+                        list(map(int, fields[3::4])))
+            except (KeyError, ValueError):
+                pass
+    return _interaction_fields_by_line(lines, lineno)
+
+
+def _interaction_fields_by_line(lines, lineno):
+    columns = ([], [], [], [])
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise InputDataError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+        source, target, kind, ts = parts
+        if not source or not target:
+            raise InputDataError(f"line {lineno}: empty source or target")
+        if kind not in INTERACTION_KINDS:
+            raise InputDataError(f"line {lineno}: unknown interaction kind {kind!r}")
+        try:
+            timestamp = int(ts)
+        except ValueError:
+            raise InputDataError(f"line {lineno}: non-integer timestamp {ts!r}") from None
+        for column, value in zip(columns, (source, target, _KIND_CODES[kind], timestamp)):
+            column.append(value)
+    return columns
+
+
+def load_interactions(path) -> Interactions:
+    """Read interaction records from CSV (source,target,kind,timestamp)
+    into an Interactions table.
 
     Self-interactions are dropped here, so every record relates two distinct
     users. Raises InputDataError with a line number on malformed rows.
     """
-    records = []
+    index = {}  # user -> code, in the order users were first coded
+    sources, targets = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
+    kinds, timestamps = [np.zeros(0, np.int8)], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != INTERACTION_HEADER:
             raise InputDataError(
                 f"expected header {INTERACTION_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise InputDataError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-            source, target, kind, ts = parts
-            if not source or not target:
-                raise InputDataError(f"line {lineno}: empty source or target")
-            if kind not in INTERACTION_KINDS:
-                raise InputDataError(f"line {lineno}: unknown interaction kind {kind!r}")
-            try:
-                timestamp = int(ts)
-            except ValueError:
-                raise InputDataError(f"line {lineno}: non-integer timestamp {ts!r}") from None
-            if source == target:
-                continue
-            records.append(InteractionRecord(source, target, kind, timestamp))
-    return records
+        lineno = 2
+        while lines := list(islice(fh, _CHUNK_LINES)):
+            fields = _interaction_fields(lines, lineno)
+            lineno += len(lines)
+            keep = list(map(operator.ne, fields[0], fields[1]))
+            if not all(keep):
+                fields = [list(compress(column, keep)) for column in fields]
+            source, target, kind, timestamp = fields
+            new = set(source).union(target).difference(index)
+            index.update(zip(new, range(len(index), len(index) + len(new))))
+            sources.append(np.fromiter(map(index.__getitem__, source), np.intp, len(source)))
+            targets.append(np.fromiter(map(index.__getitem__, target), np.intp, len(target)))
+            kinds.append(np.array(kind, dtype=np.int8))
+            timestamps += timestamp
+    names = tuple(sorted(index))
+    rank = np.empty(len(names), dtype=np.intp)  # code -> sorted position
+    rank[np.fromiter(map(index.__getitem__, names), np.intp, len(names))] = np.arange(len(names))
+    return Interactions(names, rank[np.concatenate(sources)], rank[np.concatenate(targets)],
+                        np.concatenate(kinds), timestamps)
 
 
 def load_follower_edges(path):
@@ -113,13 +236,17 @@ def load_follower_edges(path):
 
 
 def build_interaction_graph(records) -> WeightedGraph:
-    """Count interactions per unordered user pair into edge weights."""
-    graph = WeightedGraph()
-    for rec in records:
-        if rec.source == rec.target:
-            continue
-        graph.add_edge(rec.source, rec.target)
-    return graph
+    """Count interactions per unordered user pair into edge weights.
+
+    records is an Interactions table or any iterable of InteractionRecords;
+    self-interactions are skipped.
+    """
+    if isinstance(records, Interactions):
+        nodes, us, vs = records.names, records.source, records.target
+    else:
+        nodes, us, vs = _code_pairs((r.source, r.target) for r in records
+                                    if r.source != r.target)
+    return _weighted_graph(nodes, *_count_pairs(len(nodes), us, vs))
 
 
 def prune_edges(graph: WeightedGraph, min_weight: int = 2) -> WeightedGraph:
@@ -130,12 +257,8 @@ def prune_edges(graph: WeightedGraph, min_weight: int = 2) -> WeightedGraph:
     """
     if not min_weight >= 1:
         raise InputDataError("min_weight must be >= 1")
-    pruned = WeightedGraph()
-    pruned.nodes = set(graph.nodes)
-    for u, v, w in graph.edges():
-        if w >= min_weight:
-            pruned.add_edge(u, v, w)
-    return pruned
+    keep = graph.weights >= min_weight
+    return _weighted_graph(graph.nodes, graph.keys[keep], graph.weights[keep])
 
 
 def largest_weakly_connected_component(graph) -> "SocialGraph":
@@ -147,7 +270,8 @@ def largest_weakly_connected_component(graph) -> "SocialGraph":
     deterministic.
     """
     if not isinstance(graph, SocialGraph):
-        graph = SocialGraph(graph._weights, nodes=graph.nodes)
+        weighted, graph = graph, SocialGraph.__new__(SocialGraph)
+        graph._build(weighted.nodes, *np.divmod(weighted.keys, max(len(weighted.nodes), 1)))
     if not len(graph):
         raise InputDataError("empty graph")
     labels = _component_labels(graph.indptr, graph.indices)
@@ -248,29 +372,26 @@ class SocialGraph:
     """
 
     def __init__(self, edges, nodes=()):
-        edges = [(u, v) for u, v in edges]
-        us = [u for u, _ in edges]
-        vs = [v for _, v in edges]
-        if any(map(operator.eq, us, vs)):
-            raise ValueError("self-edges are not allowed")
-        self._set_nodes(tuple(sorted({*nodes, *us, *vs})))
-        n = len(self.node_ids)
-        us = np.fromiter(map(self._index.__getitem__, us), np.intp, len(us))
-        vs = np.fromiter(map(self._index.__getitem__, vs), np.intp, len(vs))
+        self._build(*_code_pairs(edges, nodes))
+
+    def _build(self, node_ids, us, vs):
+        """Set the CSR of the undirected int-coded pairs (us, vs) over node_ids."""
+        self.node_ids = node_ids
+        n = len(node_ids)
         keys = np.concatenate([us * n + vs, vs * n + us])
         keys.sort()
         keys = keys[_run_starts(keys)]
         rows, self.indices = np.divmod(keys, max(n, 1))
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
 
-    def _set_nodes(self, node_ids):
-        self.node_ids = node_ids
-        self._index = {node: i for i, node in enumerate(node_ids)}
+    @cached_property
+    def _index(self):
+        return dict(zip(self.node_ids, range(len(self.node_ids))))
 
     def subgraph(self, keep) -> "SocialGraph":
         """The subgraph induced by the sorted node indices `keep`."""
         graph = SocialGraph.__new__(SocialGraph)
-        graph._set_nodes(tuple(self.node_ids[i] for i in keep.tolist()))
+        graph.node_ids = tuple(self.node_ids[i] for i in keep.tolist())
         graph.indptr, graph.indices = induced_csr(self.indptr, self.indices, keep)
         return graph
 
@@ -357,7 +478,8 @@ def build_social_graph(records, follower_edges=None, min_weight: int = 2) -> Soc
     """End-to-end graph construction.
 
     Interaction counting, edge pruning at min_weight, and largest-component
-    extraction come first. When follower_edges is given, those edges are
+    extraction come first; records is an Interactions table or a sequence
+    of InteractionRecords. When follower_edges is given, those edges are
     restricted to the interaction core's users and the largest component of
     that follower graph becomes the result; follower direction is ignored.
     """

@@ -426,6 +426,60 @@ def test_track_on_arbitrary_bytes_never_exits_3(data):
     assert code in (0, 2, 4)
 
 
+# Interaction-shaped lines (any fields, some well formed) and raw bytes.
+_interaction_files = st.lists(
+    st.lists(st.sampled_from(["u0", "u1", "u2", "", "retweet", "mention", "7", "x", " "])
+             | st.text(max_size=3), min_size=1, max_size=5).map(
+        lambda fields: ",".join(fields).encode())
+    | st.sampled_from([b"u0,u1,mention,1", b"u1,u2,retweet,2", b"u0,u0,mention,3"])
+    | st.binary(max_size=30), max_size=8).map(
+        lambda lines: b"\n".join([b"source,target,kind,timestamp"] + lines))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_interaction_files | st.binary(max_size=60))
+def test_build_graph_on_arbitrary_interactions_never_exits_3(data):
+    with tempfile.TemporaryDirectory() as root:
+        inter = Path(root) / "inter.csv"
+        inter.write_bytes(data)
+        code = main(["build-graph", "--interactions", str(inter), "--min-weight", "1",
+                     "--out-dir", root])
+    assert code in (0, 2, 4)
+
+
+# Store-shaped lines for the world's posts (dim 8), some well formed, and bytes.
+_store_files = st.lists(
+    st.builds(lambda pid, toks: f"{pid}\t{' '.join(toks)}".encode(),
+              st.sampled_from([f"u{i}{s}" for i in range(8) for s in "ht"] + ["", "zz"]),
+              st.lists(st.sampled_from(["0.5", "-1e3", "nan", "inf", "1_0", "x", ""])
+                       | st.floats(width=64).map(repr), min_size=7, max_size=9))
+    | st.binary(max_size=30), max_size=18).map(
+        lambda lines: b"\n".join([b"d=8"] + lines))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_store_files | st.binary(max_size=60))
+def test_classify_on_arbitrary_embeddings_never_exits_3(world, checkpoint, data):
+    with tempfile.TemporaryDirectory() as root:
+        store = Path(root) / "store.tsv"
+        store.write_bytes(data)
+        code = main(["classify", "--checkpoint", str(checkpoint),
+                     "--posts", str(world["posts"]), "--embeddings", str(store),
+                     "--interactions", str(world["interactions"]),
+                     "--out", str(Path(root) / "pred.csv")])
+    assert code in (0, 2, 4)
+
+
+@pytest.mark.parametrize("field", ["id", "author_id"])
+@pytest.mark.parametrize("value", [["a"], 5.0, True])
+def test_non_string_post_ids_exit_2(tmp_path, capsys, field, value):
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(json.dumps({"id": "p", "author_id": "u", "timestamp": 0, "text": "x",
+                                 field: value}) + "\n", encoding="utf-8")
+    code = main(["track", "--posts", str(posts), "--start", "0", "--end", "10"])
+    assert_input_error(code, capsys, "line 1: ")
+
+
 class TestHesitancy:
     def make_posts(self, tmp_path):
         """u1 leans positive, u2 firmly negative; u2 softens after the period."""

@@ -54,7 +54,7 @@ class TestPost:
             p.text = "other"
 
     @pytest.mark.parametrize("bad", [
-        dict(pid=""), dict(user=""), dict(ts=1.5), dict(ts=True), dict(text=5),
+        dict(pid=""), dict(user=""), dict(pid=5), dict(user=["u"]), dict(ts=1.5), dict(ts=True), dict(text=5),
         dict(text=None), dict(retweet_count=-1), dict(retweet_count=True),
         dict(retweet_count=1.0), dict(kind="poll"), dict(kind="quote"),
     ])
@@ -149,6 +149,23 @@ class TestJsonl:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         with pytest.raises(InputDataError, match="line 2: .*source_post_id must be a string"):
             load_posts(path)
+
+    @pytest.mark.parametrize("field", ["id", "author_id"])
+    @pytest.mark.parametrize("value", [["a"], {"id": "a"}, 5.0, 1.5, True, None])
+    def test_non_string_ids_rejected(self, tmp_path, field, value):
+        path = tmp_path / "posts.jsonl"
+        rows = [{"id": "5", "author_id": "u", "timestamp": 0, "text": "x"},
+                {"id": "6", "author_id": "v", "timestamp": 1, "text": "y", field: value}]
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        with pytest.raises(InputDataError, match="line 2: .*must be a non-empty string"):
+            load_posts(path)
+
+    def test_integer_ids_become_strings(self, tmp_path):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps({"id": -7, "author_id": 10**30, "timestamp": 0,
+                                    "text": "x"}) + "\n")
+        post = load_posts(path).by_id["-7"]
+        assert post.author_id == "1" + "0" * 30
 
     def test_label_is_name_string(self, tmp_path):
         path = tmp_path / "posts.jsonl"

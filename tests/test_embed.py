@@ -4,9 +4,16 @@ The hashing tests verify against an independent FNV-1a written inline and
 against known reference digests of the 64-bit FNV-1a function.
 """
 
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from socialstance import embed
 from socialstance.corpus import Corpus, Post
 from socialstance.embed import (
     HashedNgramEncoder,
@@ -154,8 +161,139 @@ class TestStoreIO:
         with pytest.raises(InputDataError, match="header"):
             load_embedding_store(path)
 
+    def test_first_non_finite_row_named(self, tmp_path):
+        path = tmp_path / "store.tsv"
+        path.write_text("d=2\na\t1.0 2.0\nb\t1.0 inf\nc\tnan 0\n")
+        with pytest.raises(InputDataError, match="embedding for 'b' contains non-finite"):
+            load_embedding_store(path)
+        with pytest.raises(InputDataError, match="embedding for 'c' contains non-finite"):
+            PrecomputedStore({"a": [1.0, 2.0], "c": [np.nan, 0.0], "b": [1.0, np.inf]})
+
     def test_duplicate_post_rejected(self, tmp_path):
         path = tmp_path / "store.tsv"
         path.write_text("d=1\na\t1.0\na\t2.0\n")
         with pytest.raises(InputDataError, match="duplicate"):
             load_embedding_store(path)
+
+
+# -- generative: the chunked, matrix-backed store vs line-by-line parsing ------
+
+def reference_load_store(path, dim=None):
+    """The line-by-line loader the chunked one replaced: {id: vector}."""
+    vectors = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if not header.startswith("d=") or not header[2:].isdigit():
+            raise InputDataError(f"expected 'd=<int>' header, got {header!r}")
+        file_dim = int(header[2:])
+        if file_dim < 1:
+            raise InputDataError("embedding dim must be >= 1")
+        if dim is not None and dim != file_dim:
+            raise InputDataError(f"store declares d={file_dim}, expected d={dim}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            post_id, sep, rest = line.partition("\t")
+            if not sep or not post_id:
+                raise InputDataError(f"line {lineno}: expected '<post_id>\\t<floats>'")
+            parts = rest.split()
+            if len(parts) != file_dim:
+                raise InputDataError(
+                    f"line {lineno}: expected {file_dim} floats, got {len(parts)}")
+            try:
+                vec = np.array([float(p) for p in parts], dtype=np.float64)
+            except ValueError:
+                raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
+            if post_id in vectors:
+                raise InputDataError(f"duplicate embedding for post {post_id!r}")
+            vectors[post_id] = vec
+    for post_id, vec in vectors.items():
+        if not np.all(np.isfinite(vec)):
+            raise InputDataError(f"embedding for {post_id!r} contains non-finite values")
+    return vectors
+
+
+def store_outcome(load, path):
+    """(ids in row order, float64 bits) of a loaded store, or the error."""
+    try:
+        loaded = load(path)
+    except InputDataError as exc:
+        return ("error", str(exc))
+    items = list(loaded.items())
+    return [k for k, _ in items], [np.asarray(v).view(np.uint64).tolist() for _, v in items]
+
+
+# Tokens float() accepts (underscores, other scripts' digits, any-case
+# specials, huge exponents) and ones it refuses (hex, stray separators, NUL).
+_TOKENS = ["1_0", "\u0661\u0662", "inF", "-iNfInItY", "nAn", "-nan", "1e400", "-0",
+           "+.5", "1E5", "\uff11", "0x10", "1__0", "_1", "1_", "1.5e", ".", "e5",
+           "0b1", "--1", "1e", "NaNa", "abc", "\u00bd", "1\x00"]
+_float_tokens = st.floats(allow_nan=False, width=64).map(repr) | st.sampled_from(_TOKENS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=st.lists(_float_tokens | st.text(max_size=4), max_size=6))
+def test_numpy_parses_exactly_what_float_accepts(tokens):
+    tokens = [t for t in tokens if t.split() == [t]]  # the loader's tokens
+    for token in tokens:
+        try:
+            want = np.float64(float(token)).view(np.uint64)
+        except ValueError:
+            want = None
+        try:
+            got = np.array([token], dtype=np.float64).view(np.uint64)[0]
+        except ValueError:
+            got = None
+        assert got == want, token
+    try:
+        want = np.array([float(t) for t in tokens], dtype=np.float64)
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.array(tokens, dtype=np.float64)
+    else:
+        np.testing.assert_array_equal(
+            np.array(tokens, dtype=np.float64).view(np.uint64), want.view(np.uint64))
+
+
+_store_ids = st.text(st.characters(blacklist_categories=("Cs",),
+                                   blacklist_characters="\t\n\r"), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dim=st.integers(1, 5), chunk=st.integers(1, 4), data=st.data())
+def test_store_round_trip_is_bit_identical(dim, chunk, data):
+    ids = data.draw(st.lists(_store_ids, unique=True, max_size=12))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    vectors = {pid: np.array(data.draw(st.lists(floats, min_size=dim, max_size=dim)))
+               for pid in ids}
+    store = PrecomputedStore(vectors, dim=dim)
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "store.tsv"
+        save_embedding_store(store, path)
+        with mock.patch.object(embed, "_CHUNK_LINES", chunk):
+            loaded = load_embedding_store(path, dim)
+    assert loaded.dim == dim and len(loaded) == len(ids)
+    for pid, vec in vectors.items():
+        assert loaded.vector(pid).tobytes() == vec.tobytes()
+
+
+_store_lines = st.one_of(
+    st.builds(lambda pid, toks: f"{pid}\t{' '.join(toks)}", st.sampled_from(["a", "b", "c", " d"]),
+              st.lists(_float_tokens, min_size=1, max_size=3)),
+    st.sampled_from(["", "a", "\t1.0", "e 1.0", "a\t", "a\t1.0  2.0", "b\t 1.0\t2.0 "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.integers(1, 3), chunk=st.integers(1, 4), data=st.data())
+def test_store_loading_matches_line_by_line_reference(dim, chunk, data):
+    good = st.builds(lambda pid, toks: f"{pid}\t{' '.join(toks)}", st.sampled_from("abcdef"),
+                     st.lists(_float_tokens, min_size=dim, max_size=dim))
+    lines = data.draw(st.lists(good | good | _store_lines, max_size=10))
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "store.tsv"
+        path.write_text("\n".join([f"d={dim}"] + lines) + "\n", encoding="utf-8")
+        want = store_outcome(lambda p: PrecomputedStore(reference_load_store(p), dim=dim),
+                             path)
+        with mock.patch.object(embed, "_CHUNK_LINES", chunk):
+            assert store_outcome(load_embedding_store, path) == want

@@ -40,6 +40,10 @@ from socialstance.gbdt import (
 from socialstance.hesitancy import ChangeLabel
 
 
+# Label arrays that are not integer class indices and must not be cast.
+NON_CLASS_LABELS = [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0], [True, False, True], ["0", "1", "2"]]
+
+
 # -- reference: the per-feature split search and predict-based score update ----
 
 
@@ -313,8 +317,7 @@ class TestFit:
         with pytest.raises(InputDataError):
             fit(np.zeros(3), np.array([0, 1, 0]))
 
-    @pytest.mark.parametrize("labels", [[0.5, 1.7, 2.2], [0.0, 1.0, 2.0],
-                                        [True, False, True], ["0", "1", "2"]])
+    @pytest.mark.parametrize("labels", NON_CLASS_LABELS)
     def test_non_class_labels_rejected(self, labels):
         with pytest.raises(InputDataError, match="integer class indices"):
             fit(np.zeros((3, 2)), labels)
@@ -335,6 +338,48 @@ class TestFit:
     def test_non_finite_shrinkage_rejected(self, shrinkage):
         with pytest.raises(InputDataError, match="shrinkage"):
             GbdtConfig(shrinkage=shrinkage)
+
+
+class TestScoringLabels:
+    """Every function that takes labels refuses what fit refuses."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return fit(np.arange(6.0).reshape(3, 2), [0, 1, 2], GbdtConfig(rounds=3))
+
+    @pytest.mark.parametrize("labels", NON_CLASS_LABELS + [[0, 1, 5], [-1, 0, 1]])
+    def test_log_loss(self, model, labels):
+        with pytest.raises(InputDataError, match="integer class indices"):
+            log_loss(model, np.zeros((3, 2)), labels)
+
+    @pytest.mark.parametrize("labels", NON_CLASS_LABELS + [[0, 1, 5], [-1, 0, 1]])
+    def test_evaluate(self, model, labels):
+        with pytest.raises(InputDataError, match="integer class indices"):
+            evaluate(model, np.zeros((3, 2)), labels)
+
+    @pytest.mark.parametrize("labels", NON_CLASS_LABELS + [[0, 1, 5], [-1, 0, 1]])
+    def test_priors_log_loss(self, labels):
+        with pytest.raises(InputDataError, match="integer class indices"):
+            priors_log_loss(labels)
+
+    @pytest.mark.parametrize("labels", NON_CLASS_LABELS + [[0, 1, 5], [-1, 0, 1]])
+    def test_majority_baseline_accuracy(self, labels):
+        with pytest.raises(InputDataError, match="integer class indices"):
+            majority_baseline_accuracy(labels, [0, 1, 2])
+        with pytest.raises(InputDataError, match="integer class indices"):
+            majority_baseline_accuracy([0, 1, 2], labels)
+
+    def test_length_must_match_rows(self, model):
+        with pytest.raises(InputDataError, match="length"):
+            log_loss(model, np.zeros((3, 2)), [0, 1])
+        with pytest.raises(InputDataError, match="length"):
+            evaluate(model, np.zeros((2, 2)), [0, 1, 2])
+
+    def test_integer_labels_still_score(self, model):
+        x = np.arange(6.0).reshape(3, 2)
+        assert evaluate(model, x, np.array([0, 1, 2], dtype=np.uint8)).accuracy == 1.0
+        assert log_loss(model, x, [0, 1, 2]) < priors_log_loss([0, 1, 2])
+        assert majority_baseline_accuracy([1, 1, 0], [1, 2]) == 0.5
 
 
 class TestPredict:

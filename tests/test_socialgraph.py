@@ -4,16 +4,22 @@ The neighborhood and component tests check the library against plain
 BFS / union-find oracles written inline, on randomly generated graphs.
 """
 
-from collections import deque
+import tempfile
+from collections import Counter, deque
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from socialstance import socialgraph
 from socialstance.errors import InputDataError
 from socialstance.socialgraph import (
+    INTERACTION_HEADER,
     InteractionRecord,
+    Interactions,
     SocialGraph,
     WeightedGraph,
     _component_labels,
@@ -87,17 +93,22 @@ def adjacency(nodes, edges):
 
 class TestWeightedGraph:
     def test_accumulates_weight_undirected(self):
-        g = WeightedGraph()
-        g.add_edge("a", "b")
-        g.add_edge("b", "a", 2)
+        g = WeightedGraph([("a", "b"), ("b", "a"), ("b", "a")])
         assert g.weight("a", "b") == 3
         assert g.weight("b", "a") == 3
         assert g.n_edges() == 1
 
+    def test_unknown_or_unjoined_pairs_weigh_zero(self):
+        g = WeightedGraph([("b", "d"), ("b", "d")], nodes=["a"])
+        assert g.nodes == ("a", "b", "d")
+        assert g.weight("d", "b") == 2 and g.n_edges() == 1
+        assert g.weight("a", "b") == g.weight("b", "c") == g.weight("c", "d") == 0
+        assert g.weight("z", "b") == g.weight("b", "b") == 0
+        assert g.edges() == [("b", "d", 2)]
+
     def test_self_loops_rejected(self):
-        g = WeightedGraph()
         with pytest.raises(ValueError):
-            g.add_edge("a", "a")
+            WeightedGraph([("a", "a")])
 
 
 class TestSocialGraph:
@@ -163,11 +174,7 @@ class TestLargestComponent:
         rng = np.random.default_rng(42)
         for _ in range(60):
             nodes, edges = random_graph(rng, max_nodes=40, p=0.06)
-            g = WeightedGraph()
-            for u in nodes:
-                g.nodes.add(u)
-            for u, v in edges:
-                g.add_edge(u, v)
+            g = WeightedGraph(edges, nodes=nodes)
             got = largest_weakly_connected_component(g)
 
             uf = UnionFind(nodes)
@@ -199,9 +206,7 @@ class TestLargestComponent:
         assert _component_labels(g.indptr, g.indices).tolist() == want
 
     def test_returns_social_graph_with_inner_edges(self):
-        g = WeightedGraph()
-        for u, v in [("a", "b"), ("b", "c"), ("x", "y")]:
-            g.add_edge(u, v)
+        g = WeightedGraph([("a", "b"), ("b", "c"), ("x", "y")])
         comp = largest_weakly_connected_component(g)
         assert isinstance(comp, SocialGraph)
         assert set(comp.node_ids) == {"a", "b", "c"}
@@ -289,6 +294,23 @@ class TestIO:
         assert records[0].kind == "retweet"
         assert records[1].timestamp == 11
 
+    def test_interactions_table_is_a_read_only_sequence(self, tmp_path):
+        path = tmp_path / "inter.csv"
+        path.write_text("source,target,kind,timestamp\n"
+                        "u2,u1,mention,-3\nu1,u1,retweet,5\n\nu1,u3,retweet,7\n")
+        records = load_interactions(path)
+        want = [InteractionRecord("u2", "u1", "mention", -3),
+                InteractionRecord("u1", "u3", "retweet", 7)]
+        assert records == want and want == records and records != want[:1]
+        assert records[-1] == want[-1] and records[:1] == want[:1]
+        assert list(reversed(records)) == want[::-1] and want[0] in records
+        assert records.names == ("u1", "u2", "u3")
+        assert records.source.tolist() == [1, 0] and records.kind.tolist() == [1, 0]
+        with pytest.raises(IndexError):
+            records[2]
+        with pytest.raises(TypeError):
+            records[0] = want[0]
+
     def test_self_interactions_dropped_on_load(self, tmp_path):
         path = tmp_path / "inter.csv"
         path.write_text("source,target,kind,timestamp\nu1,u1,retweet,10\n")
@@ -373,3 +395,109 @@ class TestStats:
         assert stats.n_nodes == 4
         assert stats.n_edges == 2
         assert stats.avg_degree == pytest.approx(4 / 4)
+
+
+# -- generative: chunked loading and array counting vs line-by-line + dicts ----
+
+def reference_load_interactions(path):
+    """The per-line loader the chunked one replaced, one record per line."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != INTERACTION_HEADER:
+            raise InputDataError(
+                f"expected header {INTERACTION_HEADER!r}, got {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise InputDataError(f"line {lineno}: expected 4 fields, got {len(parts)}")
+            source, target, kind, ts = parts
+            if not source or not target:
+                raise InputDataError(f"line {lineno}: empty source or target")
+            if kind not in ("retweet", "mention"):
+                raise InputDataError(f"line {lineno}: unknown interaction kind {kind!r}")
+            try:
+                timestamp = int(ts)
+            except ValueError:
+                raise InputDataError(f"line {lineno}: non-integer timestamp {ts!r}") from None
+            if source == target:
+                continue
+            records.append(InteractionRecord(source, target, kind, timestamp))
+    return records
+
+
+def reference_graph(records, min_weight):
+    """Dict counting, pruning and the largest component (ties to the smallest
+    node id), as sorted node ids and CSR lists."""
+    if not records:
+        raise InputDataError("no interaction records")
+    weights = Counter(tuple(sorted((r.source, r.target))) for r in records)
+    adj = {u: set() for r in records for u in (r.source, r.target)}
+    for (u, v), w in weights.items():
+        if w >= min_weight:
+            adj[u].add(v)
+            adj[v].add(u)
+    best, seen = set(), set()
+    for start in sorted(adj):
+        if start not in seen:
+            comp = set(bfs_distances(adj, start))
+            seen |= comp
+            if len(comp) > len(best):
+                best = comp
+    node_ids = tuple(sorted(best))
+    index = {u: i for i, u in enumerate(node_ids)}
+    indptr, indices = [0], []
+    for u in node_ids:
+        indices += sorted(index[v] for v in adj[u])
+        indptr.append(len(indices))
+    return node_ids, indptr, indices
+
+
+def outcome(fn, *args):
+    """fn's result, or ("error", message) for an InputDataError."""
+    try:
+        return fn(*args)
+    except InputDataError as exc:
+        return ("error", str(exc))
+
+
+_names = st.sampled_from(["a", "b", "c", "d", "\u00e9", "a b", "B", "10"])
+_timestamps = st.integers(-10**20, 10**20).map(str) | st.sampled_from(
+    ["1_0", "+5", " 7", "\u0663", "-0"])
+_good_lines = st.builds(lambda s, t, k, ts: f"{s},{t},{k},{ts}", _names, _names,
+                        st.sampled_from(["retweet", "mention"]), _timestamps)
+_bad_lines = st.sampled_from([
+    "a,b,retweet", "a,b,retweet,1,2", "a,b,mention,1,", ",b,mention,1", "a,,mention,1",
+    "a,b,like,1", "a,b,Mention,1", "a,b,mention,x", "a,b,mention,", "a,b,mention,1.5",
+    "a,b,mention,0x1", ",,,", "a", "", "   ", "a,a,mention,3"])
+_interaction_lines = st.lists(
+    st.builds(lambda pad, line: f"{pad}{line}{pad[::-1]}", st.sampled_from(["", " ", "\t"]),
+              _good_lines | _good_lines | _bad_lines), max_size=14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=_interaction_lines, chunk=st.integers(1, 4), min_weight=st.integers(1, 3))
+def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "inter.csv"
+        path.write_text("\n".join([INTERACTION_HEADER] + lines) + "\n", encoding="utf-8")
+        want = outcome(reference_load_interactions, path)
+        with mock.patch.object(socialgraph, "_CHUNK_LINES", chunk):
+            got = outcome(load_interactions, path)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert isinstance(got, Interactions)
+    assert got == want and list(got) == want and len(got) == len(want)
+    assert got.names == tuple(sorted({u for r in want for u in (r.source, r.target)}))
+    expected = outcome(reference_graph, want, min_weight)
+    for records in (got, want):
+        graph = outcome(build_social_graph, records, None, min_weight)
+        if isinstance(expected, tuple) and expected[0] == "error":
+            assert graph == expected
+            continue
+        assert (graph.node_ids, graph.indptr.tolist(), graph.indices.tolist()) == expected
+        assert graph.indptr.dtype == graph.indices.dtype == np.intp
