@@ -22,7 +22,8 @@ import numpy as np
 
 from . import gbdt
 from .corpus import load_posts
-from .errors import EmptyResultError, InputDataError, TrainingDivergedError
+from .errors import (EmptyResultError, InputDataError, TrainingDivergedError,
+                     checked_lines)
 from .hesitancy import (classify_change, daily_label_proportions,
                         eligible_users, hesitancy_score, open_out,
                         write_hesitancy_csv, write_timeseries_csv)
@@ -69,20 +70,23 @@ def parse_timestamp(text: str) -> int:
 
 def load_config_file(path) -> dict:
     """Parse UTF-8 key=value lines; '#' starts a comment; keys are unique."""
-    settings = {}
+    seen = set()
+
+    def setting(line):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            return None
+        key, sep, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not sep or not key or not value:
+            raise InputDataError("expected key=value")
+        if key in seen:
+            raise InputDataError(f"duplicate key {key!r}")
+        seen.add(key)
+        return key, value
+
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if not sep or not key or not value:
-                raise InputDataError(f"line {lineno}: expected key=value")
-            if key in settings:
-                raise InputDataError(f"line {lineno}: duplicate key {key!r}")
-            settings[key] = value
-    return settings
+        return dict(checked_lines(fh, setting))
 
 
 def _typed_settings(raw: dict) -> dict:

@@ -19,7 +19,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 
 POST_KINDS = ("original", "retweet", "quote", "reply")
 
@@ -212,6 +212,31 @@ def _parse_label(raw):
         raise InputDataError(f"unknown label {raw!r}") from None
 
 
+def _post_row(line):
+    """The Post of one JSONL line."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past the
+        # int-string conversion limit; RecursionError deep nesting.
+        raise InputDataError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(obj, dict):
+        raise InputDataError("expected a JSON object")
+    for field in ("id", "author_id", "timestamp", "text"):
+        if field not in obj:
+            raise InputDataError(f"missing field {field!r}")
+    return Post(
+        id=_as_id(obj["id"]),
+        author_id=_as_id(obj["author_id"]),
+        timestamp=obj["timestamp"],
+        text=obj["text"],
+        kind=obj.get("kind", "original"),
+        source_post_id=_as_id(obj.get("source_post_id")),
+        retweet_count=obj.get("retweet_count", 0),
+        label=_parse_label(obj.get("label")),
+    )
+
+
 def load_posts(path) -> Corpus:
     """Read a JSONL post file into a Corpus.
 
@@ -220,36 +245,8 @@ def load_posts(path) -> Corpus:
     id, author_id and source_post_id may be JSON strings or integers, and
     integers become their decimal strings.
     """
-    posts = []
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError covers JSONDecodeError and integer literals past
-                # the int-string conversion limit; RecursionError deep nesting.
-                raise InputDataError(
-                    f"line {lineno}: invalid JSON ({getattr(exc, 'msg', exc)})") from None
-            if not isinstance(obj, dict):
-                raise InputDataError(f"line {lineno}: expected a JSON object")
-            for field in ("id", "author_id", "timestamp", "text"):
-                if field not in obj:
-                    raise InputDataError(f"line {lineno}: missing field {field!r}")
-            try:
-                posts.append(Post(
-                    id=_as_id(obj["id"]),
-                    author_id=_as_id(obj["author_id"]),
-                    timestamp=obj["timestamp"],
-                    text=obj["text"],
-                    kind=obj.get("kind", "original"),
-                    source_post_id=_as_id(obj.get("source_post_id")),
-                    retweet_count=obj.get("retweet_count", 0),
-                    label=_parse_label(obj.get("label")),
-                ))
-            except InputDataError as exc:
-                raise InputDataError(f"line {lineno}: {exc}") from None
+        posts = checked_lines(fh, _post_row)
     return Corpus(posts)
 
 

@@ -159,8 +159,8 @@ def _store_rows(lines, lineno, dim, rows):
 
     Each check runs once over the whole chunk, and all its floats are parsed
     by one np.array call, which accepts exactly the tokens float() accepts.
-    If a check fails the chunk is read again line by line, so the error
-    names the first bad line.
+    A chunk that fails a check holds a bad line, which _raise_bad_store_line
+    names.
     """
     ids, seps, rests = [], [], []
     for line in map(str.rstrip, lines, repeat("\n")):
@@ -178,11 +178,13 @@ def _store_rows(lines, lineno, dim, rows):
                                  dtype=np.float64).reshape(len(ids), dim)
         except ValueError:
             pass
-    return _store_rows_by_line(lines, lineno, dim, rows)
+    _raise_bad_store_line(lines, lineno, dim, rows)
 
 
-def _store_rows_by_line(lines, lineno, dim, rows):
-    vectors = {}
+def _raise_bad_store_line(lines, lineno, dim, rows):
+    """Raise InputDataError for the first bad line of a chunk that failed
+    _store_rows's checks; a line's rules apply in the order below."""
+    seen = set()
     for lineno, line in enumerate(lines, start=lineno):
         line = line.rstrip("\n")
         if not line:
@@ -195,13 +197,12 @@ def _store_rows_by_line(lines, lineno, dim, rows):
             raise InputDataError(
                 f"line {lineno}: expected {dim} floats, got {len(parts)}")
         try:
-            vec = [float(p) for p in parts]
+            list(map(float, parts))
         except ValueError:
             raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
-        if post_id in vectors or post_id in rows:
+        if post_id in seen or post_id in rows:
             raise InputDataError(f"duplicate embedding for post {post_id!r}")
-        vectors[post_id] = vec
-    return list(vectors), np.array(list(vectors.values()), dtype=np.float64).reshape(-1, dim)
+        seen.add(post_id)
 
 
 def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 from .hesitancy import ChangeLabel, Theme
 from .metrics import MetricReport, multiclass_report
 
@@ -339,21 +339,31 @@ class _LineReader:
         return self.pos
 
 
-def _read_node(reader: _LineReader) -> TreeNode:
-    line = reader.next()
-    parts = line.split()
-    try:
-        if parts[0] == "leaf" and len(parts) == 2:
-            return TreeNode(value=float(parts[1]))
-        if parts[0] == "split" and len(parts) == 3:
-            feature, threshold = int(parts[1]), float(parts[2])
-            left = _read_node(reader)
-            right = _read_node(reader)
-            return TreeNode(feature=feature, threshold=threshold,
-                            left=left, right=right)
-    except ValueError:
-        pass
-    raise InputDataError(f"line {reader.lineno}: bad tree node {line!r}")
+def _read_tree(reader: _LineReader, max_depth: int) -> RegressionTree:
+    """The tree whose preorder node lines come next, read with an explicit
+    stack as walk() writes them; a node deeper than max_depth is an error."""
+    root = TreeNode()
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        line = reader.next()
+        if depth > max_depth:
+            raise InputDataError(
+                f"line {reader.lineno}: tree node deeper than max_depth={max_depth}")
+        parts = line.split()
+        try:
+            if parts[0] == "leaf" and len(parts) == 2:
+                node.value = float(parts[1])
+                continue
+            if parts[0] == "split" and len(parts) == 3:
+                node.feature, node.threshold = int(parts[1]), float(parts[2])
+                node.left, node.right = TreeNode(), TreeNode()
+                stack.extend(((node.right, depth + 1), (node.left, depth + 1)))
+                continue
+        except (IndexError, ValueError):  # an empty line or a bad number
+            pass
+        raise InputDataError(f"line {reader.lineno}: bad tree node {line!r}")
+    return RegressionTree(root)
 
 
 def _header_int(reader: _LineReader, key: str) -> int:
@@ -400,7 +410,7 @@ def load_model(path) -> GbdtModel:
                 raise InputDataError(
                     f"line {reader.lineno}: bad tree header {' '.join(head)!r}")
             declared = int(head[3])
-            tree = RegressionTree(_read_node(reader))
+            tree = _read_tree(reader, max_depth)
             if tree.n_nodes() != declared:
                 raise InputDataError(
                     f"tree {rnd}/{c}: declared {declared} nodes, read {tree.n_nodes()}")
@@ -428,32 +438,29 @@ def load_training_csv(path):
     Expects the 11 theme columns (optionally followed by prior_score) and a
     label column of ChangeLabel names. Returns (features, labels) arrays.
     """
+    def example(line):
+        parts = line.strip().split(",")
+        if len(parts) != n_cols:
+            raise InputDataError(f"expected {n_cols} fields, got {len(parts)}")
+        try:
+            features = [float(v) for v in parts[:-1]]
+        except ValueError:
+            raise InputDataError("non-numeric feature") from None
+        try:
+            return features, int(ChangeLabel[parts[-1]])
+        except KeyError:
+            raise InputDataError(f"unknown change label {parts[-1]!r}") from None
+
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header not in (training_csv_header(False), training_csv_header(True)):
             raise InputDataError(f"unexpected training csv header: {header!r}")
         n_cols = len(header.split(","))
-        rows, labels = [], []
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != n_cols:
-                raise InputDataError(
-                    f"line {lineno}: expected {n_cols} fields, got {len(parts)}")
-            try:
-                rows.append([float(v) for v in parts[:-1]])
-            except ValueError:
-                raise InputDataError(f"line {lineno}: non-numeric feature") from None
-            try:
-                labels.append(int(ChangeLabel[parts[-1]]))
-            except KeyError:
-                raise InputDataError(
-                    f"line {lineno}: unknown change label {parts[-1]!r}") from None
+        rows = checked_lines(fh, example, 2)
     if not rows:
         raise InputDataError("training csv has no rows")
-    return np.array(rows, dtype=np.float64), np.array(labels, dtype=np.int64)
+    features, labels = zip(*rows)
+    return np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64)
 
 
 def write_training_csv(features, labels, path) -> None:

@@ -15,7 +15,7 @@ from enum import IntEnum
 import numpy as np
 
 from .corpus import Corpus, StanceLabel, rank_authored
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 
 THEME_ANNOTATION_HEADER = "post_id,theme"
 TIMESERIES_HEADER = "date,PO,NG,NE,PD"
@@ -215,27 +215,27 @@ def load_theme_annotations(path) -> dict:
     Theme names must be canonical; duplicates and unknown names raise with
     the line number.
     """
-    themes = {}
+    seen = set()
+
+    def annotation(line):
+        parts = line.strip().split(",")
+        if len(parts) != 2 or not all(parts):
+            raise InputDataError("expected two non-empty fields")
+        post_id, name = parts
+        if post_id in seen:
+            raise InputDataError(f"duplicate theme for post {post_id!r}")
+        seen.add(post_id)
+        try:
+            return post_id, Theme[name]
+        except KeyError:
+            raise InputDataError(f"unknown theme {name!r}") from None
+
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != THEME_ANNOTATION_HEADER:
             raise InputDataError(
                 f"expected header {THEME_ANNOTATION_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 or not all(parts):
-                raise InputDataError(f"line {lineno}: expected two non-empty fields")
-            post_id, name = parts
-            if post_id in themes:
-                raise InputDataError(f"line {lineno}: duplicate theme for post {post_id!r}")
-            try:
-                themes[post_id] = Theme[name]
-            except KeyError:
-                raise InputDataError(f"line {lineno}: unknown theme {name!r}") from None
-    return themes
+        return dict(checked_lines(fh, annotation, 2))
 
 
 @contextmanager

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 
 RATINGS_HEADER = "item_id,rater_id,label"
 
@@ -166,25 +166,23 @@ def one_vs_rest(matrix, category: int) -> np.ndarray:
 
 def load_ratings_csv(path):
     """Read (item_id, rater_id, label) rows; duplicates are an error."""
-    rows = []
     seen = set()
+
+    def rating(line):
+        parts = line.strip().split(",")
+        if len(parts) != 3 or not all(parts):
+            raise InputDataError("expected three non-empty fields")
+        item, rater, label = parts
+        if (item, rater) in seen:
+            raise InputDataError(f"duplicate rating for item {item!r} by {rater!r}")
+        seen.add((item, rater))
+        return item, rater, label
+
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != RATINGS_HEADER:
             raise InputDataError(f"expected header {RATINGS_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3 or not all(parts):
-                raise InputDataError(f"line {lineno}: expected three non-empty fields")
-            key = (parts[0], parts[1])
-            if key in seen:
-                raise InputDataError(
-                    f"line {lineno}: duplicate rating for item {parts[0]!r} by {parts[1]!r}")
-            seen.add(key)
-            rows.append((parts[0], parts[1], parts[2]))
+        rows = checked_lines(fh, rating, 2)
     if not rows:
         raise InputDataError("ratings file has no rows")
     return rows

@@ -80,6 +80,8 @@ class TrainConfig:
                      "batch_size"):
             if not getattr(self, name) >= 1:
                 raise InputDataError(f"{name} must be >= 1")
+        if not self.seed >= 0:
+            raise InputDataError("seed must be >= 0")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise InputDataError("learning_rate must be finite and positive")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):

@@ -1,18 +1,17 @@
 """Interaction and follower graph construction plus k-hop neighborhood queries.
 
 load_interactions reads the interaction CSV in chunks of lines into a
-columnar :class:`Interactions` table: users coded to sorted integer ids,
-each chunk checked with whole-chunk operations and rescanned line by line
-only when a check fails, so errors still name the first bad line. The
-pipeline is: count interactions per unordered user pair (one sort of
-integer pair keys) into a weighted undirected graph, prune weak edges (a
-mask over the pairs), keep the largest connected component, then
-(optionally) restrict a follower edge list to those core users and keep its
-largest component. The result is a :class:`SocialGraph`, index arrays in
-CSR form, the input the stance encoder aggregates over. Balls and
-exact-distance shells all come from one vectorized frontier BFS,
-:func:`exact_shells`, which sample compilation also runs inside each ball;
-components come from vectorized min-label hooking (FastSV).
+columnar :class:`Interactions` table, users coded to sorted integer ids;
+one row function checks each line. The pipeline is: count interactions per
+unordered user pair (one sort of integer pair keys) into a weighted
+undirected graph, prune weak edges (a mask over the pairs), keep the
+largest connected component, then (optionally) restrict a follower edge
+list to those core users and keep its largest component. The result is a
+:class:`SocialGraph`, index arrays in CSR form, the input the stance
+encoder aggregates over. Balls and exact-distance shells all come from one
+vectorized frontier BFS, :func:`exact_shells`, which sample compilation
+also runs inside each ball; components come from vectorized min-label
+hooking (FastSV).
 """
 
 import operator
@@ -20,11 +19,11 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import islice
 
 import numpy as np
 
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 
 INTERACTION_HEADER = "source,target,kind,timestamp"
 FOLLOWER_HEADER = "u,v"
@@ -138,47 +137,22 @@ def _count_pairs(n, us, vs):
     return keys[starts], np.diff(np.append(starts, keys.size))
 
 
-def _interaction_fields(lines, lineno):
-    """(sources, targets, kind codes, timestamps) of a chunk of CSV lines,
-    lineno being the first one's number; blank lines are skipped.
-
-    Each check runs once over the whole chunk. If one fails the chunk is
-    read again line by line, so the error names the first bad line.
-    """
-    rows = [line for line in map(str.strip, lines) if line]
-    if list(map(str.count, rows, repeat(","))).count(3) == len(rows):
-        fields = ",".join(rows).split(",")
-        sources, targets = fields[0::4], fields[1::4]
-        if "" not in sources and "" not in targets:
-            try:
-                return (sources, targets, list(map(_KIND_CODES.__getitem__, fields[2::4])),
-                        list(map(int, fields[3::4])))
-            except (KeyError, ValueError):
-                pass
-    return _interaction_fields_by_line(lines, lineno)
-
-
-def _interaction_fields_by_line(lines, lineno):
-    columns = ([], [], [], [])
-    for lineno, line in enumerate(lines, start=lineno):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise InputDataError(f"line {lineno}: expected 4 fields, got {len(parts)}")
-        source, target, kind, ts = parts
-        if not source or not target:
-            raise InputDataError(f"line {lineno}: empty source or target")
-        if kind not in INTERACTION_KINDS:
-            raise InputDataError(f"line {lineno}: unknown interaction kind {kind!r}")
-        try:
-            timestamp = int(ts)
-        except ValueError:
-            raise InputDataError(f"line {lineno}: non-integer timestamp {ts!r}") from None
-        for column, value in zip(columns, (source, target, _KIND_CODES[kind], timestamp)):
-            column.append(value)
-    return columns
+def _interaction_row(line):
+    """(source, target, kind code, timestamp) of one CSV line; None for a
+    self-interaction."""
+    parts = line.strip().split(",")
+    if len(parts) != 4:
+        raise InputDataError(f"expected 4 fields, got {len(parts)}")
+    source, target, kind, ts = parts
+    if not source or not target:
+        raise InputDataError("empty source or target")
+    if kind not in _KIND_CODES:
+        raise InputDataError(f"unknown interaction kind {kind!r}")
+    try:
+        timestamp = int(ts)
+    except ValueError:
+        raise InputDataError(f"non-integer timestamp {ts!r}") from None
+    return None if source == target else (source, target, _KIND_CODES[kind], timestamp)
 
 
 def load_interactions(path) -> Interactions:
@@ -198,12 +172,10 @@ def load_interactions(path) -> Interactions:
                 f"expected header {INTERACTION_HEADER!r}, got {header!r}")
         lineno = 2
         while lines := list(islice(fh, _CHUNK_LINES)):
-            fields = _interaction_fields(lines, lineno)
+            rows = checked_lines(lines, _interaction_row, lineno)
             lineno += len(lines)
-            keep = list(map(operator.ne, fields[0], fields[1]))
-            if not all(keep):
-                fields = [list(compress(column, keep)) for column in fields]
-            source, target, kind, timestamp = fields
+            source, target, kind, timestamp = (list(map(operator.itemgetter(i), rows))
+                                               for i in range(4))
             new = set(source).union(target).difference(index)
             index.update(zip(new, range(len(index), len(index) + len(new))))
             sources.append(np.fromiter(map(index.__getitem__, source), np.intp, len(source)))
@@ -217,22 +189,20 @@ def load_interactions(path) -> Interactions:
                         np.concatenate(kinds), timestamps)
 
 
+def _follower_row(line):
+    parts = line.strip().split(",")
+    if len(parts) != 2 or not all(parts):
+        raise InputDataError("expected two non-empty fields")
+    return tuple(parts)
+
+
 def load_follower_edges(path):
     """Read (u, v) follower pairs from CSV with header u,v."""
-    edges = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         if header != FOLLOWER_HEADER:
             raise InputDataError(f"expected header {FOLLOWER_HEADER!r}, got {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise InputDataError(f"line {lineno}: expected two non-empty fields")
-            edges.append((parts[0], parts[1]))
-    return edges
+        return checked_lines(fh, _follower_row, 2)
 
 
 def build_interaction_graph(records) -> WeightedGraph:

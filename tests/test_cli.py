@@ -5,6 +5,8 @@ bytes are asserted, including the determinism guarantee (two identical
 invocations produce byte-identical files and stdout).
 """
 
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -204,6 +206,10 @@ class TestTrain:
     def test_non_finite_config_value_exit_2(self, world, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path / "t.cfg", world, **{key: value})
         assert_input_error(main(["train", "--config", str(cfg)]), capsys, key)
+
+    def test_negative_seed_exit_2(self, world, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.cfg", world, seed=-1)
+        assert_input_error(main(["train", "--config", str(cfg)]), capsys, "seed must be >= 0")
 
     def test_non_utf8_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "t.cfg"
@@ -468,6 +474,100 @@ def test_classify_on_arbitrary_embeddings_never_exits_3(world, checkpoint, data)
                      "--interactions", str(world["interactions"]),
                      "--out", str(Path(root) / "pred.csv")])
     assert code in (0, 2, 4)
+
+
+def run_quietly(argv):
+    """Run main(argv) with its output captured: it exits 0, 2 or 4, and a
+    nonzero exit prints exactly one `error:` line."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 4)
+    if code:
+        assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+def _csv_files(header, lines, junk_cells, width):
+    """Files of the header and `lines`, with at most one junk line put among
+    them: about `width` cells from junk_cells or any short text, or raw
+    bytes. Or a file of raw bytes."""
+    junk = st.lists(st.sampled_from(junk_cells) | st.text(max_size=3),
+                    min_size=width - 1, max_size=width + 1).map(
+        lambda cells: ",".join(cells).encode()) | st.binary(max_size=20)
+    return st.builds(
+        lambda good, bad, at: b"\n".join([header.encode()] + good[:at] + bad + good[at:]),
+        lines.map(lambda good: [line.encode() for line in good]),
+        st.lists(junk, max_size=1), st.integers(0, 10)) | st.binary(max_size=60)
+
+
+_followers = st.lists(st.builds("u{},u{}".format, st.integers(0, 9), st.integers(0, 9)),
+                      max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_csv_files("u,v", _followers, ["u0", "u1", "u5", "", " ", "x"], 2))
+def test_build_graph_on_arbitrary_followers_never_exits_3(world, data):
+    with tempfile.TemporaryDirectory() as root:
+        followers = Path(root) / "followers.csv"
+        followers.write_bytes(data)
+        run_quietly(["build-graph", "--interactions", str(world["interactions"]),
+                     "--followers", str(followers), "--min-weight", "1", "--out-dir", root])
+
+
+_ratings = st.lists(st.builds("i{},r{},{}".format, st.integers(0, 2), st.integers(0, 2),
+                              st.sampled_from(["PO", "NG", "NE"])),
+                    max_size=9, unique_by=lambda line: line.rsplit(",", 1)[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_csv_files("item_id,rater_id,label", _ratings,
+                       ["i0", "i1", "r0", "r1", "PO", "NG", ""], 3))
+def test_agreement_on_arbitrary_ratings_never_exits_3(data):
+    with tempfile.TemporaryDirectory() as root:
+        ratings = Path(root) / "ratings.csv"
+        ratings.write_bytes(data)
+        run_quietly(["agreement", "--ratings", str(ratings)])
+
+
+_examples = st.lists(st.builds(
+    lambda cells, label: ",".join(cells + [label]),
+    st.lists(st.sampled_from(["0", "1", "2.5", "-3"]), min_size=11, max_size=11),
+    st.sampled_from(["increased", "decreased", "unchanged"])), max_size=10)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_csv_files(gbdt.training_csv_header(), _examples,
+                       ["0", "1", "nan", "inf", "1e400", "x", "", "increased"], 12))
+def test_predict_change_on_arbitrary_data_never_exits_3(data):
+    with tempfile.TemporaryDirectory() as root:
+        training = Path(root) / "train.csv"
+        training.write_bytes(data)
+        run_quietly(["predict-change", "--data", str(training), "--rounds", "2",
+                     "--sessions", "1"])
+
+
+# Settings that replace or join those of the world's small config (all train
+# keys but the output paths, and one unknown key) with values of every kind.
+_overrides = st.dictionaries(
+    st.sampled_from(["epochs", "learning_rate", "weight_decay", "hops", "history_len",
+                     "embed_dim", "hidden_dim", "batch_size", "seed", "split", "aggregator",
+                     "history", "min_weight", "followers", "colour"]),
+    st.sampled_from(["0", "1", "2", "-1", "nan", "inf", "x", "", "0.5", "1e-3",
+                     "0.5,0.25,0.25", "1,0,0", "0.5,0.5", "gcn", "mean"]),
+    max_size=3)
+_tails = st.just(b"") | st.lists(st.text(max_size=8), max_size=2).map(
+    lambda lines: "".join(line + "\n" for line in lines).encode()) | st.binary(max_size=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(overrides=_overrides, tail=_tails, raw=st.none() | st.binary(max_size=60))
+def test_train_on_arbitrary_config_never_exits_3(world, overrides, tail, raw):
+    with tempfile.TemporaryDirectory() as root:
+        config = write_config(Path(root) / "train.cfg", world, **{
+            "epochs": 1, "checkpoint_out": Path(root) / "model.npz",
+            "log_out": Path(root) / "log.csv", **overrides})
+        config.write_bytes(config.read_bytes() + tail if raw is None else raw)
+        run_quietly(["train", "--config", str(config)])
 
 
 @pytest.mark.parametrize("field", ["id", "author_id"])

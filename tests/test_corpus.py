@@ -1,7 +1,9 @@
 """Corpus container, JSONL round-trips, text cleanup, annotation selection."""
 
 import json
+import tempfile
 from bisect import bisect_left
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,6 +353,33 @@ class TestRecentPosts:
         corpus = Corpus([make_post("a")])
         with pytest.raises(ValueError):
             recent_posts(corpus, "u1", before=10, limit=-1)
+
+
+# Any valid post: unicode ids and text (line and paragraph separators
+# included), timestamps past int64, every kind and label.
+_ids = st.text(min_size=1, max_size=4)
+_posts = st.builds(
+    Post, id=_ids, author_id=_ids, timestamp=st.integers(-2 ** 70, 2 ** 70),
+    text=st.text(max_size=12) | st.sampled_from(["\n", "\r\n", "\u2028", "\x00 x"]),
+    kind=st.just("original"), retweet_count=st.integers(0, 2 ** 64),
+    label=st.none() | st.sampled_from(list(StanceLabel)),
+) | st.builds(
+    Post, id=_ids, author_id=_ids, timestamp=st.integers(-5, 5), text=st.text(max_size=4),
+    kind=st.sampled_from(["retweet", "quote", "reply"]), source_post_id=_ids,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_posts, max_size=8, unique_by=lambda post: post.id))
+def test_write_then_load_round_trips(posts):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "posts.jsonl"
+        write_posts(posts, path)
+        loaded = load_posts(path)
+        again = Path(root) / "again.jsonl"
+        write_posts(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+    assert loaded.posts == posts
 
 
 def bisect_recent(posts, user, before, limit):

@@ -464,6 +464,54 @@ class TestSerialization:
         with pytest.raises(InputDataError, match="trailing"):
             load_model(path)
 
+    def test_deeply_nested_tree_is_an_input_error(self, tmp_path):
+        # 5,000 nested splits: the header is lines 1-8, so the first node
+        # deeper than max_depth=5 (depth 6) is line 15.
+        nested = 5000
+        lines = ["gbdt v1", "n_classes=1", "n_features=1", "rounds=1", "max_depth=5",
+                 "shrinkage=0.1", "base 0.0", f"tree 0 0 {2 * nested + 1}"]
+        lines += ["split 0 0.5"] * nested + ["leaf 0.0"] * (nested + 1)
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputDataError, match="^line 15: tree node deeper than max_depth=5$"):
+            load_model(path)
+
+    def test_node_past_declared_max_depth_is_named(self, tmp_path):
+        def model_file(max_depth):
+            # Nodes at depths 0, 1, 1, 2, 2 on lines 9-13.
+            path = tmp_path / f"model{max_depth}.txt"
+            path.write_text("\n".join([
+                "gbdt v1", "n_classes=1", "n_features=1", "rounds=1", f"max_depth={max_depth}",
+                "shrinkage=0.1", "base 0.0", "tree 0 0 5", "split 0 0.5", "leaf 1.0",
+                "split 0 0.7", "leaf 2.0", "leaf 3.0"]) + "\n")
+            return path
+
+        assert load_model(model_file(2)).trees[0][0].depth() == 2
+        with pytest.raises(InputDataError, match="^line 12: tree node deeper than max_depth=1$"):
+            load_model(model_file(1))
+
+    def test_empty_node_line_is_an_input_error(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("gbdt v1\nn_classes=1\nn_features=1\nrounds=1\nmax_depth=2\n"
+                        "shrinkage=0.1\nbase 0.0\ntree 0 0 3\nsplit 0 0.5\n\nleaf 1.0\n")
+        with pytest.raises(InputDataError, match="^line 10: bad tree node ''$"):
+            load_model(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(boosting_inputs())
+    def test_save_load_round_trip_is_bit_exact(self, inputs):
+        features, labels, config = inputs
+        model = fit(features, labels, config)
+        text = model_text(model)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_text(text)
+            loaded = load_model(path)
+        assert model_text(loaded) == text
+        assert loaded.config == model.config
+        assert decision_scores(loaded, features).tobytes() == \
+            decision_scores(model, features).tobytes()
+
 
 class TestTrainingCsv:
     def test_header_names_all_themes(self):
