@@ -11,7 +11,6 @@ byte-identical outputs.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -23,10 +22,10 @@ import numpy as np
 from . import gbdt
 from .corpus import load_posts
 from .errors import (EmptyResultError, InputDataError, TrainingDivergedError,
-                     checked_lines)
+                     checked_lines, write_csv)
 from .hesitancy import (classify_change, daily_label_proportions,
-                        eligible_users, hesitancy_score, open_out,
-                        write_hesitancy_csv, write_timeseries_csv)
+                        eligible_users, hesitancy_score, write_hesitancy_csv,
+                        write_timeseries_csv)
 from .embed import load_embedding_store
 from .encoder import AGGREGATOR_KINDS
 from .metrics import MetricReport, agreement_report, load_ratings_csv
@@ -199,10 +198,7 @@ def cmd_classify(args) -> int:
         print(f"skipped user not in social graph: {user}", file=sys.stderr)
     if not rows:
         raise EmptyResultError("no posts could be classified")
-    with open_out(args.out or sys.stdout) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(CLASSIFY_HEADER.split(","))
-        writer.writerows(rows)
+    write_csv(args.out or sys.stdout, CLASSIFY_HEADER, rows)
     return 0
 
 
@@ -212,11 +208,6 @@ def cmd_track(args) -> int:
     per_day = daily_label_proportions(corpus, start, end)
     write_timeseries_csv(per_day, args.out or sys.stdout)
     return 0
-
-
-def _windowed_records(corpus, start, end, min_posts):
-    users = sorted(eligible_users(corpus, start, end, min_posts))
-    return [hesitancy_score(corpus, user, start, end) for user in users]
 
 
 def cmd_hesitancy(args) -> int:
@@ -237,23 +228,23 @@ def cmd_hesitancy(args) -> int:
             & eligible_users(corpus, *after, args.min_posts))
         if not users:
             raise EmptyResultError("no users eligible in both windows")
-        with open_out(args.out or sys.stdout) as out:
-            writer = csv.writer(out, lineterminator="\n")
-            writer.writerow(CHANGE_HEADER.split(","))
-            for user in users:
-                b = hesitancy_score(corpus, user, *before)
-                a = hesitancy_score(corpus, user, *after)
-                writer.writerow([user, repr(b.score), repr(a.score),
-                                 classify_change(b.score, a.score).name])
+
+        def change_row(user):
+            b = hesitancy_score(corpus, user, *before).score
+            a = hesitancy_score(corpus, user, *after).score
+            return [user, repr(b), repr(a), classify_change(b, a).name]
+
+        write_csv(args.out or sys.stdout, CHANGE_HEADER, map(change_row, users))
         return 0
     if not (args.start and args.end):
         raise InputDataError("hesitancy needs --start/--end or "
                              "--period-start/--period-end")
     start, end = parse_timestamp(args.start), parse_timestamp(args.end)
-    records = _windowed_records(corpus, start, end, args.min_posts)
-    if not records:
+    users = sorted(eligible_users(corpus, start, end, args.min_posts))
+    if not users:
         raise EmptyResultError("no eligible users in window")
-    write_hesitancy_csv(records, args.out or sys.stdout)
+    write_hesitancy_csv([hesitancy_score(corpus, user, start, end) for user in users],
+                        args.out or sys.stdout)
     return 0
 
 
@@ -263,6 +254,8 @@ def cmd_predict_change(args) -> int:
                              shrinkage=args.shrinkage)
     if not args.sessions >= 1:
         raise InputDataError("--sessions must be >= 1")
+    if not args.seed >= 0:
+        raise InputDataError("--seed must be >= 0")
     n = features.shape[0]
     cut = math.floor(n * args.train_frac) if math.isfinite(args.train_frac) else 0
     if not 2 <= cut < n:
@@ -309,12 +302,8 @@ def cmd_sweep(args) -> int:
     provider = load_embedding_store(plumbing["embeddings"], config.embed_dim)
     cells = sweep(corpus, graph, provider, config, hops_values, lam_values)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(SWEEP_HEADER.split(","))
-            for cell in cells:
-                writer.writerow([cell["hops"], cell["history_len"],
-                                 repr(cell["val_accuracy"])])
+        write_csv(args.out, SWEEP_HEADER,
+                  ([c["hops"], c["history_len"], repr(c["val_accuracy"])] for c in cells))
     best = max(cells, key=lambda c: (c["val_accuracy"],
                                      -c["hops"], -c["history_len"]))
     print(json.dumps({"cells": cells, "best": best}, sort_keys=True))

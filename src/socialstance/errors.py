@@ -1,10 +1,14 @@
-"""Exception types shared across the package, and the line reader that
-names a text input's bad line.
+"""Exception types shared across the package, and the framing every text
+format shares: the line reader that names a bad line, the header check of
+a CSV input, and the writer of a CSV table output.
 
 The CLI maps these onto exit codes: bad input or configuration exits 2,
 runtime failures (including optimizer divergence) exit 3, and commands
 whose result set is empty exit 4.
 """
+
+import csv
+from contextlib import nullcontext
 
 
 class InputDataError(ValueError):
@@ -28,6 +32,30 @@ def checked_lines(lines, parse, first_lineno: int = 1) -> list:
     except InputDataError as exc:
         raise InputDataError(f"line {lineno}: {exc}") from None
     return rows
+
+
+def checked_header(fh, header: str) -> None:
+    """Read fh's first line; raise InputDataError unless it strips to header."""
+    got = fh.readline().strip()
+    if got != header:
+        raise InputDataError(f"expected header {header!r}, got {got!r}")
+
+
+def open_out(out):
+    """`out` as a context manager of a writable text file: a path is opened
+    for the block and closed after it, an open file is used as it is."""
+    return (nullcontext(out) if hasattr(out, "write")
+            else open(out, "w", encoding="utf-8", newline=""))
+
+
+def write_csv(out, header: str, rows) -> None:
+    """The comma-separated header, then each row of the iterable rows, as CSV
+    with \\n line ends to `out`, a path or an open text file. Cells go
+    through str(), so a float that must round-trip is passed as its repr()."""
+    with open_out(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header.split(","))
+        writer.writerows(rows)
 
 
 class EmptyResultError(RuntimeError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputDataError, checked_lines
+from .errors import InputDataError, checked_lines, write_csv
 from .hesitancy import ChangeLabel, Theme
 from .metrics import MetricReport, multiclass_report
 
@@ -366,15 +366,16 @@ def _read_tree(reader: _LineReader, max_depth: int) -> RegressionTree:
     return RegressionTree(root)
 
 
-def _header_int(reader: _LineReader, key: str) -> int:
+def _header_value(reader: _LineReader, key: str, kind=int):
     line = reader.next()
     prefix = key + "="
     if not line.startswith(prefix):
         raise InputDataError(f"line {reader.lineno}: expected {key}=..., got {line!r}")
     try:
-        return int(line[len(prefix):])
+        return kind(line[len(prefix):])
     except ValueError:
-        raise InputDataError(f"line {reader.lineno}: bad integer in {line!r}") from None
+        what = "integer" if kind is int else "number"
+        raise InputDataError(f"line {reader.lineno}: bad {what} in {line!r}") from None
 
 
 def load_model(path) -> GbdtModel:
@@ -386,18 +387,18 @@ def load_model(path) -> GbdtModel:
     reader = _LineReader(lines)
     if reader.next() != MODEL_MAGIC:
         raise InputDataError(f"not a {MODEL_MAGIC!r} file")
-    n_classes = _header_int(reader, "n_classes")
-    n_features = _header_int(reader, "n_features")
-    rounds = _header_int(reader, "rounds")
-    max_depth = _header_int(reader, "max_depth")
-    shrinkage_line = reader.next()
-    if not shrinkage_line.startswith("shrinkage="):
-        raise InputDataError(f"line {reader.lineno}: expected shrinkage=...")
-    shrinkage = float(shrinkage_line.split("=", 1)[1])
+    n_classes = _header_value(reader, "n_classes")
+    n_features = _header_value(reader, "n_features")
+    rounds = _header_value(reader, "rounds")
+    max_depth = _header_value(reader, "max_depth")
+    shrinkage = _header_value(reader, "shrinkage", float)
     base_line = reader.next().split()
-    if base_line[0] != "base" or len(base_line) != 1 + n_classes:
+    try:
+        base_scores = np.array([float(v) for v in base_line[1:]])
+    except ValueError:
+        base_scores = None
+    if base_line[:1] != ["base"] or base_scores is None or len(base_scores) != n_classes:
         raise InputDataError(f"line {reader.lineno}: bad base scores line")
-    base_scores = np.array([float(v) for v in base_line[1:]])
     config = GbdtConfig(rounds=rounds, max_depth=max_depth, shrinkage=shrinkage)
     model = GbdtModel(config=config, n_classes=n_classes,
                       n_features=n_features, base_scores=base_scores)
@@ -470,12 +471,9 @@ def write_training_csv(features, labels, path) -> None:
     if not with_prior and features.shape[1] != len(Theme):
         raise InputDataError(
             f"expected {len(Theme)} or {len(Theme) + 1} feature columns")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(training_csv_header(with_prior) + "\n")
-        for row, label in zip(features, labels):
-            cells = [repr(float(v)) for v in row]
-            cells.append(ChangeLabel(int(label)).name)
-            fh.write(",".join(cells) + "\n")
+    write_csv(path, training_csv_header(with_prior),
+              ([*map(repr, row.tolist()), ChangeLabel(int(label)).name]
+               for row, label in zip(features, labels)))
 
 
 def majority_baseline_accuracy(train_labels, test_labels) -> float:

@@ -5,9 +5,7 @@ selection, and perceived-theme exposure counts.
 Windows are half-open [start, end) in Unix seconds; days are UTC days.
 """
 
-import csv
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
@@ -15,7 +13,7 @@ from enum import IntEnum
 import numpy as np
 
 from .corpus import Corpus, StanceLabel, rank_authored
-from .errors import InputDataError, checked_lines
+from .errors import InputDataError, checked_header, checked_lines, write_csv
 
 THEME_ANNOTATION_HEADER = "post_id,theme"
 TIMESERIES_HEADER = "date,PO,NG,NE,PD"
@@ -231,50 +229,23 @@ def load_theme_annotations(path) -> dict:
             raise InputDataError(f"unknown theme {name!r}") from None
 
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != THEME_ANNOTATION_HEADER:
-            raise InputDataError(
-                f"expected header {THEME_ANNOTATION_HEADER!r}, got {header!r}")
+        checked_header(fh, THEME_ANNOTATION_HEADER)
         return dict(checked_lines(fh, annotation, 2))
 
 
-@contextmanager
-def open_out(out):
-    """`out` as a writable text file: a path is opened for the block and
-    closed after it, an open file is used as it is."""
-    if hasattr(out, "write"):
-        yield out
-        return
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        yield fh
-
-
 def write_hesitancy_csv(records, out) -> None:
-    """Write HesitancyRecords as CSV; scores use repr for exact round-trip.
-
-    `out` is a path or an open text file.
-    """
-    with open_out(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HESITANCY_HEADER.split(","))
-        for rec in records:
-            writer.writerow([rec.user, rec.window_start, rec.window_end,
-                             rec.n_positive, rec.n_negative, repr(rec.score)])
+    """Write HesitancyRecords as CSV to `out`, a path or an open text file;
+    scores use repr for exact round-trip."""
+    write_csv(out, HESITANCY_HEADER,
+              ([rec.user, rec.window_start, rec.window_end, rec.n_positive,
+                rec.n_negative, repr(rec.score)] for rec in records))
 
 
 def write_timeseries_csv(per_day: dict, out) -> None:
-    """Write daily_label_proportions output as date,PO,NG,NE,PD.
+    """Write daily_label_proportions output as date,PO,NG,NE,PD to `out`, a
+    path or an open text file; days without posts leave their cells empty."""
+    def row(day):
+        fractions = [per_day[day][label.name] for label in StanceLabel]
+        return [day] + ["" if value is None else repr(value) for value in fractions]
 
-    Days without posts leave their fraction cells empty. `out` is a path
-    or an open text file.
-    """
-    with open_out(out) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TIMESERIES_HEADER.split(","))
-        for day in sorted(per_day):
-            fractions = per_day[day]
-            row = [day]
-            for label in StanceLabel:
-                value = fractions[label.name]
-                row.append("" if value is None else repr(value))
-            writer.writerow(row)
+    write_csv(out, TIMESERIES_HEADER, map(row, sorted(per_day)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputDataError, checked_lines
+from .errors import InputDataError, checked_header, checked_lines
 
 RATINGS_HEADER = "item_id,rater_id,label"
 
@@ -179,9 +179,7 @@ def load_ratings_csv(path):
         return item, rater, label
 
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != RATINGS_HEADER:
-            raise InputDataError(f"expected header {RATINGS_HEADER!r}, got {header!r}")
+        checked_header(fh, RATINGS_HEADER)
         rows = checked_lines(fh, rating, 2)
     if not rows:
         raise InputDataError("ratings file has no rows")

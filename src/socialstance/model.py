@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import zipfile
+import zlib
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -37,7 +38,7 @@ from .corpus import StanceLabel, recent_posts
 from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
                       aggregate_history_mean, aggregate_history_pe,
                       init_position_weights, social_encode)
-from .errors import InputDataError, TrainingDivergedError
+from .errors import InputDataError, TrainingDivergedError, write_csv
 from .metrics import stance_report
 from .socialgraph import (exact_shells, induced_csr, induced_subgraph,
                           khop_neighborhood)
@@ -630,10 +631,9 @@ def sweep(corpus, graph, provider, config: TrainConfig, hops_values,
 
 def save_metric_log(logs, path) -> None:
     """Write EpochStats rows as CSV (epoch,train_loss,val_accuracy)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(METRIC_LOG_HEADER + "\n")
-        for stat in logs:
-            fh.write(f"{stat.epoch},{stat.train_loss!r},{stat.val_accuracy!r}\n")
+    write_csv(path, METRIC_LOG_HEADER,
+              ([stat.epoch, repr(stat.train_loss), repr(stat.val_accuracy)]
+               for stat in logs))
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -650,10 +650,25 @@ def save_checkpoint(params: ModelParams, path) -> None:
         np.savez(fh, __meta__=np.asarray(meta), **arrays)
 
 
+# Raised by numpy, zipfile and zlib on a damaged, encrypted or unsupported
+# archive; zipfile's NotImplementedError is a RuntimeError.
+_UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile, zlib.error, RuntimeError)
+
+
+def _archive_array(data, key):
+    """Member `key` of an open .npz archive as an array; None for an object
+    array or a member that is damaged or not .npy data."""
+    try:
+        value = data[key]
+    except (*_UNREADABLE, OSError):  # OSError: a member offset outside the file
+        return None
+    return value if isinstance(value, np.ndarray) else None
+
+
 def load_checkpoint(path) -> ModelParams:
     try:
         archive = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile):
+    except _UNREADABLE:
         archive = None  # text, pickle, empty or broken zip
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise InputDataError(f"not a model checkpoint (not an .npz archive): {path}")
@@ -661,8 +676,8 @@ def load_checkpoint(path) -> ModelParams:
         if "__meta__" not in data:
             raise InputDataError("not a model checkpoint (missing metadata)")
         try:
-            meta = json.loads(str(data["__meta__"][()]))
-        except ValueError:  # not JSON, or an object array
+            meta = json.loads(str(_archive_array(data, "__meta__")[()]))
+        except (ValueError, TypeError):  # not JSON, or None: not an array
             meta = None
         if not isinstance(meta, dict):
             raise InputDataError("not a model checkpoint (metadata is not a JSON object)")
@@ -672,15 +687,17 @@ def load_checkpoint(path) -> ModelParams:
         if not isinstance(meta.get("config"), dict):
             raise InputDataError("checkpoint config is not a JSON object")
         config = TrainConfig.from_dict(meta["config"])
-        tensors = {key[len("param:"):]: data[key]
+        tensors = {key[len("param:"):]: _archive_array(data, key)
                    for key in data.files if key.startswith("param:")}
     expected = ModelParams(config).tensors
     if set(tensors) != set(expected):
         raise InputDataError("checkpoint parameter names do not match its config")
     for name, arr in tensors.items():
-        if arr.shape != expected[name].shape or arr.dtype != np.float64:
+        if arr is None or arr.shape != expected[name].shape or arr.dtype != np.float64:
             raise InputDataError(
                 f"checkpoint parameter {name!r} does not match its config")
+        if not np.isfinite(arr).all():
+            raise InputDataError(f"checkpoint parameter {name!r} is not finite")
     return ModelParams(config, tensors)
 
 

@@ -23,7 +23,7 @@ from itertools import islice
 
 import numpy as np
 
-from .errors import InputDataError, checked_lines
+from .errors import InputDataError, checked_header, checked_lines
 
 INTERACTION_HEADER = "source,target,kind,timestamp"
 FOLLOWER_HEADER = "u,v"
@@ -138,12 +138,13 @@ def _count_pairs(n, us, vs):
 
 
 def _interaction_row(line):
-    """(source, target, kind code, timestamp) of one CSV line; None for a
-    self-interaction."""
+    """(source, target, kind code, timestamp) of one CSV line, the ids
+    stripped; None for a self-interaction."""
     parts = line.strip().split(",")
     if len(parts) != 4:
         raise InputDataError(f"expected 4 fields, got {len(parts)}")
     source, target, kind, ts = parts
+    source, target = source.strip(), target.strip()
     if not source or not target:
         raise InputDataError("empty source or target")
     if kind not in _KIND_CODES:
@@ -166,10 +167,7 @@ def load_interactions(path) -> Interactions:
     sources, targets = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
     kinds, timestamps = [np.zeros(0, np.int8)], []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != INTERACTION_HEADER:
-            raise InputDataError(
-                f"expected header {INTERACTION_HEADER!r}, got {header!r}")
+        checked_header(fh, INTERACTION_HEADER)
         lineno = 2
         while lines := list(islice(fh, _CHUNK_LINES)):
             rows = checked_lines(lines, _interaction_row, lineno)
@@ -190,7 +188,7 @@ def load_interactions(path) -> Interactions:
 
 
 def _follower_row(line):
-    parts = line.strip().split(",")
+    parts = [part.strip() for part in line.split(",")]
     if len(parts) != 2 or not all(parts):
         raise InputDataError("expected two non-empty fields")
     return tuple(parts)
@@ -199,9 +197,7 @@ def _follower_row(line):
 def load_follower_edges(path):
     """Read (u, v) follower pairs from CSV with header u,v."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != FOLLOWER_HEADER:
-            raise InputDataError(f"expected header {FOLLOWER_HEADER!r}, got {header!r}")
+        checked_header(fh, FOLLOWER_HEADER)
         return checked_lines(fh, _follower_row, 2)
 
 

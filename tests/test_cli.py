@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import tempfile
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,33 @@ class TestClassify:
                      "--interactions", str(world["interactions"])])
         assert_input_error(code, capsys, "parameter 'input.w' does not match")
 
+    def test_object_checkpoint_parameter_exit_2(self, world, checkpoint, tmp_path,
+                                                capsys):
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        arrays["param:input.w"] = arrays["param:input.w"].astype(object)
+        bad = tmp_path / "model.npz"
+        np.savez(bad, **arrays)
+        code = main(["classify", "--checkpoint", str(bad),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "parameter 'input.w' does not match")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_checkpoint_parameter_exit_2(self, world, checkpoint, tmp_path,
+                                                    capsys, value):
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        arrays["param:head.b"] = np.full_like(arrays["param:head.b"], value)
+        bad = tmp_path / "model.npz"
+        np.savez(bad, **arrays)
+        code = main(["classify", "--checkpoint", str(bad),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "parameter 'head.b' is not finite")
+
     def test_missing_checkpoint_named_exit_2(self, world, tmp_path, capsys):
         code = main(["classify", "--checkpoint", str(tmp_path / "x.npz"),
                      "--posts", str(world["posts"]),
@@ -485,6 +513,100 @@ def run_quietly(argv):
     assert code in (0, 2, 4)
     if code:
         assert len(err.getvalue().splitlines()) == 1 and err.getvalue().startswith("error: ")
+
+
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.lib.format.write_array(buffer, np.asanyarray(array), allow_pickle=True)
+    return buffer.getvalue()
+
+
+def _npz_bytes(members, method) -> bytearray:
+    """A zip of {array name: member bytes}, laid out as np.savez lays it out."""
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w", method) as zf:
+        for name, body in members.items():
+            zf.writestr(name + ".npy", body)
+    return bytearray(archive.getvalue())
+
+
+def _damaged_checkpoint(checkpoint, damage) -> bytes:
+    """The checkpoint as a deflated zip, one of its members or its
+    directory damaged."""
+    with np.load(checkpoint) as data:
+        members = {name: _npy_bytes(data[name]) for name in data.files}
+    if damage in ("raw __meta__", "raw param:input.w"):
+        members[damage[4:]] = b"not npy data"
+    body = _npz_bytes(members, zipfile.ZIP_DEFLATED)
+    last = body.rfind(b"PK\x01\x02")  # the last member's directory entry
+    if damage == "encrypted":
+        body[last + 8] |= 1  # its general purpose flags
+    elif damage == "zip version":
+        body[last + 6] = 99  # version needed to extract: 9.9
+    elif damage == "deflate":  # the first member's data, after its local header
+        start = 30 + sum(int.from_bytes(body[at:at + 2], "little") for at in (26, 28))
+        body[start:start + 4] = b"\xff" * 4
+    elif damage == "directory offset":  # members then start before the file
+        at = body.rfind(b"PK\x05\x06") + 16
+        offset = int.from_bytes(body[at:at + 4], "little") + 1000
+        body[at:at + 4] = offset.to_bytes(4, "little")
+    return bytes(body)
+
+
+@pytest.mark.parametrize("damage, needle", [
+    ("raw __meta__", "not a model checkpoint"),
+    ("raw param:input.w", "parameter 'input.w' does not match"),
+    ("encrypted", "parameter 'head.b' does not match"),
+    ("zip version", "not a model checkpoint"),
+    ("deflate", "not a model checkpoint"),
+    ("directory offset", "not a model checkpoint"),
+])
+def test_damaged_checkpoint_archive_exit_2(world, checkpoint, tmp_path, capsys, damage,
+                                           needle):
+    bad = tmp_path / "model.npz"
+    bad.write_bytes(_damaged_checkpoint(checkpoint, damage))
+    code = main(["classify", "--checkpoint", str(bad), "--posts", str(world["posts"]),
+                 "--embeddings", str(world["embeddings"]),
+                 "--interactions", str(world["interactions"])])
+    assert_input_error(code, capsys, needle)
+
+
+# Edits of a checkpoint archive: a member dropped (None), replaced by a
+# same-shape fill (a float), by another array, or by raw bytes.
+_member_edits = st.dictionaries(
+    st.sampled_from(["__meta__", "param:input.w", "param:head.b", "param:extra"]),
+    st.none() | st.floats() | st.binary(max_size=20)
+    | st.sampled_from([np.asarray("{}"), np.asarray("[1]"), np.zeros(2, dtype=object),
+                       np.zeros((0,)), np.arange(3), np.asarray(b"x")]),
+    max_size=2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(edits=_member_edits, deflate=st.booleans(), flip=st.none() | st.integers(0, 10**6),
+       cut=st.none() | st.integers(0, 10**6), raw=st.none() | st.binary(max_size=60))
+def test_classify_on_arbitrary_checkpoint_never_exits_3(world, checkpoint, edits, deflate,
+                                                        flip, cut, raw):
+    with np.load(checkpoint) as data:
+        members = {name: _npy_bytes(data[name]) for name in data.files}
+        for name, value in edits.items():
+            if value is None:
+                members.pop(name, None)
+            elif isinstance(value, float):
+                members[name] = _npy_bytes(np.full_like(data.get(name, np.zeros(1)), value))
+            else:
+                members[name] = value if isinstance(value, bytes) else _npy_bytes(value)
+    body = _npz_bytes(members, zipfile.ZIP_DEFLATED if deflate else zipfile.ZIP_STORED)
+    if flip is not None:
+        body[flip % len(body)] ^= 0xFF
+    body = bytes(body[:cut]) if raw is None else raw
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "model.npz"
+        path.write_bytes(body)
+        run_quietly(["classify", "--checkpoint", str(path),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"]),
+                     "--out", str(Path(root) / "pred.csv")])
 
 
 def _csv_files(header, lines, junk_cells, width):
@@ -693,6 +815,11 @@ class TestPredictChange:
         assert main(["predict-change", "--data", str(training_csv),
                      "--rounds", "-1"]) == 2
         capsys.readouterr()
+
+    def test_negative_seed_exit_2(self, training_csv, capsys):
+        code = main(["predict-change", "--data", str(training_csv),
+                     "--rounds", "2", "--seed", "-1"])
+        assert_input_error(code, capsys, "--seed must be >= 0")
 
 
 class TestAgreement:

@@ -1,5 +1,7 @@
-"""The checked line reader and the line numbers of every loader built on it."""
+"""The checked line reader and the line numbers of every loader built on it,
+the header check, and the CSV table writer."""
 
+import io
 from unittest import mock
 
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from socialstance import socialgraph
 from socialstance.cli import load_config_file
 from socialstance.corpus import load_posts
-from socialstance.errors import InputDataError, checked_lines
+from socialstance.errors import InputDataError, checked_header, checked_lines, write_csv
 from socialstance.gbdt import load_training_csv, training_csv_header
 from socialstance.hesitancy import load_theme_annotations
 from socialstance.metrics import load_ratings_csv
@@ -33,6 +35,36 @@ class TestCheckedLines:
 
         with pytest.raises(KeyError):
             checked_lines(["x"], row)
+
+
+class TestCheckedHeader:
+    def test_reads_one_stripped_line(self):
+        fh = io.StringIO(" a,b \nnext\n")
+        checked_header(fh, "a,b")
+        assert fh.readline() == "next\n"
+
+    @pytest.mark.parametrize("text", ["", "a,c\n", "a\n"])
+    def test_other_header_named(self, text):
+        got = text.strip()
+        with pytest.raises(InputDataError, match=f"^expected header 'a,b', got {got!r}$"):
+            checked_header(io.StringIO(text), "a,b")
+
+
+class TestWriteCsv:
+    def test_path_and_open_file_get_the_same_bytes(self, tmp_path):
+        rows = [["u", 1, repr(0.1)], ['say "hi"', 2, ""], ["a,b", -3, "nan"]]
+        path = tmp_path / "out.csv"
+        write_csv(path, "user,n,score", iter(rows))
+        out = io.StringIO()
+        write_csv(out, "user,n,score", rows)
+        expected = 'user,n,score\nu,1,0.1\n"say ""hi""",2,\n"a,b",-3,nan\n'
+        assert path.read_bytes() == expected.encode() and out.getvalue() == expected
+        assert not out.closed
+
+    def test_header_only_for_no_rows(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_csv(path, "a,b", [])
+        assert path.read_bytes() == b"a,b\n"
 
 
 _POST = '{"id": "p", "author_id": "u", "timestamp": 0, "text": "x"}'

@@ -497,6 +497,22 @@ class TestSerialization:
         with pytest.raises(InputDataError, match="^line 10: bad tree node ''$"):
             load_model(path)
 
+    @pytest.mark.parametrize("lineno, line, message", [
+        (6, "shrinkage=abc", "^line 6: bad number in 'shrinkage=abc'$"),
+        (7, "base x y z", "^line 7: bad base scores line$"),
+        (7, "", "^line 7: bad base scores line$"),
+    ])
+    def test_bad_header_value_names_its_line(self, tmp_path, lineno, line, message):
+        rng = np.random.default_rng(13)
+        features, labels = separable_dataset(rng, n=30)
+        path = tmp_path / "model.txt"
+        save_model(fit(features, labels, GbdtConfig(rounds=1, max_depth=2)), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputDataError, match=message):
+            load_model(path)
+
     @settings(max_examples=40, deadline=None)
     @given(boosting_inputs())
     def test_save_load_round_trip_is_bit_exact(self, inputs):

@@ -5,18 +5,23 @@ composition in reference_probabilities, gradients against central finite
 differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
+import tempfile
 from collections import deque
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
+from socialstance.encoder import AGGREGATOR_KINDS
 from socialstance.model import (
+    HISTORY_KINDS,
     AdamState,
     _compile_sample,
     ModelParams,
@@ -586,6 +591,30 @@ class TestCheckpoint:
         np.savez(tampered, **arrays)
         with pytest.raises(InputDataError, match="version"):
             load_checkpoint(tampered)
+
+    @settings(max_examples=40, deadline=None)
+    @given(config=st.builds(
+        TrainConfig, epochs=st.integers(1, 10**9),
+        learning_rate=st.floats(0, 1e300, exclude_min=True),
+        weight_decay=st.floats(0, 1e300), hops=st.integers(1, 2),
+        history_len=st.integers(1, 4), embed_dim=st.integers(1, 4),
+        hidden_dim=st.integers(1, 3), batch_size=st.integers(1, 10**9),
+        seed=st.integers(0, 2**64), aggregator=st.sampled_from(AGGREGATOR_KINDS),
+        history=st.sampled_from(HISTORY_KINDS)), data=st.data())
+    def test_save_load_round_trip_is_bit_exact(self, config, data):
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        params = ModelParams(config, {
+            name: data.draw(arrays(np.float64, arr.shape, elements=finite), label=name)
+            for name, arr in ModelParams(config).tensors.items()})
+        with tempfile.TemporaryDirectory() as root:
+            path = Path(root) / "model.npz"
+            save_checkpoint(params, path)
+            loaded = load_checkpoint(path)
+        assert loaded.config == config
+        assert {name: (arr.dtype, arr.shape, arr.tobytes())
+                for name, arr in loaded.tensors.items()} == \
+            {name: (arr.dtype, arr.shape, arr.tobytes())
+             for name, arr in params.tensors.items()}
 
 
 class TestTextBaseline:

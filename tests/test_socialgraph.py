@@ -343,6 +343,49 @@ class TestIO:
         assert loaded.node_ids == g.node_ids
         assert loaded.edges() == g.edges()
 
+    def test_ids_are_stripped(self, tmp_path):
+        inter, fol = tmp_path / "inter.csv", tmp_path / "fol.csv"
+        inter.write_text(f"{INTERACTION_HEADER}\nu2, u3 ,retweet,3\nu1 ,u2,retweet,3\n")
+        fol.write_text("u,v\n u1 , u2\t\n")
+        assert load_interactions(inter).names == ("u1", "u2", "u3")
+        assert load_follower_edges(fol) == [("u1", "u2")]
+
+    @pytest.mark.parametrize("line", ["u1, ,mention,1", "\t,u2,mention,1"])
+    def test_blank_id_rejected(self, tmp_path, line):
+        path = tmp_path / "inter.csv"
+        path.write_text(f"{INTERACTION_HEADER}\n{line}\n")
+        with pytest.raises(InputDataError, match="^line 2: empty source or target$"):
+            load_interactions(path)
+
+
+# Ids as load_interactions keeps them (no comma or line break), with
+# whitespace around them that the loaders strip.
+_ids = st.text(st.characters(codec="utf-8", exclude_characters=",\r\n"),
+               min_size=1, max_size=4).map(str.strip).filter(bool)
+_padded_ids = st.tuples(st.sampled_from(["", " ", "  ", "\t"]), _ids,
+                        st.sampled_from(["", " ", "\t "])).map("".join)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(_padded_ids, _padded_ids), min_size=1, max_size=12))
+def test_edge_list_round_trip_of_built_graphs(pairs):
+    """build-graph's files reload as the graph classify --interactions builds."""
+    lines = [f"{u},{v},mention,0" for u, v in pairs]
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "inter.csv").write_text("\n".join([INTERACTION_HEADER, *lines]) + "\n",
+                                        encoding="utf-8")
+        records = load_interactions(root / "inter.csv")
+        if not records:  # every pair a self-interaction
+            return
+        graph = build_social_graph(records, min_weight=1)
+        write_edge_list(graph, root / "edges.csv")
+        write_nodes(graph, root / "nodes.txt")
+        loaded = load_edge_list(root / "edges.csv", root / "nodes.txt")
+    assert all(node == node.strip() for node in graph.node_ids)
+    assert loaded.node_ids == graph.node_ids
+    assert loaded.edges() == graph.edges()
+
 
 # -- end-to-end builder ------------------------------------------------------
 
