@@ -24,8 +24,7 @@ from .corpus import load_posts
 from .errors import (EmptyResultError, InputDataError, TrainingDivergedError,
                      checked_lines, write_csv)
 from .hesitancy import (classify_change, daily_label_proportions,
-                        eligible_users, hesitancy_score, write_hesitancy_csv,
-                        write_timeseries_csv)
+                        window_scores, write_hesitancy_csv, write_timeseries_csv)
 from .embed import load_embedding_store
 from .encoder import AGGREGATOR_KINDS
 from .metrics import MetricReport, agreement_report, load_ratings_csv
@@ -221,17 +220,15 @@ def cmd_hesitancy(args) -> int:
         period_start = parse_timestamp(args.period_start)
         period_end = parse_timestamp(args.period_end)
         margin = args.margin_days * SECONDS_PER_DAY
-        before = (period_start - margin, period_start)
-        after = (period_end, period_end + margin)
-        users = sorted(
-            eligible_users(corpus, *before, args.min_posts)
-            & eligible_users(corpus, *after, args.min_posts))
+        before = window_scores(corpus, period_start - margin, period_start,
+                               args.min_posts)
+        after = window_scores(corpus, period_end, period_end + margin, args.min_posts)
+        users = [user for user in before if user in after]
         if not users:
             raise EmptyResultError("no users eligible in both windows")
 
         def change_row(user):
-            b = hesitancy_score(corpus, user, *before).score
-            a = hesitancy_score(corpus, user, *after).score
+            b, a = before[user].score, after[user].score
             return [user, repr(b), repr(a), classify_change(b, a).name]
 
         write_csv(args.out or sys.stdout, CHANGE_HEADER, map(change_row, users))
@@ -240,11 +237,10 @@ def cmd_hesitancy(args) -> int:
         raise InputDataError("hesitancy needs --start/--end or "
                              "--period-start/--period-end")
     start, end = parse_timestamp(args.start), parse_timestamp(args.end)
-    users = sorted(eligible_users(corpus, start, end, args.min_posts))
-    if not users:
+    records = window_scores(corpus, start, end, args.min_posts)
+    if not records:
         raise EmptyResultError("no eligible users in window")
-    write_hesitancy_csv([hesitancy_score(corpus, user, start, end) for user in users],
-                        args.out or sys.stdout)
+    write_hesitancy_csv(records.values(), args.out or sys.stdout)
     return 0
 
 

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the framing every text
-format shares: the line reader that names a bad line, the header check of
-a CSV input, and the writer of a CSV table output.
+"""Exception types shared across the package, the framing every text
+format shares (the line reader that names a bad line, the header check of
+a CSV input, and the writer of a CSV table output), and the field type
+check of the config dataclasses.
 
 The CLI maps these onto exit codes: bad input or configuration exits 2,
 runtime failures (including optimizer divergence) exit 3, and commands
@@ -8,6 +9,8 @@ whose result set is empty exit 4.
 """
 
 import csv
+import dataclasses
+import numbers
 from contextlib import nullcontext
 
 
@@ -56,6 +59,37 @@ def write_csv(out, header: str, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header.split(","))
         writer.writerows(rows)
+
+
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
+def _is_a(value, kind) -> bool:
+    """value fits a field annotated `kind`; a tuple field holds reals, and
+    a bool is not a number."""
+    if kind is tuple and isinstance(value, (list, tuple)):
+        return all(_is_a(v, float) for v in value)
+    return isinstance(value, _NUMBERS.get(kind, kind)) and not isinstance(value, bool)
+
+
+def checked_fields(config) -> None:
+    """Check every field of the dataclass instance `config` against its
+    annotation and store it as that type: int(value), float(value), a
+    tuple of floats or the str. A value that does not fit raises
+    InputDataError "config key 'X': expected <type>, got <value>".
+    """
+    for field in dataclasses.fields(config):
+        value, kind = getattr(config, field.name), field.type
+        ok = _is_a(value, kind)
+        if ok:
+            try:
+                value = tuple(map(float, value)) if kind is tuple else kind(value)
+            except OverflowError:  # an int too large for a float
+                ok = False
+        if not ok:
+            raise InputDataError(
+                f"config key {field.name!r}: expected {kind.__name__}, got {value!r}")
+        object.__setattr__(config, field.name, value)  # frozen dataclasses too
 
 
 class EmptyResultError(RuntimeError):

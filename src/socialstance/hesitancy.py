@@ -3,12 +3,15 @@ change classification between windows, daily label tracking, popular-post
 selection, and perceived-theme exposure counts.
 
 Windows are half-open [start, end) in Unix seconds; days are UTC days.
+Scores and daily mixes come from one label tally (_label_counts), and one
+function (_record) holds the polarity rule and the score formula.
 """
 
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
+from operator import attrgetter
 
 import numpy as np
 
@@ -21,9 +24,6 @@ HESITANCY_HEADER = "user,window_start,window_end,n_pos,n_neg,score"
 
 # Score changes smaller than this are reported as "unchanged".
 CHANGE_THRESHOLD = 0.05
-
-_POSITIVE = (StanceLabel.PO, StanceLabel.PD)
-_NEGATIVE = (StanceLabel.NG,)
 
 
 class Theme(IntEnum):
@@ -78,26 +78,53 @@ def _check_window(start: int, end: int) -> None:
         raise InputDataError(f"empty window: [{start}, {end})")
 
 
+def _label_counts(posts, start: int, end: int, key) -> dict:
+    """{key(post): label counts indexed by StanceLabel} over the labelled
+    posts in [start, end)."""
+    _check_window(start, end)
+    counts = {}
+    for post in posts:
+        if post.label is not None and start <= post.timestamp < end:
+            counts.setdefault(key(post), [0] * len(StanceLabel))[post.label] += 1
+    return counts
+
+
+def _record(user: str, start: int, end: int, counts) -> HesitancyRecord:
+    """Score one user's label counts: PO and PD count as positive, NG as
+    negative, NE is ignored. No stance-bearing post means no score."""
+    n_pos, n_neg = counts[StanceLabel.PO] + counts[StanceLabel.PD], counts[StanceLabel.NG]
+    if n_pos + n_neg == 0:
+        raise InputDataError(f"no stance-bearing posts for user {user!r} in window")
+    return HesitancyRecord(user, start, end, n_pos, n_neg,
+                           (n_pos - n_neg) / (n_pos + n_neg))
+
+
 def hesitancy_score(corpus: Corpus, user: str, start: int, end: int) -> HesitancyRecord:
     """Score one user's labelled posts in [start, end).
 
     PO and PD count as positive, NG as negative, NE is ignored. Originals,
     quotes, and retweets all count. A user with no stance-bearing posts in
-    the window has no score and is an error; use eligible_users to filter.
+    the window has no score and is an error; use window_scores to filter.
     """
-    _check_window(start, end)
-    n_pos = n_neg = 0
-    for post in corpus.posts_by(user):
-        if post.label is None or not start <= post.timestamp < end:
+    counts = _label_counts(corpus.posts_by(user), start, end, attrgetter("author_id"))
+    return _record(user, start, end, counts.get(user, [0] * len(StanceLabel)))
+
+
+def window_scores(corpus: Corpus, start: int, end: int, min_posts: int) -> dict:
+    """{user: HesitancyRecord}, in user order, for every user with at least
+    `min_posts` stance-bearing posts in [start, end); one corpus pass."""
+    if min_posts < 1:
+        raise InputDataError("min_posts must be >= 1")
+    tally = _label_counts(corpus.posts, start, end, attrgetter("author_id"))
+    records = {}
+    for user in sorted(tally):
+        try:
+            record = _record(user, start, end, tally[user])
+        except InputDataError:  # NE posts only
             continue
-        if post.label in _POSITIVE:
-            n_pos += 1
-        elif post.label in _NEGATIVE:
-            n_neg += 1
-    if n_pos + n_neg == 0:
-        raise InputDataError(f"no stance-bearing posts for user {user!r} in window")
-    score = (n_pos - n_neg) / (n_pos + n_neg)
-    return HesitancyRecord(user, start, end, n_pos, n_neg, score)
+        if record.n_positive + record.n_negative >= min_posts:
+            records[user] = record
+    return records
 
 
 def classify_change(before: float, after: float,
@@ -123,20 +150,11 @@ def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = 3):
     Stance-bearing means labelled PO, PD, or NG; NE posts express no
     attitude and do not count toward eligibility.
     """
-    if min_posts < 1:
-        raise InputDataError("min_posts must be >= 1")
-    _check_window(start, end)
-    counts = {}
-    for post in corpus.posts:
-        if post.label is None or post.label is StanceLabel.NE:
-            continue
-        if start <= post.timestamp < end:
-            counts[post.author_id] = counts.get(post.author_id, 0) + 1
-    return {user for user, n in counts.items() if n >= min_posts}
+    return set(window_scores(corpus, start, end, min_posts))
 
 
-def _day_of(timestamp: int) -> str:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date().isoformat()
+def _day_of(timestamp: int):
+    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
 
 
 def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
@@ -146,24 +164,15 @@ def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
     window touches. On a day with posts the four fractions sum to 1; days
     without labelled posts map every label to None.
     """
-    _check_window(start, end)
-    tallies = {}
-    for post in corpus.posts:
-        if post.label is None or not start <= post.timestamp < end:
-            continue
-        day = tallies.setdefault(_day_of(post.timestamp), dict.fromkeys(StanceLabel, 0))
-        day[post.label] += 1
+    tallies = _label_counts(corpus.posts, start, end,
+                            lambda post: _day_of(post.timestamp))
     out = {}
-    cursor = datetime.fromtimestamp(start, tz=timezone.utc).date()
-    last = datetime.fromtimestamp(end - 1, tz=timezone.utc).date()
+    cursor, last = _day_of(start), _day_of(end - 1)
     while cursor <= last:
-        key = cursor.isoformat()
-        counts = tallies.get(key)
-        if counts is None:
-            out[key] = {label.name: None for label in StanceLabel}
-        else:
-            total = sum(counts.values())
-            out[key] = {label.name: counts[label] / total for label in StanceLabel}
+        counts = tallies.get(cursor)
+        out[cursor.isoformat()] = {
+            label.name: None if counts is None else counts[label] / sum(counts)
+            for label in StanceLabel}
         cursor += timedelta(days=1)
     return out
 
@@ -191,17 +200,12 @@ def perceived_theme_vector(graph, corpus: Corpus, themes: dict, user: str,
     Returns an int64 vector of length 11 indexed by Theme.
     """
     _check_window(start, end)
-    if user not in graph:
-        raise KeyError(f"user not in social graph: {user!r}")
     counts = np.zeros(N_THEMES, dtype=np.int64)
     for neighbor in graph.neighbors(user):
         for post in corpus.posts_by(neighbor):
             if not start <= post.timestamp < end:
                 continue
-            if post.kind == "retweet":
-                theme = themes.get(post.source_post_id)
-            else:
-                theme = themes.get(post.id)
+            theme = themes.get(post.source_post_id if post.kind == "retweet" else post.id)
             if theme is not None:
                 counts[int(theme)] += 1
     return counts

@@ -5,6 +5,8 @@ Agreement over an annotation round comes in three strengths: average
 observed agreement (no chance correction), Fleiss' kappa (chance-corrected,
 complete rating matrices), and Krippendorff's alpha (nominal metric,
 tolerates missing ratings via the coincidence-matrix formulation).
+agreement_report builds its overall entry and every per-label entry the
+same way: alpha, plus the two pair statistics or null when ragged.
 """
 
 from dataclasses import dataclass
@@ -41,13 +43,12 @@ def multiclass_report(predicted, gold, n_classes: int) -> MetricReport:
         raise ValueError("predicted and gold must be equal-length 1-D sequences")
     if predicted.size == 0:
         raise ValueError("cannot score an empty prediction set")
-    bad = [int(v) for v in np.concatenate([predicted, gold])
-           if v < 0 or v >= n_classes]
-    if bad:
-        raise ValueError(f"class index {bad[0]} out of range 0..{n_classes - 1}")
+    both = np.concatenate([predicted, gold])
+    bad = both[(both < 0) | (both >= n_classes)]
+    if bad.size:
+        raise ValueError(f"class index {int(bad[0])} out of range 0..{n_classes - 1}")
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-    for p, g in zip(predicted, gold):
-        confusion[g, p] += 1
+    np.add.at(confusion, (gold, predicted), 1)
     tp = np.diag(confusion).astype(np.float64)
     pred_totals = confusion.sum(axis=0).astype(np.float64)
     gold_totals = confusion.sum(axis=1).astype(np.float64)
@@ -221,35 +222,29 @@ def agreement_report(rows) -> dict:
     label-vs-rest before recomputing each statistic.
     """
     units = ratings_to_units(rows)
-    report = {"overall": {"krippendorff_alpha": krippendorff_alpha(units)},
-              "per_label": {}}
-    categories = sorted({label for _, _, label in rows})
     try:
-        matrix, _, cats = ratings_to_matrix(rows)
+        matrix, _, categories = ratings_to_matrix(rows)
     except InputDataError:
-        matrix, cats = None, categories
-    if matrix is not None:
-        report["overall"]["average_observed_agreement"] = average_observed_agreement(matrix)
-        report["overall"]["fleiss_kappa"] = fleiss_kappa(matrix)
-    else:
-        report["overall"]["average_observed_agreement"] = None
-        report["overall"]["fleiss_kappa"] = None
-    for label in categories:
-        entry = {}
-        binary_units = {item: [1 if v == label else 0 for v in vals]
-                        for item, vals in units.items()}
+        matrix, categories = None, sorted({label for _, _, label in rows})
+
+    def entry(alpha, counts):
+        """alpha plus the pair statistics of the rating matrix `counts`,
+        or None for both when the ratings are ragged (counts is None)."""
+        ragged = counts is None
+        return {"krippendorff_alpha": alpha,
+                "average_observed_agreement":
+                    None if ragged else average_observed_agreement(counts),
+                "fleiss_kappa": None if ragged else fleiss_kappa(counts)}
+
+    report = {"overall": entry(krippendorff_alpha(units), matrix), "per_label": {}}
+    for c, label in enumerate(categories):
         try:
-            entry["krippendorff_alpha"] = krippendorff_alpha(binary_units)
+            alpha = krippendorff_alpha({item: [int(v == label) for v in vals]
+                                        for item, vals in units.items()})
         except InputDataError:
             # The label can vanish from pairable units when it only appears
             # in single-rating items; that is raggedness, not user error.
-            entry["krippendorff_alpha"] = None
-        if matrix is not None:
-            binary = one_vs_rest(matrix, cats.index(label))
-            entry["average_observed_agreement"] = average_observed_agreement(binary)
-            entry["fleiss_kappa"] = fleiss_kappa(binary)
-        else:
-            entry["average_observed_agreement"] = None
-            entry["fleiss_kappa"] = None
-        report["per_label"][label] = entry
+            alpha = None
+        report["per_label"][label] = entry(
+            alpha, None if matrix is None else one_vs_rest(matrix, c))
     return report

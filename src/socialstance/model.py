@@ -38,7 +38,8 @@ from .corpus import StanceLabel, recent_posts
 from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
                       aggregate_history_mean, aggregate_history_pe,
                       init_position_weights, social_encode)
-from .errors import InputDataError, TrainingDivergedError, write_csv
+from .errors import (InputDataError, TrainingDivergedError, checked_fields,
+                     write_csv)
 from .metrics import stance_report
 from .socialgraph import (exact_shells, induced_csr, induced_subgraph,
                           khop_neighborhood)
@@ -75,6 +76,7 @@ class TrainConfig:
     history: str = "pe"
 
     def __post_init__(self):
+        checked_fields(self)
         # Written as "not (wanted)" so that NaN, which fails every
         # comparison, is rejected too.
         for name in ("epochs", "hops", "history_len", "embed_dim", "hidden_dim",
@@ -100,29 +102,10 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data):
-        fields = cls.__dataclass_fields__
-        unknown = set(data) - set(fields)
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise InputDataError(f"unknown config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            kind = fields[key].type
-            if kind is tuple:
-                ok = isinstance(value, (list, tuple)) and all(map(_is_number, value))
-            elif kind is float:
-                ok = _is_number(value)
-            else:
-                ok = isinstance(value, kind) and not isinstance(value, bool)
-            if not ok:
-                raise InputDataError(
-                    f"config key {key!r}: expected {kind.__name__}, got {value!r}")
-        kwargs = dict(data)
-        if "split" in kwargs:
-            kwargs["split"] = tuple(kwargs["split"])
-        return cls(**kwargs)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+        return cls(**data)
 
 
 def _split_fractions(fractions) -> tuple:

@@ -233,6 +233,30 @@ def model_text(model):
         return path.read_text()
 
 
+NUMBER_TEXT = st.one_of(st.floats().map(repr), st.integers(-3, 40).map(str))
+LINE_TOKEN = st.one_of(NUMBER_TEXT, st.sampled_from(
+    ["leaf", "split", "tree", "base", "gbdt", "v1", "n_classes=1", "rounds=2", ""]))
+
+
+def _edit_base_model():
+    rng = np.random.default_rng(14)
+    features, labels = separable_dataset(rng, n=40, n_features=3)
+    return model_text(fit(features, labels, GbdtConfig(rounds=3, max_depth=2)))
+
+
+EDIT_BASE = _edit_base_model()
+
+
+def assert_scores_finite(model):
+    """Scores and probabilities of finite rows, extremes included, are finite."""
+    rng = np.random.default_rng(15)
+    rows = np.concatenate([rng.standard_normal((20, model.n_features)) * 3,
+                           np.full((1, model.n_features), 1e308),
+                           np.full((1, model.n_features), -1e308)])
+    assert np.all(np.isfinite(decision_scores(model, rows)))
+    assert np.all(np.isfinite(predict_proba(model, rows)))
+
+
 class TestAgainstReference:
     @settings(max_examples=60, deadline=None)
     @given(boosting_inputs())
@@ -338,6 +362,20 @@ class TestFit:
     def test_non_finite_shrinkage_rejected(self, shrinkage):
         with pytest.raises(InputDataError, match="shrinkage"):
             GbdtConfig(shrinkage=shrinkage)
+
+    @pytest.mark.parametrize("field", ["rounds", "max_depth"])
+    def test_fractional_count_rejected(self, field):
+        # fit cannot run 2.5 rounds, and load_model refuses max_depth=2.5.
+        with pytest.raises(InputDataError,
+                           match=f"^config key '{field}': expected int, got 2.5$"):
+            GbdtConfig(**{field: 2.5})
+
+    def test_numpy_values_stored_as_python_numbers(self):
+        config = GbdtConfig(rounds=np.int64(2), max_depth=np.int32(3),
+                            shrinkage=np.float32(0.5))
+        assert config == GbdtConfig(rounds=2, max_depth=3, shrinkage=0.5)
+        assert [type(v) for v in (config.rounds, config.max_depth, config.shrinkage)] \
+            == [int, int, float]
 
 
 class TestScoringLabels:
@@ -527,6 +565,85 @@ class TestSerialization:
         assert loaded.config == model.config
         assert decision_scores(loaded, features).tobytes() == \
             decision_scores(model, features).tobytes()
+
+    HAND_MODEL = ["gbdt v1", "n_classes=1", "n_features=2", "rounds=1", "max_depth=2",
+                  "shrinkage=0.1", "base 0.0", "tree 0 0 3", "split 1 0.5", "leaf 1.0",
+                  "leaf 2.0"]
+
+    @pytest.mark.parametrize("lineno, line, message", [
+        (2, "n_classes=0", "^line 2: n_classes must be >= 1$"),
+        (3, "n_features=0", "^line 3: n_features must be >= 1$"),
+        (4, "rounds=-1", "^line 4: rounds must be >= 0$"),
+        (5, "max_depth=0", "^line 5: max_depth must be >= 1$"),
+        (6, "shrinkage=nan", "^line 6: shrinkage must be finite and > 0$"),
+        (6, "shrinkage=0", "^line 6: shrinkage must be finite and > 0$"),
+        (7, "base nan", "^line 7: bad base scores line$"),
+        (7, "base -inf", "^line 7: bad base scores line$"),
+        (9, "split 2 0.5", "^line 9: bad tree node 'split 2 0.5'$"),
+        (9, "split -1 0.5", "^line 9: bad tree node 'split -1 0.5'$"),
+        (9, "split 0 nan", "^line 9: bad tree node 'split 0 nan'$"),
+        (10, "leaf nan", "^line 10: bad tree node 'leaf nan'$"),
+        (11, "leaf inf", "^line 11: bad tree node 'leaf inf'$"),
+    ])
+    def test_unusable_value_names_its_line(self, tmp_path, lineno, line, message):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(self.HAND_MODEL) + "\n")
+        assert load_model(path).n_features == 2
+        lines = list(self.HAND_MODEL)
+        lines[lineno - 1] = line
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InputDataError, match=message):
+            load_model(path)
+
+    def test_scores_past_float_range_rejected(self, tmp_path):
+        # One tree with leaves 1 and 2 at shrinkage 1e308 scores 2e308.
+        path = tmp_path / "model.txt"
+        text = "\n".join(self.HAND_MODEL)
+        path.write_text(text.replace("shrinkage=0.1", "shrinkage=1e308"))
+        with pytest.raises(InputDataError, match="^scores can exceed the float range$"):
+            load_model(path)
+        path.write_text(text.replace("shrinkage=0.1", "shrinkage=8e307"))
+        assert_scores_finite(load_model(path))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=300),
+                     st.binary(max_size=300).map(lambda b: b"gbdt v1\n" + b)))
+    def test_load_arbitrary_bytes(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_bytes(data)
+            try:
+                model = load_model(path)
+            except (InputDataError, UnicodeDecodeError):
+                return
+        assert_scores_finite(model)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_load_single_line_edit(self, data):
+        lines = EDIT_BASE.splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        parts = lines[at].replace("=", "= ").split(" ")
+        edit = data.draw(st.sampled_from(["token", "line", "drop", "repeat"]), label="edit")
+        if edit == "token":
+            i = data.draw(st.integers(0, len(parts) - 1), label="token")
+            parts[i] = data.draw(NUMBER_TEXT | st.text(max_size=6), label="value")
+            lines[at] = " ".join(parts).replace("= ", "=")
+        elif edit == "line":
+            lines[at] = data.draw(st.lists(LINE_TOKEN, max_size=5).map(" ".join),
+                                  label="new line")
+        elif edit == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.txt"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            try:
+                model = load_model(path)
+            except InputDataError:
+                return
+        assert_scores_finite(model)
 
 
 class TestTrainingCsv:

@@ -18,6 +18,7 @@ from socialstance.hesitancy import (
     load_theme_annotations,
     perceived_theme_vector,
     select_popular,
+    window_scores,
     write_hesitancy_csv,
     write_timeseries_csv,
 )
@@ -151,6 +152,33 @@ class TestEligibleUsers:
         # [0, 20) holds two posts, [0, 21) holds three
         assert eligible_users(Corpus(posts), 0, 20, min_posts=3) == set()
         assert eligible_users(Corpus(posts), 0, 21, min_posts=3) == {"u"}
+
+
+class TestWindowScores:
+    POSTS = [
+        post("a1", "alice", 1, StanceLabel.PO), post("a2", "alice", 2, StanceLabel.NG),
+        post("a3", "alice", 3, StanceLabel.PD), post("a4", "alice", 30, StanceLabel.NG),
+        post("b1", "bob", 1, StanceLabel.NE), post("b2", "bob", 2),
+        post("c1", "cara", 5, StanceLabel.NG), post("c2", "cara", 6, StanceLabel.NE),
+        post("d1", "dan", 4, StanceLabel.PO),
+    ]
+
+    def test_records_of_eligible_users_in_user_order(self):
+        corpus = Corpus(self.POSTS)
+        scores = window_scores(corpus, 0, 10, 1)
+        # bob has NE and unlabelled posts only: no score, not eligible
+        assert list(scores) == ["alice", "cara", "dan"]
+        assert scores == {user: hesitancy_score(corpus, user, 0, 10) for user in scores}
+        assert scores["alice"] == HesitancyRecord("alice", 0, 10, 2, 1, 1 / 3)
+        assert list(window_scores(corpus, 0, 10, 2)) == ["alice"]
+        assert window_scores(corpus, 0, 10, 4) == {}
+
+    def test_bad_arguments(self):
+        corpus = Corpus(self.POSTS)
+        with pytest.raises(InputDataError, match="min_posts must be >= 1"):
+            window_scores(corpus, 0, 10, 0)
+        with pytest.raises(InputDataError, match="empty window"):
+            window_scores(corpus, 10, 10, 1)
 
 
 class TestDailyProportions:

@@ -115,6 +115,28 @@ class TestTrainConfig:
         with pytest.raises(InputDataError):
             small_config(**bad)
 
+    def test_bool_count_rejected(self):
+        # A checkpoint saved with hops=True would not load back.
+        with pytest.raises(InputDataError, match="^config key 'hops': expected int, got True$"):
+            small_config(hops=True)
+
+    def test_fractional_count_rejected(self):
+        # train cannot run a fractional number of epochs.
+        with pytest.raises(InputDataError,
+                           match="^config key 'epochs': expected int, got 1.0$"):
+            small_config(epochs=1.0)
+
+    @pytest.mark.parametrize("numpy_value", [dict(epochs=np.int64(1)),
+                                             dict(learning_rate=np.float32(1e-3))])
+    def test_numpy_values_save_and_load(self, numpy_value, tmp_path):
+        # A numpy scalar in the config would not serialize to JSON.
+        config = small_config(**numpy_value)
+        [(key, value)] = numpy_value.items()
+        assert getattr(config, key) == value
+        assert type(getattr(config, key)) is type(value.item())
+        save_checkpoint(ModelParams(config), tmp_path / "model.npz")
+        assert load_checkpoint(tmp_path / "model.npz").config == config
+
 
 class TestModelParams:
     def test_tensor_names_and_shapes(self):
@@ -394,6 +416,37 @@ class TestCompile:
             for m, past in enumerate(history):
                 want[m] = encoder.embed_post(past)
             assert np.array_equal(sample.hist[i], want)
+
+
+class TestPermutationInvariance:
+    @settings(max_examples=120, deadline=None)
+    @given(compile_worlds(), st.data())
+    def test_relabelled_nodes_predict_the_same(self, world, data):
+        # Renaming nodes reorders every ball, so the engine's sums may run
+        # in another order; the reference route must not move at all.
+        nodes, edges, author, posts, k, lam = world
+        rename = dict(zip(nodes, data.draw(st.permutations(nodes), label="names")))
+        cfg = small_config(hops=k, history_len=lam, embed_dim=4,
+                           aggregator=data.draw(st.sampled_from(AGGREGATOR_KINDS)),
+                           history=data.draw(st.sampled_from(HISTORY_KINDS)),
+                           seed=data.draw(st.integers(0, 2**32), label="seed"))
+        params = ModelParams(cfg)
+        encoder = HashedNgramEncoder(dim=4)
+        target = Post(id="target", author_id=author, timestamp=4, text="the target")
+        worlds = [(SocialGraph(edges, nodes=nodes), Corpus(posts), target),
+                  (SocialGraph([(rename[a], rename[b]) for a, b in edges],
+                               nodes=[rename[v] for v in nodes]),
+                   Corpus([replace(p, author_id=rename[p.author_id]) for p in posts]),
+                   replace(target, author_id=rename[author]))]
+
+        def both(route):
+            return [route(post, graph, corpus, encoder, params, cfg)
+                    for graph, corpus, post in worlds]
+
+        ref, ref_renamed = both(reference_probabilities)
+        got, got_renamed = (pred.probabilities for pred in both(forward))
+        assert ref.tobytes() == ref_renamed.tobytes()
+        assert np.max(np.abs(got - got_renamed)) <= 1e-12
 
 
 class TestAdam:
