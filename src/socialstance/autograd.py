@@ -1,8 +1,9 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
 Just enough operator coverage for the stance model: broadcast arithmetic,
-matmul, indexing/gather, concat, segment sums, and the pointwise functions
-the encoder and head use. Graphs are built per call and discarded, so there
+matmul, indexing/gather, concat, segment sums, the pointwise functions the
+encoder and head use, and one fused op for a graph shell's attention or mean
+pooling (shell_aggregate). Graphs are built per call and discarded, so there
 is no grad zeroing; backward() topologically sorts the tape iteratively
 (sample graphs are deep enough to overflow Python's recursion limit).
 """
@@ -25,20 +26,41 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _scatter_add(values, index, num_rows):
+def flat_index(index, width: int) -> np.ndarray:
+    """The flat np.bincount index that scatters rows of width `width` to
+    rows `index`: entry (i, c) goes to bucket index[i] * width + c, row by
+    row. Build it once to scatter the same rows many times."""
+    index = np.asarray(index)
+    return index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+
+
+def _scatter_add(values, index, num_rows, flat=None):
     """out[index[i]] += values[i] over i in order, into num_rows zero rows.
 
     Equals np.add.at(zeros, index, values) bit for bit: one flat bincount
     visits the rows in the same order, so every bucket sums in the same
-    order. index must be 1-D and non-negative.
+    order. index must be 1-D and non-negative; flat, when given, is its
+    flat_index at the width of values' rows.
     """
     values = np.asarray(values, dtype=np.float64)
-    index = np.asarray(index)
     tail = values.shape[1:]
     width = math.prod(tail)
-    flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+    if flat is None:
+        flat = flat_index(index, width)
     out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
+def _scatter_columns(values, index, num_rows):
+    """_scatter_add of (len(index), h) values, one bincount per column.
+
+    Builds no (len(index), h) flat index. The backward scatters of
+    shell_aggregate run once each, and there that index cost more in page
+    faults than the column loop costs in time."""
+    out = np.empty((num_rows, values.shape[1]))
+    for c in range(values.shape[1]):
+        out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
+    return out
 
 
 def _is_fancy(key):
@@ -331,3 +353,63 @@ def reshape(t, shape) -> Tensor:
             t._accumulate(g.reshape(old_shape))
 
     return _node(t.data.reshape(shape), (t,), backward)
+
+
+def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
+    """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
+
+    Edge i carries row shell.neighbors[i] of x to output row
+    shell.segments[i]; shell.centers[i] is the row it is centred on, and
+    shell.flat is flat_index(shell.segments, h). With attn (2h,) the pool
+    is GAT's: edge weights are the max-shifted softmax, per output row, of
+    leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], slope).
+    Without, it is the mean over the row's edges. A row without edges is
+    zero.
+
+    One tape node with a hand-written backward. The forward runs the numpy
+    ops of the composed getitem / leaky_relu / exp / segment_sum / div / mul
+    chain in that chain's order, so its values are bit-identical to it;
+    the backward sums in another order.
+    """
+    x = as_tensor(x)
+    xd = x.data
+    n, h = xd.shape
+    centers, neighbors, segments, size = (shell.centers, shell.neighbors,
+                                          shell.segments, shell.size)
+    gathered = xd[neighbors]
+    if attn is None:
+        scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
+
+        def mean_backward(g):
+            x._accumulate(_scatter_columns((g * scale)[segments], neighbors, n))
+
+        return _node(_scatter_add(gathered, segments, size, shell.flat) * scale,
+                     (x,), mean_backward)
+    attn = as_tensor(attn)
+    ad = attn.data
+    raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
+    scores = np.where(raw > 0, raw, slope * raw)
+    shift = np.full(size, -np.inf)
+    np.maximum.at(shift, segments, scores)
+    expd = np.exp(scores - shift[segments])
+    weights = expd / _scatter_add(expd, segments, size)[segments]
+
+    def backward(g):
+        spread = g[segments]
+        dweights = np.einsum("ij,ij->i", spread, gathered)
+        dscores = weights * (dweights
+                             - _scatter_add(weights * dweights, segments, size)[segments])
+        draw = np.where(raw > 0, dscores, slope * dscores)
+        dcenter = _scatter_add(draw, centers, n)
+        dneighbor = _scatter_add(draw, neighbors, n)
+        if x.requires_grad:
+            spread *= weights[:, None]
+            dx = _scatter_columns(spread, neighbors, n)
+            dx += np.outer(dcenter, ad[:h])
+            dx += np.outer(dneighbor, ad[h:])
+            x._accumulate(dx)
+        if attn.requires_grad:
+            attn._accumulate(np.concatenate([dcenter @ xd, dneighbor @ xd]))
+
+    return _node(_scatter_add(weights[:, None] * gathered, segments, size, shell.flat),
+                 (x, attn), backward)

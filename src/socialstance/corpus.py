@@ -6,7 +6,9 @@ validates its own fields, so every Post is valid by construction; a
 :class:`Corpus` adds only the check that post ids are unique; and
 :func:`load_posts` checks only what the JSON alone can tell. A Corpus indexes
 its posts by id and, on first use, by (author, timestamp, id), so the recent
-histories of a batch of users come from one searchsorted.
+histories of a batch of users come from one searchsorted. A graph's nodes are
+joined to that index's authors once per graph (:meth:`Corpus.graph_authors`),
+so history queries for graph nodes take integer codes, not names.
 """
 
 import json
@@ -99,7 +101,10 @@ class Corpus:
     Each Post checked itself when it was built; the corpus checks only that
     no id repeats. Row r of the corpus is posts[r]. The history index
     orders every post by (author, timestamp, id); it is built on first use,
-    so loading stays a single pass.
+    so loading stays a single pass. history_at is its integer core: it
+    takes author codes, which graph_authors gives for every node of a graph
+    and keeps per graph, the way embeddings keeps vectors per provider;
+    history is the name form over it.
     """
 
     def __init__(self, posts):
@@ -110,6 +115,7 @@ class Corpus:
                 raise InputDataError(f"duplicate post id: {post.id!r}")
             self.by_id[post.id] = post
         self._embeddings = weakref.WeakKeyDictionary()
+        self._graph_authors = weakref.WeakKeyDictionary()
 
     def __len__(self):
         return len(self.posts)
@@ -142,16 +148,34 @@ class Corpus:
         (len(users),) count of real rows. Equal timestamps order by post
         id; unknown users get no rows.
         """
+        return self.history_at(self._author_codes(users), before, limit)
+
+    def graph_authors(self, graph) -> np.ndarray:
+        """Each graph node's author code, the integer form of its name that
+        history_at takes.
+
+        The join is computed once per graph and kept for as long as the
+        graph lives.
+        """
+        if graph not in self._graph_authors:
+            self._graph_authors[graph] = self._author_codes(graph.node_ids)
+        return self._graph_authors[graph]
+
+    def _author_codes(self, users) -> np.ndarray:
         index = self._history
         # An unknown user maps one past the last author, whose slice is empty.
-        authors = np.fromiter((index.user_index.get(u, len(index.users)) for u in users),
-                              np.intp, len(users))
+        return np.fromiter((index.user_index.get(u, len(index.users)) for u in users),
+                           np.intp, len(users))
+
+    def history_at(self, authors, before: int, limit: int):
+        """history() of the users with these author codes (graph_authors)."""
+        index = self._history
         cuts = np.searchsorted(index.keys, authors * index.stride
                                + bisect_left(index.timestamps, before))
         counts = np.minimum(cuts - index.starts[authors], limit)
         back = np.arange(limit)
         real = back < counts[:, None]
-        rows = np.full((len(users), limit), -1, dtype=np.intp)
+        rows = np.full((len(authors), limit), -1, dtype=np.intp)
         rows[real] = index.rows[(cuts[:, None] - 1 - back)[real]]
         return rows, counts
 

@@ -216,7 +216,11 @@ def _check_labels(labels, n_classes: int, n: int | None = None) -> np.ndarray:
 
 def fit(features, labels, config: GbdtConfig = GbdtConfig(),
         n_classes: int = N_CHANGE_CLASSES) -> GbdtModel:
-    """Train a booster on (n, f) features and integer class labels."""
+    """Train a booster on (n, f) features and integer class labels.
+
+    Raises InputDataError, naming the round, if the training scores stop
+    being finite (a shrinkage too large for the leaf values).
+    """
     features = _check_features(features)
     n = features.shape[0]
     if n < 2:
@@ -233,15 +237,22 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig(),
     onehot[np.arange(n), labels] = 1.0
     all_idx = np.arange(n)
     leaf_out = np.empty(n)  # every row lands in one leaf, so all are rewritten
-    for _ in range(config.rounds):
-        probs = _softmax_rows(scores)
-        residuals = onehot - probs
-        round_trees = []
-        for c in range(n_classes):
-            root = _grow_tree(features, residuals[:, c], all_idx, 0,
-                              config.max_depth, n_classes, leaf_out)
-            round_trees.append(RegressionTree(root))
-            scores[:, c] += config.shrinkage * leaf_out
+    for round_no in range(1, config.rounds + 1):
+        # Scores may overflow (a huge shrinkage); the check below reports
+        # that once, as bad input, instead of a warning per operation.
+        with np.errstate(over="ignore"):
+            probs = _softmax_rows(scores)
+            residuals = onehot - probs
+            round_trees = []
+            for c in range(n_classes):
+                root = _grow_tree(features, residuals[:, c], all_idx, 0,
+                                  config.max_depth, n_classes, leaf_out)
+                round_trees.append(RegressionTree(root))
+                scores[:, c] += config.shrinkage * leaf_out
+        if not np.isfinite(scores).all():
+            raise InputDataError(
+                f"round {round_no}: training scores are not finite "
+                f"(shrinkage {config.shrinkage!r} is too large)")
         model.trees.append(round_trees)
     return model
 

@@ -10,13 +10,17 @@ no per-node Python loop: the author's k-hop ball by frontier expansion over
 the graph's CSR arrays, the exact-distance shell edges between all pairs of
 ball nodes by one multi-source BFS over the ball's induced CSR, and each
 ball node's last history_len posts before the target's timestamp by one
-query of the corpus's history index (the corpus memoizes their embeddings
-per provider). One batched forward, _batch_logits, then joins a batch of
-compiled posts into one block-diagonal graph (each ball's node indices
-offset by the sizes of the balls before it), encodes it and applies a
-softmax head to [z_social || z_text] at the author rows. train, loss,
-gradients, evaluate and forward (a batch of one) all run it through the
-autograd engine, so analytic gradients come from the exact inference path.
+query of the corpus's history index, addressed by the corpus's join of
+graph node indices to author codes (built once per graph; the corpus also
+memoizes the posts' embeddings per provider). One batched forward,
+_batch_logits, then joins a batch of compiled posts into one block-diagonal
+graph (each ball's node indices offset by the sizes of the balls before
+it), encodes it and applies a softmax head to [z_social || z_text] at the
+author rows. Each (layer, order) shell aggregate is one fused autograd op,
+autograd.shell_aggregate, whose scatter index is built once per batch on
+the shell. train, loss, gradients, evaluate and forward (a batch of one)
+all run it through the autograd engine, so analytic gradients come from
+the exact inference path.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -232,8 +236,8 @@ def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _Comp
     local_indptr, local_indices = induced_csr(graph.indptr, graph.indices, ball)
     shell_edges = tuple(exact_shells(local_indptr, local_indices,
                                      np.arange(ball.size), k))
-    rows, counts = corpus.history([graph.node_ids[i] for i in ball.tolist()],
-                                  post.timestamp, lam)
+    rows, counts = corpus.history_at(corpus.graph_authors(graph)[ball],
+                                     post.timestamp, lam)
     real = rows >= 0
     hist = np.zeros((ball.size, lam, config.embed_dim), dtype=np.float64)
     hist[real] = corpus.embeddings(provider, rows[real])
@@ -261,12 +265,15 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
 
 class _Shell(NamedTuple):
     """The edges of one shell order in a batch: edge i joins row centers[i]
-    to row neighbors[i] and feeds output row segments[i] of `size`."""
+    to row neighbors[i] and feeds output row segments[i] of `size`. flat
+    is the segments' scatter index at hidden_dim columns, built once per
+    batch and shared by every layer that aggregates the shell."""
 
     centers: np.ndarray
     neighbors: np.ndarray
     segments: np.ndarray
     size: int
+    flat: np.ndarray
 
 
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
@@ -293,10 +300,13 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
                                   for sample, off in zip(samples, offsets)])
         neighbors = np.concatenate([sample.shell_edges[order][1] + off
                                     for sample, off in zip(samples, offsets)])
-        inner.append(_Shell(centers, neighbors, centers, n))
+        if k > 1:  # layers 1 to k - 1 aggregate the whole shell
+            inner.append(_Shell(centers, neighbors, centers, n,
+                                ag.flat_index(centers, config.hidden_dim)))
         keep = slot[centers] >= 0
-        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]],
-                           len(samples)))
+        segments = slot[centers[keep]]
+        last.append(_Shell(centers[keep], neighbors[keep], segments, len(samples),
+                           ag.flat_index(segments, config.hidden_dim)))
     if config.history == "pe":
         hist = np.concatenate([sample.hist for sample in samples])
         z_hist = None
@@ -321,28 +331,12 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
 def _aggregate(ts, base: str, state: Tensor, shell: _Shell,
                config: TrainConfig) -> Tensor:
     """One (layer, order) shell aggregate: shell.size rows of hidden_dim."""
-    h = config.hidden_dim
-    centers, neighbors, segments = shell.centers, shell.neighbors, shell.segments
-    if centers.size == 0:
-        return Tensor(np.zeros((shell.size, h)))
+    if shell.centers.size == 0:
+        return Tensor(np.zeros((shell.size, config.hidden_dim)))
     projected = state @ ts[base + ".w"]
     if config.aggregator == "gcn":
-        sums = ag.segment_sum(projected[neighbors], segments, shell.size)
-        counts = np.bincount(segments, minlength=shell.size)
-        return sums * Tensor(1.0 / np.maximum(counts, 1)[:, None])
-    attn = ts[base + ".a"]
-    center_scores = projected @ attn[:h]
-    neighbor_scores = projected @ attn[h:]
-    scores = ag.leaky_relu(center_scores[centers] + neighbor_scores[neighbors],
-                           LEAKY_SLOPE)
-    # Max-shifted softmax per segment; the shift is a constant.
-    shift = np.full(shell.size, -np.inf)
-    np.maximum.at(shift, segments, scores.data)
-    expd = ag.exp(scores - Tensor(shift[segments]))
-    denom = ag.segment_sum(expd, segments, shell.size)
-    weights = expd / denom[segments]
-    messages = weights.reshape((centers.size, 1)) * projected[neighbors]
-    return ag.segment_sum(messages, segments, shell.size)
+        return ag.shell_aggregate(projected, shell)
+    return ag.shell_aggregate(projected, shell, ts[base + ".a"], LEAKY_SLOPE)
 
 
 def _mean_cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:

@@ -609,6 +609,39 @@ def test_classify_on_arbitrary_checkpoint_never_exits_3(world, checkpoint, edits
                      "--out", str(Path(root) / "pred.csv")])
 
 
+@pytest.fixture(scope="module")
+def edge_list(world, tmp_path_factory):
+    root = tmp_path_factory.mktemp("graph")
+    assert main(["build-graph", "--interactions", str(world["interactions"]),
+                 "--out-dir", str(root)]) == 0
+    return root / "edges.csv"
+
+
+# Nodes files: lines of graph users, strangers, blanks and junk, or raw bytes.
+_node_files = st.lists(
+    st.sampled_from(["u0", "u3", "u7", " u1 ", "stranger", "", " ", "u1,u2", "\r"])
+    .map(str.encode) | st.text(max_size=4).map(str.encode) | st.binary(max_size=10),
+    max_size=6).map(b"\n".join) | st.binary(max_size=60)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=_node_files)
+def test_classify_on_arbitrary_nodes_never_exits_3(world, checkpoint, edge_list, data):
+    with tempfile.TemporaryDirectory() as root:
+        nodes = Path(root) / "nodes.txt"
+        nodes.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["classify", "--checkpoint", str(checkpoint),
+                         "--posts", str(world["posts"]),
+                         "--embeddings", str(world["embeddings"]),
+                         "--edges", str(edge_list), "--nodes", str(nodes),
+                         "--out", str(Path(root) / "pred.csv")])
+    assert code in (0, 2, 4)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1)
+
+
 def _csv_files(header, lines, junk_cells, width):
     """Files of the header and `lines`, with at most one junk line put among
     them: about `width` cells from junk_cells or any short text, or raw
@@ -815,6 +848,14 @@ class TestPredictChange:
         assert main(["predict-change", "--data", str(training_csv),
                      "--rounds", "-1"]) == 2
         capsys.readouterr()
+
+    def test_overflowing_shrinkage_exit_2(self, training_csv, capsys):
+        code = main(["predict-change", "--data", str(training_csv), "--rounds", "3",
+                     "--shrinkage", "1e308"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: round 1: training scores are not finite "
+                       "(shrinkage 1e+308 is too large)\n")
 
     def test_negative_seed_exit_2(self, training_csv, capsys):
         code = main(["predict-change", "--data", str(training_csv),

@@ -5,6 +5,7 @@ the fitting tests use constructed datasets whose optimal behavior is known.
 """
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -362,6 +363,15 @@ class TestFit:
     def test_non_finite_shrinkage_rejected(self, shrinkage):
         with pytest.raises(InputDataError, match="shrinkage"):
             GbdtConfig(shrinkage=shrinkage)
+
+    def test_overflowing_scores_name_the_round(self):
+        rng = np.random.default_rng(5)
+        features, labels = separable_dataset(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported once, not as warnings
+            with pytest.raises(InputDataError,
+                               match=r"^round 1: training scores are not finite"):
+                fit(features, labels, GbdtConfig(rounds=3, shrinkage=1e308))
 
     @pytest.mark.parametrize("field", ["rounds", "max_depth"])
     def test_fractional_count_rejected(self, field):

@@ -1,7 +1,12 @@
 """Hesitancy scores, change labels, time series, and theme exposure counts."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.errors import InputDataError
@@ -282,6 +287,32 @@ class TestThemeAnnotations:
         path.write_text("post_id,theme\np1,Conspiracy\np1,HealthBeliefs\n")
         with pytest.raises(InputDataError, match="duplicate"):
             load_theme_annotations(path)
+
+
+# Theme-shaped lines (two cells from ids, theme names and junk, or another
+# number of cells), raw byte lines, or a file of raw bytes.
+_theme_lines = st.lists(
+    st.lists(st.sampled_from(["p1", "p2", "Conspiracy", "PositiveNews", "conspiracy",
+                              "", " ", "post_id", "theme"]) | st.text(max_size=3),
+             min_size=1, max_size=3).map(lambda cells: ",".join(cells).encode())
+    | st.binary(max_size=20), max_size=6)
+_theme_files = st.builds(lambda header, lines: b"\n".join([header] + lines),
+                         st.sampled_from([b"post_id,theme", b"post_id,theme ", b"x"]),
+                         _theme_lines) | st.binary(max_size=60)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=_theme_files)
+def test_theme_annotations_on_arbitrary_bytes_raise_only_input_errors(data):
+    with tempfile.TemporaryDirectory() as root:
+        path = Path(root) / "themes.csv"
+        path.write_bytes(data)
+        try:
+            themes = load_theme_annotations(path)
+        except (InputDataError, UnicodeDecodeError):
+            return
+    assert all(isinstance(post_id, str) and post_id and isinstance(theme, Theme)
+               for post_id, theme in themes.items())
 
 
 class TestCsvWriters:

@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from socialstance import autograd as ag
+from socialstance.autograd import Tensor
 from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
 from socialstance.encoder import AGGREGATOR_KINDS
 from socialstance.model import (
     HISTORY_KINDS,
+    LEAKY_SLOPE,
     AdamState,
+    _Shell,
     _compile_sample,
     ModelParams,
     TrainConfig,
@@ -237,9 +241,12 @@ class TestForward:
 
 
 class TestGradients:
-    def test_matches_finite_differences(self):
+    # hops=3 runs an inner shell that layers 1 and 2 both aggregate.
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+    def test_matches_finite_differences(self, aggregator, hops):
         corpus, graph, store = toy_world(n_users=6)
-        cfg = small_config(hops=2, hidden_dim=3)
+        cfg = small_config(hops=hops, hidden_dim=3, aggregator=aggregator)
         params = ModelParams(cfg)
         batch = [corpus.by_id[f"u{i}t"] for i in range(4)]
         grads = gradients(batch, graph, corpus, store, params, cfg)
@@ -278,6 +285,72 @@ class TestGradients:
         with pytest.raises(ValueError):
             loss([corpus.by_id["u0h0"]], graph, corpus, store, params, cfg)
         del bare
+
+
+def composed_aggregate(projected, attn, shell, aggregator):
+    """One shell aggregate as a chain of autograd ops, as the engine built it
+    before ag.shell_aggregate fused them: the oracle for that op."""
+    h = projected.data.shape[1]
+    centers, neighbors, segments = shell.centers, shell.neighbors, shell.segments
+    if aggregator == "gcn":
+        sums = ag.segment_sum(projected[neighbors], segments, shell.size)
+        counts = np.bincount(segments, minlength=shell.size)
+        return sums * Tensor(1.0 / np.maximum(counts, 1)[:, None])
+    center_scores = projected @ attn[:h]
+    neighbor_scores = projected @ attn[h:]
+    scores = ag.leaky_relu(center_scores[centers] + neighbor_scores[neighbors],
+                           LEAKY_SLOPE)
+    shift = np.full(shell.size, -np.inf)
+    np.maximum.at(shift, segments, scores.data)
+    expd = ag.exp(scores - Tensor(shift[segments]))
+    denom = ag.segment_sum(expd, segments, shell.size)
+    weights = expd / denom[segments]
+    messages = weights.reshape((centers.size, 1)) * projected[neighbors]
+    return ag.segment_sum(messages, segments, shell.size)
+
+
+def oracle_shells(h):
+    """(name, shell) cases over 7 rows: no edges; rows without edges and
+    segments of one edge; segments that are not the centers (the author
+    rows of a last layer); and random edges with repeated neighbours."""
+    rng = np.random.default_rng(3)
+    centers = np.sort(rng.integers(0, 7, 40))
+    cases = {
+        "empty": ([], [], [], 7),
+        "single edges and bare rows": ([0, 2, 2, 4], [1, 0, 3, 3], [0, 2, 2, 4], 7),
+        "author rows": ([1, 1, 3, 3, 3], [0, 2, 0, 2, 6], [0, 0, 1, 1, 1], 2),
+        "random": (centers, rng.integers(0, 7, 40), centers, 7),
+    }
+    for name, (c, nb, seg, size) in cases.items():
+        c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
+        yield name, _Shell(c, nb, seg, size, ag.flat_index(seg, h))
+
+
+class TestShellAggregate:
+    @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+    def test_matches_composed_ops(self, aggregator):
+        h = 3
+        rng = np.random.default_rng(0)
+        x0, attn0 = rng.standard_normal((7, h)), rng.standard_normal(2 * h)
+        for name, shell in oracle_shells(h):
+            outs, grads = [], []
+            for route in ("fused", "composed"):
+                x, attn = Tensor(x0, requires_grad=True), Tensor(attn0, requires_grad=True)
+                if route == "composed":
+                    out = composed_aggregate(x, attn, shell, aggregator)
+                elif aggregator == "gcn":
+                    out = ag.shell_aggregate(x, shell)
+                else:
+                    out = ag.shell_aggregate(x, shell, attn, LEAKY_SLOPE)
+                weights = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
+                (out * Tensor(np.sin(weights))).sum().backward()
+                outs.append(out.data)
+                grads.append([np.zeros_like(t.data) if t.grad is None else t.grad
+                              for t in (x, attn)])
+            assert np.array_equal(outs[0], outs[1]), name
+            for fused, composed in zip(*grads):
+                np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12,
+                                           err_msg=name)
 
 
 def mixed_world():
@@ -416,6 +489,59 @@ class TestCompile:
             for m, past in enumerate(history):
                 want[m] = encoder.embed_post(past)
             assert np.array_equal(sample.hist[i], want)
+
+
+def join_world():
+    """One corpus and two graphs over it. g0-g3, x0 and x1 post; g4 and g5
+    do not. x0 and x1 are nodes of the second graph only, g1, g3 and g4 of
+    the first only."""
+    authors = ["g0", "g1", "g2", "g3", "x0", "x1"]
+    posts = [Post(id=f"{user}p{m}", author_id=user, timestamp=10 * m + i,
+                  text=f"post {m} by {user}")
+             for i, user in enumerate(authors) for m in range(3)]
+    first = SocialGraph([("g0", "g1"), ("g1", "g2"), ("g2", "g3"), ("g3", "g4"),
+                         ("g4", "g5"), ("g5", "g0"), ("g1", "g4")])
+    second = SocialGraph([("g0", "x0"), ("x0", "g5"), ("g5", "x1"), ("x1", "g2"),
+                          ("g2", "g0")])
+    return Corpus(posts), first, second
+
+
+class TestGraphCorpusJoin:
+    """_compile_sample reads history through the corpus's per-graph join of
+    node indices to authors; it must gather what the name-based history
+    query gives for the ball's node names."""
+
+    def assert_compiles_as_by_name(self, graph, corpus, author, k=2, lam=2):
+        encoder = HashedNgramEncoder(dim=4)
+        target = Post(id="target", author_id=author, timestamp=25, text="the target")
+        sample = _compile_sample(target, graph, corpus, encoder,
+                                 small_config(hops=k, history_len=lam, embed_dim=4))
+        names = sorted(khop_neighborhood(graph, author, k))
+        rows, counts = corpus.history(names, target.timestamp, lam)
+        hist = np.zeros((len(names), lam, 4))
+        for (i, m), r in np.ndenumerate(rows):
+            if r >= 0:
+                hist[i, m] = encoder.embed_post(corpus.posts[r])
+        assert np.array_equal(sample.hist_counts, counts)
+        assert np.array_equal(sample.hist, hist)
+        _, shells = oracle_compile(graph.node_ids, graph.edges(), author, k)
+        assert [(c.tolist(), n.tolist()) for c, n in sample.shell_edges] == \
+            [tuple(shell) for shell in shells]
+        return counts
+
+    def test_compile_matches_history_by_name(self):
+        corpus, first, _ = join_world()
+        counts = [self.assert_compiles_as_by_name(first, corpus, author)
+                  for author in first.node_ids]
+        assert any((c == 0).any() for c in counts) and any((c == 2).any() for c in counts)
+
+    def test_each_graph_gets_its_own_join(self):
+        corpus, first, second = join_world()
+        for graph in (first, second, first, second):
+            for author in ("g0", "g5"):
+                self.assert_compiles_as_by_name(graph, corpus, author)
+        assert corpus.graph_authors(first).size == len(first)
+        assert corpus.graph_authors(second).size == len(second)
 
 
 class TestPermutationInvariance:
