@@ -26,41 +26,20 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def flat_index(index, width: int) -> np.ndarray:
-    """The flat np.bincount index that scatters rows of width `width` to
-    rows `index`: entry (i, c) goes to bucket index[i] * width + c, row by
-    row. Build it once to scatter the same rows many times."""
-    index = np.asarray(index)
-    return index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
-
-
-def _scatter_add(values, index, num_rows, flat=None):
+def _scatter_add(values, index, num_rows):
     """out[index[i]] += values[i] over i in order, into num_rows zero rows.
 
     Equals np.add.at(zeros, index, values) bit for bit: one flat bincount
     visits the rows in the same order, so every bucket sums in the same
-    order. index must be 1-D and non-negative; flat, when given, is its
-    flat_index at the width of values' rows.
+    order. index must be 1-D and non-negative.
     """
     values = np.asarray(values, dtype=np.float64)
+    index = np.asarray(index)
     tail = values.shape[1:]
     width = math.prod(tail)
-    if flat is None:
-        flat = flat_index(index, width)
+    flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
-
-
-def _scatter_columns(values, index, num_rows):
-    """_scatter_add of (len(index), h) values, one bincount per column.
-
-    Builds no (len(index), h) flat index. The backward scatters of
-    shell_aggregate run once each, and there that index cost more in page
-    faults than the column loop costs in time."""
-    out = np.empty((num_rows, values.shape[1]))
-    for c in range(values.shape[1]):
-        out[:, c] = np.bincount(index, weights=values[:, c], minlength=num_rows)
-    return out
 
 
 def _is_fancy(key):
@@ -359,9 +338,9 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
 
     Edge i carries row shell.neighbors[i] of x to output row
-    shell.segments[i]; shell.centers[i] is the row it is centred on, and
-    shell.flat is flat_index(shell.segments, h). With attn (2h,) the pool
-    is GAT's: edge weights are the max-shifted softmax, per output row, of
+    shell.segments[i]; shell.centers[i] is the row it is centred on. With
+    attn (2h,) the pool is GAT's: edge weights are the max-shifted softmax,
+    per output row, of
     leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], slope).
     Without, it is the mean over the row's edges. A row without edges is
     zero.
@@ -381,9 +360,9 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
         scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
 
         def mean_backward(g):
-            x._accumulate(_scatter_columns((g * scale)[segments], neighbors, n))
+            x._accumulate(_scatter_add((g * scale)[segments], neighbors, n))
 
-        return _node(_scatter_add(gathered, segments, size, shell.flat) * scale,
+        return _node(_scatter_add(gathered, segments, size) * scale,
                      (x,), mean_backward)
     attn = as_tensor(attn)
     ad = attn.data
@@ -404,12 +383,12 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
         dneighbor = _scatter_add(draw, neighbors, n)
         if x.requires_grad:
             spread *= weights[:, None]
-            dx = _scatter_columns(spread, neighbors, n)
+            dx = _scatter_add(spread, neighbors, n)
             dx += np.outer(dcenter, ad[:h])
             dx += np.outer(dneighbor, ad[h:])
             x._accumulate(dx)
         if attn.requires_grad:
             attn._accumulate(np.concatenate([dcenter @ xd, dneighbor @ xd]))
 
-    return _node(_scatter_add(weights[:, None] * gathered, segments, size, shell.flat),
+    return _node(_scatter_add(weights[:, None] * gathered, segments, size),
                  (x, attn), backward)

@@ -17,10 +17,9 @@ _batch_logits, then joins a batch of compiled posts into one block-diagonal
 graph (each ball's node indices offset by the sizes of the balls before
 it), encodes it and applies a softmax head to [z_social || z_text] at the
 author rows. Each (layer, order) shell aggregate is one fused autograd op,
-autograd.shell_aggregate, whose scatter index is built once per batch on
-the shell. train, loss, gradients, evaluate and forward (a batch of one)
-all run it through the autograd engine, so analytic gradients come from
-the exact inference path.
+autograd.shell_aggregate. train, loss, gradients, evaluate and forward (a
+batch of one) all run it through the autograd engine, so analytic
+gradients come from the exact inference path.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -265,15 +264,12 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
 
 class _Shell(NamedTuple):
     """The edges of one shell order in a batch: edge i joins row centers[i]
-    to row neighbors[i] and feeds output row segments[i] of `size`. flat
-    is the segments' scatter index at hidden_dim columns, built once per
-    batch and shared by every layer that aggregates the shell."""
+    to row neighbors[i] and feeds output row segments[i] of `size`."""
 
     centers: np.ndarray
     neighbors: np.ndarray
     segments: np.ndarray
     size: int
-    flat: np.ndarray
 
 
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
@@ -300,13 +296,10 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
                                   for sample, off in zip(samples, offsets)])
         neighbors = np.concatenate([sample.shell_edges[order][1] + off
                                     for sample, off in zip(samples, offsets)])
-        if k > 1:  # layers 1 to k - 1 aggregate the whole shell
-            inner.append(_Shell(centers, neighbors, centers, n,
-                                ag.flat_index(centers, config.hidden_dim)))
+        inner.append(_Shell(centers, neighbors, centers, n))
         keep = slot[centers] >= 0
-        segments = slot[centers[keep]]
-        last.append(_Shell(centers[keep], neighbors[keep], segments, len(samples),
-                           ag.flat_index(segments, config.hidden_dim)))
+        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]],
+                           len(samples)))
     if config.history == "pe":
         hist = np.concatenate([sample.hist for sample in samples])
         z_hist = None

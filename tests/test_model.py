@@ -309,7 +309,7 @@ def composed_aggregate(projected, attn, shell, aggregator):
     return ag.segment_sum(messages, segments, shell.size)
 
 
-def oracle_shells(h):
+def oracle_shells():
     """(name, shell) cases over 7 rows: no edges; rows without edges and
     segments of one edge; segments that are not the centers (the author
     rows of a last layer); and random edges with repeated neighbours."""
@@ -323,7 +323,7 @@ def oracle_shells(h):
     }
     for name, (c, nb, seg, size) in cases.items():
         c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
-        yield name, _Shell(c, nb, seg, size, ag.flat_index(seg, h))
+        yield name, _Shell(c, nb, seg, size)
 
 
 class TestShellAggregate:
@@ -332,7 +332,7 @@ class TestShellAggregate:
         h = 3
         rng = np.random.default_rng(0)
         x0, attn0 = rng.standard_normal((7, h)), rng.standard_normal(2 * h)
-        for name, shell in oracle_shells(h):
+        for name, shell in oracle_shells():
             outs, grads = [], []
             for route in ("fused", "composed"):
                 x, attn = Tensor(x0, requires_grad=True), Tensor(attn0, requires_grad=True)
