@@ -102,9 +102,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -as_tensor(other))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), -self)
-
     def __truediv__(self, other):
         return div(self, other)
 
@@ -122,15 +119,6 @@ class Tensor:
 
     def reshape(self, shape):
         return reshape(self, shape)
-
-    def relu(self):
-        return relu(self)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
 
 
 def as_tensor(value) -> Tensor:

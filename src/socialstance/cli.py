@@ -20,7 +20,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import gbdt
-from .corpus import load_posts
+from .corpus import StanceLabel, load_posts
 from .errors import (EmptyResultError, InputDataError, TrainingDivergedError,
                      checked_lines, write_csv)
 from .hesitancy import (classify_change, daily_label_proportions,
@@ -35,7 +35,8 @@ from .socialgraph import (build_social_graph, graph_stats, load_edge_list,
                           load_follower_edges, load_interactions,
                           write_edge_list, write_nodes)
 
-CLASSIFY_HEADER = "post_id,label,p_PO,p_NG,p_NE,p_PD"
+CLASSIFY_HEADER = ",".join(["post_id", "label"]
+                           + [f"p_{label.name}" for label in StanceLabel])
 SWEEP_HEADER = "hops,history_len,val_accuracy"
 CHANGE_HEADER = "user,before_score,after_score,change"
 
@@ -186,13 +187,19 @@ def cmd_classify(args) -> int:
     provider = load_embedding_store(args.embeddings, config.embed_dim)
     rows = []
     skipped = []
-    for post in corpus:
-        if post.author_id not in graph:
-            skipped.append(post.author_id)
-            continue
-        prediction = forward(post, graph, corpus, provider, params, config)
-        rows.append([post.id, prediction.label.name,
-                     *(repr(float(p)) for p in prediction.probabilities)])
+    # Finite parameters can still overflow; the check below reports that
+    # once, as bad input, instead of a warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for post in corpus:
+            if post.author_id not in graph:
+                skipped.append(post.author_id)
+                continue
+            prediction = forward(post, graph, corpus, provider, params, config)
+            if not np.isfinite(prediction.probabilities).all():
+                raise InputDataError(f"post {post.id!r}: class probabilities are not "
+                                     "finite (the checkpoint's parameters overflow)")
+            rows.append([post.id, prediction.label.name,
+                         *(repr(float(p)) for p in prediction.probabilities)])
     for user in sorted(set(skipped)):
         print(f"skipped user not in social graph: {user}", file=sys.stderr)
     if not rows:

@@ -8,7 +8,8 @@ validates its own fields, so every Post is valid by construction; a
 its posts by id and, on first use, by (author, timestamp, id), so the recent
 histories of a batch of users come from one searchsorted. A graph's nodes are
 joined to that index's authors once per graph (:meth:`Corpus.graph_authors`),
-so history queries for graph nodes take integer codes, not names.
+so the one batch history query (:meth:`Corpus.history_at`) takes integer
+codes, not names; :func:`recent_posts` codes a single name for it.
 """
 
 import json
@@ -101,10 +102,10 @@ class Corpus:
     Each Post checked itself when it was built; the corpus checks only that
     no id repeats. Row r of the corpus is posts[r]. The history index
     orders every post by (author, timestamp, id); it is built on first use,
-    so loading stays a single pass. history_at is its integer core: it
-    takes author codes, which graph_authors gives for every node of a graph
-    and keeps per graph, the way embeddings keeps vectors per provider;
-    history is the name form over it.
+    so loading stays a single pass. history_at is the one batch query of
+    it: it takes author codes, which graph_authors gives for every node of
+    a graph and keeps per graph, the way embeddings keeps vectors per
+    provider; recent_posts is the one-user name form over it.
     """
 
     def __init__(self, posts):
@@ -140,16 +141,6 @@ class Corpus:
         rows = index.rows[index.starts[user]:index.starts[user + 1]]
         return [self.posts[r] for r in rows.tolist()]
 
-    def history(self, users, before: int, limit: int):
-        """Each user's last `limit` posts strictly before `before`, newest
-        first, as corpus rows.
-
-        Returns a (len(users), limit) int array padded with -1 and the
-        (len(users),) count of real rows. Equal timestamps order by post
-        id; unknown users get no rows.
-        """
-        return self.history_at(self._author_codes(users), before, limit)
-
     def graph_authors(self, graph) -> np.ndarray:
         """Each graph node's author code, the integer form of its name that
         history_at takes.
@@ -168,7 +159,13 @@ class Corpus:
                            np.intp, len(users))
 
     def history_at(self, authors, before: int, limit: int):
-        """history() of the users with these author codes (graph_authors)."""
+        """The last `limit` posts strictly before `before`, newest first, of
+        each user given by author code (graph_authors), as corpus rows.
+
+        Returns a (len(authors), limit) int array padded with -1 and the
+        (len(authors),) count of real rows. Equal timestamps order by post
+        id; unknown users get no rows.
+        """
         index = self._history
         cuts = np.searchsorted(index.keys, authors * index.stride
                                + bisect_left(index.timestamps, before))
@@ -388,7 +385,7 @@ def recent_posts(corpus: Corpus, user_id: str, before: int, limit: int):
     """
     if limit < 0:
         raise InputDataError("limit must be non-negative")
-    rows, counts = corpus.history([user_id], before, limit)
+    rows, counts = corpus.history_at(corpus._author_codes([user_id]), before, limit)
     return [corpus.posts[r] for r in rows[0, :counts[0]].tolist()]
 
 

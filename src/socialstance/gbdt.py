@@ -15,7 +15,8 @@ import numpy as np
 
 from .errors import InputDataError, checked_fields, checked_lines, write_csv
 from .hesitancy import ChangeLabel, Theme
-from .metrics import MetricReport, multiclass_report
+from .metrics import (PROB_FLOOR, MetricReport, mean_log_loss,
+                      multiclass_report, softmax)
 
 MODEL_MAGIC = "gbdt v1"
 N_CHANGE_CLASSES = len(ChangeLabel)
@@ -24,8 +25,6 @@ N_CHANGE_CLASSES = len(ChangeLabel)
 _MIN_GAIN = 1e-12
 # Below this the Newton denominator is all rounding error; emit a dead leaf.
 _MIN_HESSIAN = 1e-150
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -180,12 +179,6 @@ class GbdtModel:
             raise InputDataError("base_scores shape does not match n_classes")
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
 def _check_features(features, n_features=None) -> np.ndarray:
     """Finite (n, f) float features; a 1-D vector is one row. n_features
     None (fit) takes the width from the array."""
@@ -241,7 +234,7 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig(),
         # Scores may overflow (a huge shrinkage); the check below reports
         # that once, as bad input, instead of a warning per operation.
         with np.errstate(over="ignore"):
-            probs = _softmax_rows(scores)
+            probs = softmax(scores)
             residuals = onehot - probs
             round_trees = []
             for c in range(n_classes):
@@ -269,7 +262,7 @@ def decision_scores(model: GbdtModel, features) -> np.ndarray:
 def predict_proba(model: GbdtModel, x) -> np.ndarray:
     """Class probabilities for one feature vector (or a batch)."""
     arr = np.asarray(x, dtype=np.float64)
-    probs = _softmax_rows(decision_scores(model, arr))
+    probs = softmax(decision_scores(model, arr))
     return probs[0] if arr.ndim == 1 else probs
 
 
@@ -283,18 +276,16 @@ def predict(model: GbdtModel, x):
 
 def log_loss(model: GbdtModel, features, labels) -> float:
     """Mean negative log-probability of the true class."""
-    probs = _softmax_rows(decision_scores(model, features))
+    probs = softmax(decision_scores(model, features))
     labels = _check_labels(labels, model.n_classes, len(probs))
-    picked = np.maximum(probs[np.arange(labels.size), labels], PROB_FLOOR)
-    return float(np.mean(-np.log(picked)))
+    return mean_log_loss(probs[np.arange(labels.size), labels])
 
 
 def priors_log_loss(labels, n_classes: int = N_CHANGE_CLASSES) -> float:
     """Log-loss of predicting the training priors for every sample."""
     labels = _check_labels(labels, n_classes)
     priors = np.bincount(labels, minlength=n_classes) / labels.size
-    picked = np.maximum(priors[labels], PROB_FLOOR)
-    return float(np.mean(-np.log(picked)))
+    return mean_log_loss(priors[labels])
 
 
 def evaluate(model: GbdtModel, features, labels) -> MetricReport:

@@ -19,7 +19,7 @@ from .corpus import Corpus, StanceLabel, rank_authored
 from .errors import InputDataError, checked_header, checked_lines, write_csv
 
 THEME_ANNOTATION_HEADER = "post_id,theme"
-TIMESERIES_HEADER = "date,PO,NG,NE,PD"
+TIMESERIES_HEADER = ",".join(["date"] + [label.name for label in StanceLabel])
 HESITANCY_HEADER = "user,window_start,window_end,n_pos,n_neg,score"
 
 # Score changes smaller than this are reported as "unchanged".
@@ -161,7 +161,7 @@ def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
     """Per-UTC-day label mix of labelled posts in [start, end).
 
     Returns {iso_date: {label_name: fraction}} covering every day the
-    window touches. On a day with posts the four fractions sum to 1; days
+    window touches. On a day with posts the label fractions sum to 1; days
     without labelled posts map every label to None.
     """
     tallies = _label_counts(corpus.posts, start, end,
@@ -246,8 +246,9 @@ def write_hesitancy_csv(records, out) -> None:
 
 
 def write_timeseries_csv(per_day: dict, out) -> None:
-    """Write daily_label_proportions output as date,PO,NG,NE,PD to `out`, a
-    path or an open text file; days without posts leave their cells empty."""
+    """Write daily_label_proportions output as TIMESERIES_HEADER rows (the
+    date, then one fraction per StanceLabel) to `out`, a path or an open
+    text file; days without posts leave their cells empty."""
     def row(day):
         fractions = [per_day[day][label.name] for label in StanceLabel]
         return [day] + ["" if value is None else repr(value) for value in fractions]

@@ -1,6 +1,7 @@
-"""Classification metrics and inter-rater agreement statistics.
+"""Class probabilities, classification metrics and agreement statistics.
 
-Classification quality is reported macro-averaged over all classes.
+Both classifiers take their probabilities from softmax and their log-loss
+from mean_log_loss. Classification quality is reported macro-averaged over all classes.
 Agreement over an annotation round comes in three strengths: average
 observed agreement (no chance correction), Fleiss' kappa (chance-corrected,
 complete rating matrices), and Krippendorff's alpha (nominal metric,
@@ -13,9 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import StanceLabel
 from .errors import InputDataError, checked_header, checked_lines
 
 RATINGS_HEADER = "item_id,rater_id,label"
+PROB_FLOOR = 1e-12
+
+
+def softmax(scores: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis."""
+    expd = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def mean_log_loss(true_probs) -> float:
+    """Mean negative log of each sample's true-class probability, floored
+    at PROB_FLOOR."""
+    return float(np.mean(-np.log(np.maximum(true_probs, PROB_FLOOR))))
 
 
 @dataclass(frozen=True)
@@ -65,8 +80,8 @@ def multiclass_report(predicted, gold, n_classes: int) -> MetricReport:
 
 
 def stance_report(predicted, gold) -> MetricReport:
-    """Four-class stance report; accepts StanceLabel values or indices."""
-    return multiclass_report(predicted, gold, n_classes=4)
+    """Report over the StanceLabel classes; accepts labels or indices."""
+    return multiclass_report(predicted, gold, n_classes=len(StanceLabel))
 
 
 # -- agreement --------------------------------------------------------------

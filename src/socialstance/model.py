@@ -9,17 +9,18 @@ Each post is first compiled into index arrays, with array operations and
 no per-node Python loop: the author's k-hop ball by frontier expansion over
 the graph's CSR arrays, the exact-distance shell edges between all pairs of
 ball nodes by one multi-source BFS over the ball's induced CSR, and each
-ball node's last history_len posts before the target's timestamp by one
-query of the corpus's history index, addressed by the corpus's join of
-graph node indices to author codes (built once per graph; the corpus also
-memoizes the posts' embeddings per provider). One batched forward,
-_batch_logits, then joins a batch of compiled posts into one block-diagonal
-graph (each ball's node indices offset by the sizes of the balls before
-it), encodes it and applies a softmax head to [z_social || z_text] at the
-author rows. Each (layer, order) shell aggregate is one fused autograd op,
-autograd.shell_aggregate. train, loss, gradients, evaluate and forward (a
-batch of one) all run it through the autograd engine, so analytic
-gradients come from the exact inference path.
+ball node's last history_len posts before the target's timestamp by the
+corpus's one batch history query, Corpus.history_at, addressed by the
+corpus's join of graph node indices to author codes (built once per graph;
+the corpus also memoizes the posts' embeddings per provider). One batched
+forward, _batch_logits, then joins a batch of compiled posts into one
+block-diagonal graph (each ball's node indices offset by the sizes of the
+balls before it), encodes it and applies a linear head to [z_social ||
+z_text] at the author rows. Each (layer, order) shell aggregate is one
+fused autograd op, autograd.shell_aggregate. train, loss, gradients,
+evaluate and forward (a batch of one) all run it through the autograd
+engine, so analytic gradients come from the exact inference path. Logits
+become probabilities through metrics.softmax, which gbdt shares.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -43,13 +44,12 @@ from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
                       init_position_weights, social_encode)
 from .errors import (InputDataError, TrainingDivergedError, checked_fields,
                      write_csv)
-from .metrics import stance_report
+from .metrics import PROB_FLOOR, softmax, stance_report
 from .socialgraph import (exact_shells, induced_csr, induced_subgraph,
                           khop_neighborhood)
 
 HISTORY_KINDS = ("pe", "mean")
-N_CLASSES = 4
-PROB_FLOOR = 1e-12
+N_CLASSES = len(StanceLabel)
 LEAKY_SLOPE = 0.2
 CHECKPOINT_VERSION = 1
 METRIC_LOG_HEADER = "epoch,train_loss,val_accuracy"
@@ -131,7 +131,7 @@ def _xavier(rng, fan_in: int, fan_out: int, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Prediction:
-    probabilities: np.ndarray  # (4,), sums to 1
+    probabilities: np.ndarray  # (N_CLASSES,), sums to 1
     label: StanceLabel
 
 
@@ -210,7 +210,6 @@ class _CompiledSample:
     n_nodes: int
     hist: np.ndarray          # (B, history_len, d); zero-padded slots
     hist_counts: np.ndarray   # (B,) available history lengths
-    z_hist_mean: np.ndarray   # (B, d) constant history means
     shell_edges: tuple        # per order: (centers, neighbors) int arrays
     z_text: np.ndarray        # (d,)
     gold: int | None
@@ -240,14 +239,12 @@ def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _Comp
     real = rows >= 0
     hist = np.zeros((ball.size, lam, config.embed_dim), dtype=np.float64)
     hist[real] = corpus.embeddings(provider, rows[real])
-    z_hist_mean = hist.sum(axis=1) / np.maximum(counts, 1)[:, None]
     return _CompiledSample(
         post_id=post.id,
         author_row=int(np.searchsorted(ball, author)),
         n_nodes=ball.size,
         hist=hist,
         hist_counts=counts,
-        z_hist_mean=z_hist_mean,
         shell_edges=shell_edges,
         z_text=np.asarray(provider.embed_post(post), dtype=np.float64),
         gold=None if post.label is None else int(post.label),
@@ -273,7 +270,7 @@ class _Shell(NamedTuple):
 
 
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
-    """Logits (S, 4) of S compiled samples, run as one disjoint-union graph.
+    """Logits (S, N_CLASSES) of S compiled samples, run as one disjoint-union graph.
 
     Each sample's ball becomes a block of rows offset by the sizes of the
     balls before it, so shell edges never cross samples and every op runs
@@ -300,14 +297,15 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
         keep = slot[centers] >= 0
         last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]],
                            len(samples)))
+    hist = np.concatenate([sample.hist for sample in samples])
     if config.history == "pe":
-        hist = np.concatenate([sample.hist for sample in samples])
         z_hist = None
         for m in range(config.history_len):
             term = ts["position_weights"][m] * Tensor(hist[:, m, :])
             z_hist = term if z_hist is None else z_hist + term
     else:
-        z_hist = Tensor(np.concatenate([sample.z_hist_mean for sample in samples]))
+        counts = np.concatenate([sample.hist_counts for sample in samples])
+        z_hist = Tensor(hist.sum(axis=1) / np.maximum(counts, 1)[:, None])
     state = z_hist @ ts["input.w"] + ts["input.b"]
     author_codes = [state[authors]]
     for layer in range(1, k + 1):
@@ -354,16 +352,9 @@ def _predicted_labels(ts, samples, config: TrainConfig) -> list:
     samples = iter(samples)
     labels = []
     while batch := list(itertools.islice(samples, config.batch_size)):
-        probs = _softmax(_batch_logits(ts, batch, config).data)
+        probs = softmax(_batch_logits(ts, batch, config).data)
         labels.extend(int(label) for label in np.argmax(probs, axis=1))
     return labels
-
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis."""
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    expd = np.exp(shifted)
-    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 # -- public inference --------------------------------------------------------
@@ -378,7 +369,7 @@ def forward(post, graph, corpus, provider, params: ModelParams,
     """
     sample = _compile_sample(post, graph, corpus, provider, config)
     ts = _make_tensors(params, requires_grad=False)
-    probs = _softmax(_batch_logits(ts, [sample], config).data[0])
+    probs = softmax(_batch_logits(ts, [sample], config).data[0])
     return Prediction(probabilities=probs, label=StanceLabel(int(np.argmax(probs))))
 
 
@@ -450,7 +441,7 @@ def reference_probabilities(post, graph, corpus, provider, params: ModelParams,
                           kind=config.aggregator)
     z = np.concatenate([codes[sub.index(post.author_id)], provider.embed_post(post)])
     logits = np.maximum(z, 0.0) @ params.tensors["head.w"] + params.tensors["head.b"]
-    return _softmax(logits)
+    return softmax(logits)
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -541,28 +532,31 @@ def train(corpus, graph, provider, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     logs = []
     best_acc, best_params = -1.0, None
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(train_samples))
-        batch_losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_samples[i] for i in order[start:start + config.batch_size]]
-            ts = _make_tensors(params, requires_grad=True)
-            try:
-                batch_loss, grads = _gradients_from_samples(ts, batch, config)
-            except ValueError as exc:
-                raise TrainingDivergedError(epoch, str(exc)) from None
-            adam_step(params.tensors, grads, state, config.learning_rate,
-                      config.weight_decay)
-            batch_losses.append(batch_loss)
-        eval_ts = _make_tensors(params, requires_grad=False)
-        predicted = _predicted_labels(eval_ts, val_samples, config)
-        hits = sum(label == sample.gold for label, sample in zip(predicted, val_samples))
-        val_acc = hits / len(val_samples)
-        logs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(batch_losses)),
-                               val_accuracy=val_acc))
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_params = params.copy()
+    # A diverging run overflows; the finite checks of the loss and the
+    # gradients report that once, instead of a warning per operation.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = rng.permutation(len(train_samples))
+            batch_losses = []
+            for start in range(0, len(order), config.batch_size):
+                batch = [train_samples[i] for i in order[start:start + config.batch_size]]
+                ts = _make_tensors(params, requires_grad=True)
+                try:
+                    batch_loss, grads = _gradients_from_samples(ts, batch, config)
+                except ValueError as exc:
+                    raise TrainingDivergedError(epoch, str(exc)) from None
+                adam_step(params.tensors, grads, state, config.learning_rate,
+                          config.weight_decay)
+                batch_losses.append(batch_loss)
+            eval_ts = _make_tensors(params, requires_grad=False)
+            predicted = _predicted_labels(eval_ts, val_samples, config)
+            hits = sum(label == sample.gold for label, sample in zip(predicted, val_samples))
+            val_acc = hits / len(val_samples)
+            logs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(batch_losses)),
+                                   val_accuracy=val_acc))
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_params = params.copy()
     params.load_from(best_params)
     return params, logs
 
@@ -701,4 +695,4 @@ def train_text_baseline(posts, provider, config: TrainConfig, epochs: int = 300,
 
 def classify_text_baseline(baseline, post, provider) -> StanceLabel:
     logits = provider.embed_post(post) @ baseline["w"] + baseline["b"]
-    return StanceLabel(int(np.argmax(_softmax(logits))))
+    return StanceLabel(int(np.argmax(softmax(logits))))

@@ -104,6 +104,9 @@ class WeightedGraph:
         return [(names[u], names[v], w)
                 for u, v, w in zip(us.tolist(), vs.tolist(), self.weights.tolist())]
 
+    def __len__(self):
+        return len(self.nodes)
+
     def n_edges(self):
         return len(self.keys)
 
@@ -475,10 +478,7 @@ class GraphStats:
 
 def graph_stats(graph) -> GraphStats:
     """Node count, edge count, and mean degree of either graph type."""
-    if isinstance(graph, SocialGraph):
-        n, e = len(graph), graph.n_edges()
-    else:
-        n, e = len(graph.nodes), graph.n_edges()
+    n, e = len(graph), graph.n_edges()
     avg = (2.0 * e / n) if n else 0.0
     return GraphStats(n_nodes=n, n_edges=e, avg_degree=avg)
 

@@ -8,7 +8,9 @@ invocations produce byte-identical files and stdout).
 import contextlib
 import io
 import json
+import re
 import tempfile
+import warnings
 import zipfile
 from pathlib import Path
 
@@ -224,6 +226,15 @@ class TestTrain:
         assert main(["train", "--config", str(cfg)]) == 3
         assert "training diverged" in capsys.readouterr().err
 
+    def test_divergence_prints_one_line(self, world, tmp_path, capsys):
+        cfg = write_config(tmp_path / "t.cfg", world, learning_rate=1e300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train", "--config", str(cfg)]) == 3
+        assert [str(w.message) for w in caught] == []
+        assert re.fullmatch(r"error: training diverged at epoch \d+: non-finite loss\n",
+                            capsys.readouterr().err)
+
 
 @pytest.fixture(scope="module")
 def checkpoint(world, tmp_path_factory):
@@ -357,6 +368,29 @@ class TestClassify:
                      "--embeddings", str(world["embeddings"]),
                      "--interactions", str(world["interactions"])])
         assert_input_error(code, capsys, "parameter 'head.b' is not finite")
+
+    def test_overflowing_checkpoint_exit_2(self, world, checkpoint, tmp_path, capsys):
+        # Every parameter stays finite, so the checkpoint loads; the forward
+        # pass overflows.
+        with np.load(checkpoint) as data:
+            arrays = {key: value * 1e300 if key.startswith("param:") else value
+                      for key, value in data.items()}
+        bad = tmp_path / "model.npz"
+        np.savez(bad, **arrays)
+        out = tmp_path / "pred.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["classify", "--checkpoint", str(bad),
+                         "--posts", str(world["posts"]),
+                         "--embeddings", str(world["embeddings"]),
+                         "--interactions", str(world["interactions"]),
+                         "--out", str(out)])
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1
+        assert err.startswith("error: post 'u0h': class probabilities are not finite")
+        assert not out.exists()
 
     def test_missing_checkpoint_named_exit_2(self, world, tmp_path, capsys):
         code = main(["classify", "--checkpoint", str(tmp_path / "x.npz"),
@@ -733,6 +767,20 @@ def test_non_string_post_ids_exit_2(tmp_path, capsys, field, value):
                                  field: value}) + "\n", encoding="utf-8")
     code = main(["track", "--posts", str(posts), "--start", "0", "--end", "10"])
     assert_input_error(code, capsys, "line 1: ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=_post_files, bounds=st.lists(
+    st.sampled_from(["0", "1", "100", str(DAY), str(3 * DAY), "1970-01-02", "x"]),
+    min_size=2, max_size=2), margin=st.integers(-2, 3))
+def test_hesitancy_period_on_arbitrary_posts(data, bounds, margin):
+    with tempfile.TemporaryDirectory() as root:
+        posts = Path(root) / "posts.jsonl"
+        posts.write_bytes(data)
+        run_quietly(["hesitancy", "--posts", str(posts),
+                     "--period-start", bounds[0], "--period-end", bounds[1],
+                     "--margin-days", str(margin), "--min-posts", "1",
+                     "--out", str(Path(root) / "out.csv")])
 
 
 class TestHesitancy:

@@ -24,6 +24,7 @@ from socialstance.corpus import (
     write_posts,
 )
 from socialstance.errors import InputDataError
+from socialstance.socialgraph import SocialGraph
 
 
 def make_post(pid, user="u1", ts=0, text="hello", **kw):
@@ -411,12 +412,14 @@ class TestHistoryQuery:
     @given(history_corpora(), st.integers(0, 4))
     def test_matches_bisect(self, posts, limit):
         corpus = Corpus(posts)
-        users = ["u1", "u2", "u3", "ghost"]
+        # The query takes author codes; a graph's nodes give them.
+        graph = SocialGraph([("u1", "u2")], nodes=["u1", "u2", "u3", "ghost"])
+        users = graph.node_ids
         cutoffs = {-2 * BIG, 2 * BIG}
         for p in posts:
             cutoffs |= {p.timestamp - 1, p.timestamp, p.timestamp + 1}
         for before in sorted(cutoffs):
-            rows, counts = corpus.history(users, before, limit)
+            rows, counts = corpus.history_at(corpus.graph_authors(graph), before, limit)
             assert rows.shape == (len(users), limit)
             for user, row, count in zip(users, rows, counts):
                 expected = bisect_recent(posts, user, before, limit)

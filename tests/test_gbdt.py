@@ -17,13 +17,11 @@ from socialstance.errors import InputDataError
 from socialstance.gbdt import (
     GbdtConfig,
     GbdtModel,
-    PROB_FLOOR,
     RegressionTree,
     TreeNode,
     _MIN_GAIN,
     _best_split,
     _leaf_value,
-    _softmax_rows,
     decision_scores,
     evaluate,
     fit,
@@ -38,6 +36,7 @@ from socialstance.gbdt import (
     training_csv_header,
     write_training_csv,
 )
+from socialstance.metrics import PROB_FLOOR, softmax
 from socialstance.hesitancy import ChangeLabel
 
 
@@ -109,7 +108,7 @@ def reference_fit(features, labels, config, n_classes=3):
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
     for _ in range(config.rounds):
-        residuals = onehot - _softmax_rows(scores)
+        residuals = onehot - softmax(scores)
         round_trees = []
         for c in range(n_classes):
             tree = RegressionTree(reference_grow_tree(

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 
 from socialstance import autograd as ag
 from socialstance.autograd import Tensor
-from socialstance.corpus import Corpus, Post, StanceLabel
+from socialstance.corpus import Corpus, Post, StanceLabel, recent_posts
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
 from socialstance.encoder import AGGREGATOR_KINDS
@@ -508,8 +508,8 @@ def join_world():
 
 class TestGraphCorpusJoin:
     """_compile_sample reads history through the corpus's per-graph join of
-    node indices to authors; it must gather what the name-based history
-    query gives for the ball's node names."""
+    node indices to authors; it must gather what recent_posts gives for the
+    ball's node names."""
 
     def assert_compiles_as_by_name(self, graph, corpus, author, k=2, lam=2):
         encoder = HashedNgramEncoder(dim=4)
@@ -517,11 +517,12 @@ class TestGraphCorpusJoin:
         sample = _compile_sample(target, graph, corpus, encoder,
                                  small_config(hops=k, history_len=lam, embed_dim=4))
         names = sorted(khop_neighborhood(graph, author, k))
-        rows, counts = corpus.history(names, target.timestamp, lam)
+        recent = [recent_posts(corpus, name, target.timestamp, lam) for name in names]
+        counts = np.array([len(posts) for posts in recent])
         hist = np.zeros((len(names), lam, 4))
-        for (i, m), r in np.ndenumerate(rows):
-            if r >= 0:
-                hist[i, m] = encoder.embed_post(corpus.posts[r])
+        for i, posts in enumerate(recent):
+            for m, past in enumerate(posts):
+                hist[i, m] = encoder.embed_post(past)
         assert np.array_equal(sample.hist_counts, counts)
         assert np.array_equal(sample.hist, hist)
         _, shells = oracle_compile(graph.node_ids, graph.edges(), author, k)

@@ -433,11 +433,12 @@ class TestBuildSocialGraph:
 
 class TestStats:
     def test_hand_counts(self):
-        g = SocialGraph([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "iso"])
-        stats = graph_stats(g)
-        assert stats.n_nodes == 4
-        assert stats.n_edges == 2
-        assert stats.avg_degree == pytest.approx(4 / 4)
+        for graph_type in (SocialGraph, WeightedGraph):
+            g = graph_type([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "iso"])
+            stats = graph_stats(g)
+            assert stats.n_nodes == 4
+            assert stats.n_edges == 2
+            assert stats.avg_degree == pytest.approx(4 / 4)
 
 
 # -- generative: chunked loading and array counting vs line-by-line + dicts ----
