@@ -3,9 +3,17 @@
 Just enough operator coverage for the stance model: broadcast arithmetic,
 matmul, indexing/gather, concat, segment sums, the pointwise functions the
 encoder and head use, and one fused op for a graph shell's attention or mean
-pooling (shell_aggregate). Graphs are built per call and discarded, so there
-is no grad zeroing; backward() topologically sorts the tape iteratively
-(sample graphs are deep enough to overflow Python's recursion limit).
+pooling (shell_aggregate).
+
+Each op is its forward value plus one vector-Jacobian product (VJP) per
+input, the map from the output's gradient g to that input's share of it.
+One-input ops are built by _unary, two-input ops by _binary, which sums
+each VJP back over broadcast axes. Every gather's VJP scatters through
+_scatter_add, one flat bincount that sums each bucket in row order.
+
+Graphs are built per call and discarded, so there is no grad zeroing;
+backward() topologically sorts the tape iteratively (sample graphs are
+deep enough to overflow Python's recursion limit).
 """
 
 import math
@@ -40,12 +48,6 @@ def _scatter_add(values, index, num_rows):
     flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
-
-
-def _is_fancy(key):
-    if isinstance(key, tuple):
-        return any(isinstance(k, (np.ndarray, list)) for k in key)
-    return isinstance(key, (np.ndarray, list))
 
 
 class Tensor:
@@ -134,88 +136,73 @@ def _node(data, parents, backward) -> Tensor:
     return out
 
 
-def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+def _unary(t: Tensor, value, vjp) -> Tensor:
+    """The node of value over the one input t, whose gradient is vjp(g)."""
+    return _node(value, (t,), lambda g: t._accumulate(vjp(g)))
+
+
+def _binary(a: Tensor, b: Tensor, value, vjp_a, vjp_b) -> Tensor:
+    """The node of value over inputs a and b; each VJP's result is summed
+    over the axes its operand was broadcast along."""
 
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+        for t, vjp in ((a, vjp_a), (b, vjp_b)):
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(vjp(g), t.data.shape))
 
-    return _node(a.data + b.data, (a, b), backward)
+    return _node(value, (a, b), backward)
+
+
+def add(a, b) -> Tensor:
+    a, b = as_tensor(a), as_tensor(b)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward)
+    return _binary(a, b, a.data * b.data,
+                   lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(a.data / b.data, (a, b), backward)
+    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+                   lambda g: -g * a.data / (b.data * b.data))
 
 
 def matmul(a, b) -> Tensor:
+    """a @ b of 1-D or 2-D operands.
+
+    The VJPs take a 1-D a as one row (np.atleast_2d) and a 1-D b as one
+    column (np.atleast_2d of its transpose), so every product is 2-D by
+    2-D. The reshapes stay in the VJPs, off the forward.
+    """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
-    if ad.ndim > 2 or bd.ndim > 2:
+    if not (0 < ad.ndim <= 2 and 0 < bd.ndim <= 2):
         raise ValueError("matmul supports 1-D and 2-D operands only")
 
-    def backward(g):
-        if a.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 1:
-                a._accumulate(g * bd)
-            elif ad.ndim == 1:
-                a._accumulate(bd @ g)
-            elif bd.ndim == 1:
-                a._accumulate(np.outer(g, bd))
-            else:
-                a._accumulate(g @ bd.T)
-        if b.requires_grad:
-            if ad.ndim == 1 and bd.ndim == 1:
-                b._accumulate(g * ad)
-            elif ad.ndim == 1:
-                b._accumulate(np.outer(ad, g))
-            elif bd.ndim == 1:
-                b._accumulate(ad.T @ g)
-            else:
-                b._accumulate(ad.T @ g)
+    def grad_2d(g):  # g as (rows of a, columns of b)
+        return g.reshape(len(np.atleast_2d(ad)), len(np.atleast_2d(bd.T)))
 
-    return _node(ad @ bd, (a, b), backward)
+    return _binary(a, b, ad @ bd,
+                   lambda g: (grad_2d(g) @ np.atleast_2d(bd.T)).reshape(ad.shape),
+                   lambda g: (np.atleast_2d(ad).T @ grad_2d(g)).reshape(bd.shape))
 
 
 def getitem(t: Tensor, key) -> Tensor:
-    def backward(g):
-        if isinstance(key, np.ndarray) and key.dtype.kind in "iu":
-            rows = t.data.shape[0]
-            index = key.reshape(-1)
-            index = np.where(index < 0, index + rows, index)  # count from the end
-            t._accumulate(_scatter_add(g.reshape(index.shape + t.data.shape[1:]),
-                                      index, rows))
-            return
-        buf = np.zeros_like(t.data)
-        if _is_fancy(key):
-            np.add.at(buf, key, g)
-        else:
-            buf[key] += g
-        t._accumulate(buf)
+    """t.data[key] for any numpy key: ints, slices, masks, index arrays.
 
-    return _node(t.data[key], (t,), backward)
+    The VJP gathers the flat positions of the selected elements with the
+    same key and scatters g onto them, so repeated positions accumulate.
+    """
+    shape = t.data.shape
+
+    def vjp(g):
+        positions = np.arange(t.data.size).reshape(shape)[key]
+        return _scatter_add(np.ravel(g), np.ravel(positions), t.data.size).reshape(shape)
+
+    return _unary(t, t.data[key], vjp)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -236,90 +223,47 @@ def concat(tensors, axis: int = 0) -> Tensor:
 def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
     """Sum rows of t into num_segments buckets; empty buckets stay zero."""
     t = as_tensor(t)
-    out = _scatter_add(t.data, segment_ids, num_segments)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g[segment_ids])
-
-    return _node(out, (t,), backward)
+    return _unary(t, _scatter_add(t.data, segment_ids, num_segments),
+                  lambda g: g[segment_ids])
 
 
 def relu(t) -> Tensor:
     t = as_tensor(t)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * (t.data > 0))
-
-    return _node(np.maximum(t.data, 0.0), (t,), backward)
+    return _unary(t, np.maximum(t.data, 0.0), lambda g: g * (t.data > 0))
 
 
 def leaky_relu(t, slope: float) -> Tensor:
     t = as_tensor(t)
-    scale = np.where(t.data > 0, 1.0, slope)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * scale)
-
-    return _node(np.where(t.data > 0, t.data, slope * t.data), (t,), backward)
+    return _unary(t, np.where(t.data > 0, t.data, slope * t.data),
+                  lambda g: g * np.where(t.data > 0, 1.0, slope))
 
 
 def exp(t) -> Tensor:
     t = as_tensor(t)
-    out_data = np.exp(t.data)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * out_data)
-
-    return _node(out_data, (t,), backward)
+    out = np.exp(t.data)
+    return _unary(t, out, lambda g: g * out)
 
 
 def log(t) -> Tensor:
     t = as_tensor(t)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g / t.data)
-
-    return _node(np.log(t.data), (t,), backward)
+    return _unary(t, np.log(t.data), lambda g: g / t.data)
 
 
 def clip_min(t, floor: float) -> Tensor:
     """Elementwise max(t, floor); gradient flows only where t > floor."""
     t = as_tensor(t)
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g * (t.data > floor))
-
-    return _node(np.maximum(t.data, floor), (t,), backward)
+    return _unary(t, np.maximum(t.data, floor), lambda g: g * (t.data > floor))
 
 
 def tsum(t, axis=None) -> Tensor:
     t = as_tensor(t)
-
-    def backward(g):
-        if t.requires_grad:
-            if axis is None:
-                t._accumulate(np.broadcast_to(g, t.data.shape).copy())
-            else:
-                t._accumulate(np.broadcast_to(np.expand_dims(g, axis), t.data.shape).copy())
-
-    return _node(t.data.sum(axis=axis), (t,), backward)
+    return _unary(t, t.data.sum(axis=axis), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), t.data.shape).copy())
 
 
 def reshape(t, shape) -> Tensor:
     t = as_tensor(t)
-    old_shape = t.data.shape
-
-    def backward(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(old_shape))
-
-    return _node(t.data.reshape(shape), (t,), backward)
+    return _unary(t, t.data.reshape(shape), lambda g: g.reshape(t.data.shape))
 
 
 def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:

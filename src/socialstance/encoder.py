@@ -22,6 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 AGGREGATOR_KINDS = ("gat", "gcn")
+LEAKY_SLOPE = 0.2  # negative-side slope of the attention scores' LeakyReLU
+
+
+def code_dim(hidden_dim: int, hops: int) -> int:
+    """Width h * (1 + k^2) of the final per-node code [H^0 || ... || H^k]."""
+    return hidden_dim * (1 + hops ** 2)
 
 
 def init_position_weights(history_len: int) -> np.ndarray:
@@ -85,7 +91,7 @@ class AggregateParams:
 
     w_proj: np.ndarray
     attn: np.ndarray
-    leaky_slope: float = 0.2
+    leaky_slope: float = LEAKY_SLOPE
 
     def __post_init__(self):
         self.w_proj = np.asarray(self.w_proj, dtype=np.float64)
@@ -234,7 +240,7 @@ class EncoderParams:
 
     @property
     def out_dim(self) -> int:
-        return self.hidden_dim * (1 + self.hops ** 2)
+        return code_dim(self.hidden_dim, self.hops)
 
 
 def social_encode(graph, z_hist: np.ndarray, params: EncoderParams,

@@ -154,7 +154,11 @@ def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = 3):
 
 
 def _day_of(timestamp: int):
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
+    try:
+        return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
+    except (ValueError, OverflowError, OSError):
+        raise InputDataError(f"timestamp {timestamp} is out of range "
+                             "for a UTC date") from None
 
 
 def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:

@@ -39,9 +39,10 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import StanceLabel, recent_posts
-from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
-                      aggregate_history_mean, aggregate_history_pe,
-                      init_position_weights, social_encode)
+from .encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams,
+                      EncoderParams, aggregate_history_mean,
+                      aggregate_history_pe, code_dim, init_position_weights,
+                      social_encode)
 from .errors import (InputDataError, TrainingDivergedError, checked_fields,
                      write_csv)
 from .metrics import PROB_FLOOR, softmax, stance_report
@@ -50,7 +51,7 @@ from .socialgraph import (exact_shells, induced_csr, induced_subgraph,
 
 HISTORY_KINDS = ("pe", "mean")
 N_CLASSES = len(StanceLabel)
-LEAKY_SLOPE = 0.2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CHECKPOINT_VERSION = 1
 METRIC_LOG_HEADER = "epoch,train_loss,val_accuracy"
 
@@ -143,7 +144,7 @@ class EpochStats:
 
 
 def social_code_dim(config: TrainConfig) -> int:
-    return config.hidden_dim * (1 + config.hops ** 2)
+    return code_dim(config.hidden_dim, config.hops)
 
 
 class ModelParams:
@@ -192,7 +193,6 @@ class ModelParams:
                 AggregateParams(
                     w_proj=self.tensors[f"layer{layer}.order{order}.w"],
                     attn=self.tensors[f"layer{layer}.order{order}.a"],
-                    leaky_slope=LEAKY_SLOPE,
                 )
                 for order in range(1, k + 1)
             ])
@@ -460,9 +460,9 @@ class AdamState:
 
 
 def adam_step(tensors: dict, grads: dict, state: AdamState, learning_rate: float,
-              weight_decay: float = 0.0, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
-    """One in-place Adam update with decoupled weight decay.
+              weight_decay: float = 0.0) -> None:
+    """One in-place Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) with
+    decoupled weight decay.
 
     Decay shrinks the parameter before the moment update (theta -=
     lr * wd * theta), so it never enters the moment estimates.
@@ -473,11 +473,11 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, learning_rate: float
         grad = grads[name]
         if weight_decay:
             arr -= learning_rate * weight_decay * arr
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * grad
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * grad * grad
-        m_hat = state.m[name] / (1.0 - beta1 ** t)
-        v_hat = state.v[name] / (1.0 - beta2 ** t)
-        arr -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1.0 - ADAM_BETA1) * grad
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = state.m[name] / (1.0 - ADAM_BETA1 ** t)
+        v_hat = state.v[name] / (1.0 - ADAM_BETA2 ** t)
+        arr -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 # -- data splitting ----------------------------------------------------------

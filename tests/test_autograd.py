@@ -102,6 +102,11 @@ class TestMatmul:
         with pytest.raises(ValueError):
             ag.matmul(a, b)
 
+    @pytest.mark.parametrize("sa, sb", [((), (2,)), ((2,), ()), ((), ())])
+    def test_scalar_rejected(self, sa, sb):
+        with pytest.raises(ValueError):
+            ag.matmul(ag.Tensor(np.ones(sa)), ag.Tensor(np.ones(sb)))
+
 
 class TestGatherScatter:
     def test_getitem_repeated_rows_accumulate(self):
@@ -183,6 +188,32 @@ class TestScatterMatchesAddAt:
         x = ag.Tensor(np.zeros((num_rows,) + upstream.shape[1:]), requires_grad=True)
         ag.tsum(ag.mul(ag.getitem(x, index), ag.Tensor(upstream))).backward()
         want = add_at_oracle(upstream, index, num_rows)
+        assert x.grad.shape == want.shape
+        assert x.grad.tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("shape, key", [
+        ((4, 3), (np.array([0, 2, 2, 3, 0, 2]), np.array([1, 0, 0, 2, 1, 0]))),
+        ((5,), 3),
+        ((4, 3), 2),
+        ((4, 3), np.array([-1, 0, -1, -4, 3, -1])),
+        ((4, 3), (np.array([-1, 1, -1, 3]), -2)),
+        ((6, 2), slice(1, None, 2)),
+        ((4, 3), np.array([True, False, True, True])),
+        ((4, 3), np.arange(12).reshape(4, 3) % 5 < 2),
+    ], ids=["rows-cols", "int-of-1d", "int-of-2d", "negative", "negative-pair",
+            "slice", "row-mask", "element-mask"])
+    def test_getitem_backward_key_kinds(self, shape, key):
+        """Every key kind goes through the one scatter. The index keys
+        pick some element three or more times, so a change of summation
+        order shows in the last bits."""
+        rng = np.random.default_rng(11)
+        x = ag.Tensor(np.zeros(shape), requires_grad=True)
+        picked = ag.getitem(x, key)
+        upstream = rng.standard_normal(picked.data.shape)
+        ag.tsum(ag.mul(picked, ag.Tensor(upstream))).backward()
+        want = np.zeros(shape)
+        np.add.at(want, key, upstream)
         assert x.grad.shape == want.shape
         assert x.grad.tobytes() == want.tobytes()
 

@@ -455,6 +455,16 @@ class TestTrack:
                      "--end", "later"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("start, end", [
+        ("0", "100000000000000"),
+        ("0", "100000000000000000000"),
+        ("-100000000000000", "10"),
+    ])
+    def test_undatable_bound_exit_2(self, tmp_path, capsys, start, end):
+        posts = self.make_posts(tmp_path)
+        code = main(["track", "--posts", str(posts), "--start", start, "--end", end])
+        assert_input_error(code, capsys, "timestamp")
+
     def test_missing_posts_file_named_exit_2(self, tmp_path, capsys):
         code = main(["track", "--posts", str(tmp_path / "missing.jsonl"),
                      "--start", "0", "--end", "10"])
