@@ -31,11 +31,9 @@ from .model import (ModelParams, Prediction, TrainConfig, classify, evaluate,
                     forward, load_checkpoint, save_checkpoint, split_dataset,
                     sweep, train)
 from .socialgraph import (InteractionRecord, Interactions, SocialGraph,
-                          WeightedGraph, build_interaction_graph,
-                          build_social_graph,
-                          exact_order_neighborhood, induced_subgraph,
-                          khop_neighborhood,
-                          largest_weakly_connected_component, prune_edges)
+                          build_social_graph, exact_order_neighborhood,
+                          induced_subgraph, khop_neighborhood,
+                          largest_weakly_connected_component)
 
 __version__ = "0.1.0"
 

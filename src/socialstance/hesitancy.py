@@ -153,12 +153,14 @@ def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = 3):
     return set(window_scores(corpus, start, end, min_posts))
 
 
-def _day_of(timestamp: int):
+def _day_of(timestamp: int, named: int = None):
+    """The UTC date of timestamp. An undatable one raises InputDataError
+    naming `named` (default: timestamp), the bound the caller was given."""
     try:
         return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
     except (ValueError, OverflowError, OSError):
-        raise InputDataError(f"timestamp {timestamp} is out of range "
-                             "for a UTC date") from None
+        raise InputDataError(f"timestamp {timestamp if named is None else named} "
+                             "is out of range for a UTC date") from None
 
 
 def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
@@ -171,7 +173,7 @@ def daily_label_proportions(corpus: Corpus, start: int, end: int) -> dict:
     tallies = _label_counts(corpus.posts, start, end,
                             lambda post: _day_of(post.timestamp))
     out = {}
-    cursor, last = _day_of(start), _day_of(end - 1)
+    cursor, last = _day_of(start), _day_of(end - 1, named=end)
     while cursor <= last:
         counts = tallies.get(cursor)
         out[cursor.isoformat()] = {

@@ -2,20 +2,19 @@
 
 load_interactions reads the interaction CSV in chunks of lines into a
 columnar :class:`Interactions` table, users coded to sorted integer ids;
-one row function checks each line. The pipeline is: count interactions per
-unordered user pair (one sort of integer pair keys) into a weighted
-undirected graph, prune weak edges (a mask over the pairs), keep the
-largest connected component, then (optionally) restrict a follower edge
-list to those core users and keep its largest component. The result is a
-:class:`SocialGraph`, index arrays in CSR form, the input the stance
-encoder aggregates over. Balls and exact-distance shells all come from one
-vectorized frontier BFS, :func:`exact_shells`, which sample compilation
-also runs inside each ball; components come from vectorized min-label
-hooking (FastSV).
+one row function checks each line. build_social_graph works on those
+integer pairs: it counts interactions per unordered user pair (one sort of
+pair keys), drops weak pairs (a mask over the counts), builds the graph of
+the rest and keeps its largest connected component, then (optionally)
+restricts a follower edge list to those core users and keeps its largest
+component. There is one graph type, :class:`SocialGraph`, index arrays in
+CSR form, the input the stance encoder aggregates over. Balls and
+exact-distance shells all come from one vectorized frontier BFS,
+:func:`exact_shells`, which sample compilation also runs inside each ball;
+components come from vectorized min-label hooking (FastSV).
 """
 
 import operator
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,51 +69,6 @@ class Interactions(Sequence):
         if not isinstance(other, Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-
-class WeightedGraph:
-    """Undirected graph with integer edge weights (interaction counts).
-
-    nodes is the sorted tuple of node ids. Edge (nodes[u], nodes[v]), u < v,
-    is the key u * len(nodes) + v; keys is sorted and weights[i] is the
-    weight of keys[i]. Each (u, v) pair of `edges` counts once, in either
-    direction; self-edges are an error.
-    """
-
-    def __init__(self, edges=(), nodes=()):
-        self.nodes, us, vs = _code_pairs(edges, nodes)
-        self.keys, self.weights = _count_pairs(len(self.nodes), us, vs)
-
-    def _code(self, node):
-        i = bisect_left(self.nodes, node)
-        return i if i < len(self.nodes) and self.nodes[i] == node else None
-
-    def weight(self, u, v):
-        i, j = self._code(u), self._code(v)
-        if i is None or j is None:
-            return 0
-        key = min(i, j) * len(self.nodes) + max(i, j)
-        k = int(np.searchsorted(self.keys, key))
-        return int(self.weights[k]) if k < len(self.keys) and self.keys[k] == key else 0
-
-    def edges(self):
-        """(u, v, weight) triples with u < v, sorted."""
-        us, vs = np.divmod(self.keys, max(len(self.nodes), 1))
-        names = self.nodes
-        return [(names[u], names[v], w)
-                for u, v, w in zip(us.tolist(), vs.tolist(), self.weights.tolist())]
-
-    def __len__(self):
-        return len(self.nodes)
-
-    def n_edges(self):
-        return len(self.keys)
-
-
-def _weighted_graph(nodes, keys, weights) -> WeightedGraph:
-    graph = WeightedGraph.__new__(WeightedGraph)
-    graph.nodes, graph.keys, graph.weights = nodes, keys, weights
-    return graph
 
 
 def _code_pairs(edges, nodes=()):
@@ -197,50 +151,30 @@ def _follower_row(line):
     return tuple(parts)
 
 
-def load_follower_edges(path):
-    """Read (u, v) follower pairs from CSV with header u,v."""
+def _edge_row(line):
+    u, v = _follower_row(line)
+    if u == v:
+        raise InputDataError(f"self-edge {u!r}")
+    return u, v
+
+
+def _read_pairs(path, row):
     with open(path, encoding="utf-8") as fh:
         checked_header(fh, FOLLOWER_HEADER)
-        return checked_lines(fh, _follower_row, 2)
+        return checked_lines(fh, row, 2)
 
 
-def build_interaction_graph(records) -> WeightedGraph:
-    """Count interactions per unordered user pair into edge weights.
+def load_follower_edges(path):
+    """Read (u, v) follower pairs from CSV with header u,v."""
+    return _read_pairs(path, _follower_row)
 
-    records is an Interactions table or any iterable of InteractionRecords;
-    self-interactions are skipped.
+
+def largest_weakly_connected_component(graph: "SocialGraph") -> "SocialGraph":
+    """The subgraph induced by the largest connected component of graph.
+
+    Size ties break toward the component containing the smallest node id,
+    so the choice is deterministic.
     """
-    if isinstance(records, Interactions):
-        nodes, us, vs = records.names, records.source, records.target
-    else:
-        nodes, us, vs = _code_pairs((r.source, r.target) for r in records
-                                    if r.source != r.target)
-    return _weighted_graph(nodes, *_count_pairs(len(nodes), us, vs))
-
-
-def prune_edges(graph: WeightedGraph, min_weight: int = 2) -> WeightedGraph:
-    """Keep edges with weight >= min_weight; every node is retained.
-
-    min_weight=1 is the identity. Nodes whose edges are all pruned stay in
-    the graph as isolated nodes; component extraction decides their fate.
-    """
-    if not min_weight >= 1:
-        raise InputDataError("min_weight must be >= 1")
-    keep = graph.weights >= min_weight
-    return _weighted_graph(graph.nodes, graph.keys[keep], graph.weights[keep])
-
-
-def largest_weakly_connected_component(graph) -> "SocialGraph":
-    """Induced subgraph on the largest component, as a SocialGraph.
-
-    Accepts a WeightedGraph or a SocialGraph; edge weights are not carried
-    over (the encoder treats the graph as unweighted). Size ties break
-    toward the component containing the smallest node id, so the choice is
-    deterministic.
-    """
-    if not isinstance(graph, SocialGraph):
-        weighted, graph = graph, SocialGraph.__new__(SocialGraph)
-        graph._build(weighted.nodes, *np.divmod(weighted.keys, max(len(weighted.nodes), 1)))
     if not len(graph):
         raise InputDataError("empty graph")
     labels = _component_labels(graph.indptr, graph.indices)
@@ -446,16 +380,27 @@ def induced_subgraph(graph: SocialGraph, nodes) -> SocialGraph:
 def build_social_graph(records, follower_edges=None, min_weight: int = 2) -> SocialGraph:
     """End-to-end graph construction.
 
-    Interaction counting, edge pruning at min_weight, and largest-component
-    extraction come first; records is an Interactions table or a sequence
-    of InteractionRecords. When follower_edges is given, those edges are
-    restricted to the interaction core's users and the largest component of
-    that follower graph becomes the result; follower direction is ignored.
+    records is an Interactions table or a sequence of InteractionRecords
+    (self-interactions skipped). Interactions are counted per unordered user
+    pair, pairs seen fewer than min_weight times are dropped (their users
+    stay until the component step), and the largest component of what is
+    left is the interaction core. When follower_edges is given, those edges
+    are restricted to the core's users and the largest component of that
+    follower graph becomes the result; follower direction is ignored.
     """
     if not records:
         raise InputDataError("no interaction records")
-    interaction = build_interaction_graph(records)
-    core = largest_weakly_connected_component(prune_edges(interaction, min_weight))
+    if not min_weight >= 1:
+        raise InputDataError("min_weight must be >= 1")
+    if isinstance(records, Interactions):
+        names, us, vs = records.names, records.source, records.target
+    else:
+        names, us, vs = _code_pairs((r.source, r.target) for r in records
+                                    if r.source != r.target)
+    keys, counts = _count_pairs(len(names), us, vs)
+    core = SocialGraph.__new__(SocialGraph)
+    core._build(names, *np.divmod(keys[counts >= min_weight], max(len(names), 1)))
+    core = largest_weakly_connected_component(core)
     if follower_edges is None:
         return core
     keep = set(core.node_ids)
@@ -476,15 +421,16 @@ class GraphStats:
                 "avg_degree": self.avg_degree}
 
 
-def graph_stats(graph) -> GraphStats:
-    """Node count, edge count, and mean degree of either graph type."""
+def graph_stats(graph: SocialGraph) -> GraphStats:
+    """Node count, edge count, and mean degree of a SocialGraph."""
     n, e = len(graph), graph.n_edges()
     avg = (2.0 * e / n) if n else 0.0
     return GraphStats(n_nodes=n, n_edges=e, avg_degree=avg)
 
 
 def write_edge_list(graph: SocialGraph, path) -> None:
-    """Write the undirected edge list as CSV with header u,v."""
+    """Write the undirected edge list as CSV with header u,v, one line per
+    edge (u < v; a SocialGraph has no self-edges)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FOLLOWER_HEADER + "\n")
         for u, v in graph.edges():
@@ -501,10 +447,11 @@ def write_nodes(graph: SocialGraph, path) -> None:
 def load_edge_list(path, nodes_path=None) -> SocialGraph:
     """Rebuild a SocialGraph from a write_edge_list file.
 
-    A nodes file restores isolated nodes the edge list cannot carry.
+    A nodes file restores isolated nodes the edge list cannot carry. A
+    self-edge line raises InputDataError with its line number.
     """
     nodes = ()
     if nodes_path is not None:
         with open(nodes_path, encoding="utf-8") as fh:
             nodes = [line.strip() for line in fh if line.strip()]
-    return SocialGraph(load_follower_edges(path), nodes=nodes)
+    return SocialGraph(_read_pairs(path, _edge_row), nodes=nodes)

@@ -285,6 +285,17 @@ class TestClassify:
         capsys.readouterr()
         assert len(out.read_text().splitlines()) == 17
 
+    def test_self_edge_in_edge_list_exit_2(self, world, checkpoint, edge_list,
+                                           tmp_path, capsys):
+        lines = edge_list.read_text().splitlines() + ["u3,u3"]
+        edges = tmp_path / "edges.csv"
+        edges.write_text("\n".join(lines) + "\n")
+        code = main(["classify", "--checkpoint", str(checkpoint),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--edges", str(edges)])
+        assert_input_error(code, capsys, f"line {len(lines)}: self-edge 'u3'")
+
     def test_unknown_authors_skipped_all_empty_exit_4(self, world, checkpoint,
                                                       tmp_path, capsys):
         stray = Corpus([Post(id="x1", author_id="stranger", timestamp=0,
@@ -463,7 +474,8 @@ class TestTrack:
     def test_undatable_bound_exit_2(self, tmp_path, capsys, start, end):
         posts = self.make_posts(tmp_path)
         code = main(["track", "--posts", str(posts), "--start", start, "--end", end])
-        assert_input_error(code, capsys, "timestamp")
+        typed = max(start, end, key=lambda bound: abs(int(bound)))  # the undatable one
+        assert_input_error(code, capsys, f"timestamp {typed} is out of range")
 
     def test_missing_posts_file_named_exit_2(self, tmp_path, capsys):
         code = main(["track", "--posts", str(tmp_path / "missing.jsonl"),

@@ -21,9 +21,7 @@ from socialstance.socialgraph import (
     InteractionRecord,
     Interactions,
     SocialGraph,
-    WeightedGraph,
     _component_labels,
-    build_interaction_graph,
     build_social_graph,
     exact_order_neighborhood,
     graph_stats,
@@ -33,7 +31,6 @@ from socialstance.socialgraph import (
     load_edge_list,
     load_follower_edges,
     load_interactions,
-    prune_edges,
     write_edge_list,
     write_nodes,
 )
@@ -91,26 +88,6 @@ def adjacency(nodes, edges):
 
 # -- basic containers --------------------------------------------------------
 
-class TestWeightedGraph:
-    def test_accumulates_weight_undirected(self):
-        g = WeightedGraph([("a", "b"), ("b", "a"), ("b", "a")])
-        assert g.weight("a", "b") == 3
-        assert g.weight("b", "a") == 3
-        assert g.n_edges() == 1
-
-    def test_unknown_or_unjoined_pairs_weigh_zero(self):
-        g = WeightedGraph([("b", "d"), ("b", "d")], nodes=["a"])
-        assert g.nodes == ("a", "b", "d")
-        assert g.weight("d", "b") == 2 and g.n_edges() == 1
-        assert g.weight("a", "b") == g.weight("b", "c") == g.weight("c", "d") == 0
-        assert g.weight("z", "b") == g.weight("b", "b") == 0
-        assert g.edges() == [("b", "d", 2)]
-
-    def test_self_loops_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedGraph([("a", "a")])
-
-
 class TestSocialGraph:
     def test_dedup_and_sorted_neighbors(self):
         g = SocialGraph([("b", "a"), ("a", "b"), ("a", "c")])
@@ -129,19 +106,26 @@ class TestSocialGraph:
         with pytest.raises(KeyError):
             g.neighbors("zzz")
 
+    def test_self_loops_rejected(self):
+        with pytest.raises(ValueError):
+            SocialGraph([("a", "a")])
+
 
 # -- interaction pipeline ----------------------------------------------------
 
 class TestInteractionGraph:
+    """build_social_graph's counting and pruning of interaction pairs."""
+
     def test_weights_count_interactions(self):
+        # u1-u2 twice, once in each direction; u1-u3 once
         records = [
             InteractionRecord("u1", "u2", "retweet", 0),
             InteractionRecord("u2", "u1", "mention", 1),
             InteractionRecord("u1", "u3", "mention", 2),
         ]
-        g = build_interaction_graph(records)
-        assert g.weight("u1", "u2") == 2
-        assert g.weight("u1", "u3") == 1
+        assert build_social_graph(records, min_weight=2).edges() == [("u1", "u2")]
+        assert build_social_graph(records, min_weight=1).edges() == [("u1", "u2"),
+                                                                     ("u1", "u3")]
 
     def test_prune_keeps_nodes_drops_light_edges(self):
         records = [
@@ -149,24 +133,26 @@ class TestInteractionGraph:
             InteractionRecord("u1", "u2", "retweet", 0),
             InteractionRecord("u2", "u3", "mention", 2),
         ]
-        g = build_interaction_graph(records)
-        pruned = prune_edges(g, min_weight=2)
-        assert pruned.weight("u1", "u2") == 2
-        assert pruned.weight("u2", "u3") == 0
-        # u3 keeps its seat even with no surviving edges
-        assert "u3" in pruned.nodes
+        g = build_social_graph(records, min_weight=2)
+        assert g.edges() == [("u1", "u2")] and "u3" not in g
+        # Users of pruned pairs keep their seat until the component step:
+        # with every pair pruned, the smallest id is the largest component.
+        lone = build_social_graph(records, min_weight=3)
+        assert lone.node_ids == ("u1",) and lone.n_edges() == 0
 
     def test_prune_min_weight_one_is_identity(self):
-        records = [InteractionRecord("a", "b", "mention", 0)]
-        g = build_interaction_graph(records)
-        pruned = prune_edges(g, min_weight=1)
-        assert pruned.weight("a", "b") == 1
-        assert pruned.nodes == g.nodes
+        records = [InteractionRecord(u, v, "mention", 0)
+                   for u, v in [("a", "b"), ("c", "b"), ("x", "y")]]
+        g = build_social_graph(records, min_weight=1)
+        want = largest_weakly_connected_component(
+            SocialGraph([(r.source, r.target) for r in records]))
+        assert g.node_ids == want.node_ids == ("a", "b", "c")
+        assert g.edges() == want.edges()
 
     def test_prune_min_weight_below_one_is_input_error(self):
-        g = build_interaction_graph([InteractionRecord("a", "b", "mention", 0)])
-        with pytest.raises(InputDataError, match="min_weight"):
-            prune_edges(g, min_weight=0)
+        records = [InteractionRecord("a", "b", "mention", 0)]
+        with pytest.raises(InputDataError, match="^min_weight must be >= 1$"):
+            build_social_graph(records, min_weight=0)
 
 
 class TestLargestComponent:
@@ -174,7 +160,7 @@ class TestLargestComponent:
         rng = np.random.default_rng(42)
         for _ in range(60):
             nodes, edges = random_graph(rng, max_nodes=40, p=0.06)
-            g = WeightedGraph(edges, nodes=nodes)
+            g = SocialGraph(edges, nodes=nodes)
             got = largest_weakly_connected_component(g)
 
             uf = UnionFind(nodes)
@@ -206,7 +192,7 @@ class TestLargestComponent:
         assert _component_labels(g.indptr, g.indices).tolist() == want
 
     def test_returns_social_graph_with_inner_edges(self):
-        g = WeightedGraph([("a", "b"), ("b", "c"), ("x", "y")])
+        g = SocialGraph([("a", "b"), ("b", "c"), ("x", "y")])
         comp = largest_weakly_connected_component(g)
         assert isinstance(comp, SocialGraph)
         assert set(comp.node_ids) == {"a", "b", "c"}
@@ -214,7 +200,7 @@ class TestLargestComponent:
 
     def test_empty_graph_is_error(self):
         with pytest.raises(InputDataError, match="empty graph"):
-            largest_weakly_connected_component(WeightedGraph())
+            largest_weakly_connected_component(SocialGraph([]))
 
 
 # -- neighborhood queries vs BFS oracle --------------------------------------
@@ -433,12 +419,11 @@ class TestBuildSocialGraph:
 
 class TestStats:
     def test_hand_counts(self):
-        for graph_type in (SocialGraph, WeightedGraph):
-            g = graph_type([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "iso"])
-            stats = graph_stats(g)
-            assert stats.n_nodes == 4
-            assert stats.n_edges == 2
-            assert stats.avg_degree == pytest.approx(4 / 4)
+        g = SocialGraph([("a", "b"), ("b", "c")], nodes=["a", "b", "c", "iso"])
+        stats = graph_stats(g)
+        assert stats.n_nodes == 4
+        assert stats.n_edges == 2
+        assert stats.avg_degree == pytest.approx(4 / 4)
 
 
 # -- generative: chunked loading and array counting vs line-by-line + dicts ----
@@ -473,9 +458,22 @@ def reference_load_interactions(path):
     return records
 
 
-def reference_graph(records, min_weight):
-    """Dict counting, pruning and the largest component (ties to the smallest
-    node id), as sorted node ids and CSR lists."""
+def reference_largest_component(adj):
+    """The largest BFS component of adj, ties to the smallest node id."""
+    best, seen = set(), set()
+    for start in sorted(adj):
+        if start not in seen:
+            comp = set(bfs_distances(adj, start))
+            seen |= comp
+            if len(comp) > len(best):
+                best = comp
+    return best
+
+
+def reference_graph(records, min_weight, follower_edges=None):
+    """Dict counting, pruning and the largest component, then the follower
+    edges among its users and their largest component; as sorted node ids
+    and CSR lists."""
     if not records:
         raise InputDataError("no interaction records")
     weights = Counter(tuple(sorted((r.source, r.target))) for r in records)
@@ -484,13 +482,16 @@ def reference_graph(records, min_weight):
         if w >= min_weight:
             adj[u].add(v)
             adj[v].add(u)
-    best, seen = set(), set()
-    for start in sorted(adj):
-        if start not in seen:
-            comp = set(bfs_distances(adj, start))
-            seen |= comp
-            if len(comp) > len(best):
-                best = comp
+    best = reference_largest_component(adj)
+    if follower_edges is not None:
+        pairs = [(u, v) for u, v in follower_edges if u != v and u in best and v in best]
+        if not pairs:
+            raise InputDataError("empty graph: no follower edges among core users")
+        adj = {u: set() for pair in pairs for u in pair}
+        for u, v in pairs:
+            adj[u].add(v)
+            adj[v].add(u)
+        best = reference_largest_component(adj)
     node_ids = tuple(sorted(best))
     index = {u: i for i, u in enumerate(node_ids)}
     indptr, indices = [0], []
@@ -498,6 +499,17 @@ def reference_graph(records, min_weight):
         indices += sorted(index[v] for v in adj[u])
         indptr.append(len(indices))
     return node_ids, indptr, indices
+
+
+def pick_followers(picks, records, min_weight):
+    """The follower pairs named by the index pairs `picks`. Indices run over
+    the reference core's users first, then the other users and two
+    outsiders."""
+    core = outcome(reference_graph, records, min_weight)[0]
+    core = () if core == "error" else core
+    others = sorted({u for r in records for u in (r.source, r.target)}.difference(core))
+    users = [*core, *others, "z", "outsider"]
+    return [(users[a % len(users)], users[b % len(users)]) for a, b in picks]
 
 
 def outcome(fn, *args):
@@ -520,11 +532,16 @@ _bad_lines = st.sampled_from([
 _interaction_lines = st.lists(
     st.builds(lambda pad, line: f"{pad}{line}{pad[::-1]}", st.sampled_from(["", " ", "\t"]),
               _good_lines | _good_lines | _bad_lines), max_size=14)
+# Follower lists as index pairs for pick_followers, self-follows included,
+# with every other pair repeated reversed.
+_follower_picks = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=10).map(
+    lambda pairs: pairs + [(b, a) for a, b in pairs[::2]])
 
 
 @settings(max_examples=300, deadline=None)
-@given(lines=_interaction_lines, chunk=st.integers(1, 4), min_weight=st.integers(1, 3))
-def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight):
+@given(lines=_interaction_lines, chunk=st.integers(1, 4), min_weight=st.integers(1, 3),
+       picks=st.none() | _follower_picks)
+def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight, picks):
     with tempfile.TemporaryDirectory() as root:
         path = Path(root) / "inter.csv"
         path.write_text("\n".join([INTERACTION_HEADER] + lines) + "\n", encoding="utf-8")
@@ -537,11 +554,28 @@ def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight
     assert isinstance(got, Interactions)
     assert got == want and list(got) == want and len(got) == len(want)
     assert got.names == tuple(sorted({u for r in want for u in (r.source, r.target)}))
-    expected = outcome(reference_graph, want, min_weight)
+    followers = None if picks is None else pick_followers(picks, want, min_weight)
+    expected = outcome(reference_graph, want, min_weight, followers)
     for records in (got, want):
-        graph = outcome(build_social_graph, records, None, min_weight)
+        graph = outcome(build_social_graph, records, followers, min_weight)
         if isinstance(expected, tuple) and expected[0] == "error":
             assert graph == expected
             continue
         assert (graph.node_ids, graph.indptr.tolist(), graph.indices.tolist()) == expected
         assert graph.indptr.dtype == graph.indices.dtype == np.intp
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=24),
+       min_weight=st.integers(1, 3), picks=_follower_picks)
+def test_follower_restriction_matches_reference(pairs, min_weight, picks):
+    """The follower path on interaction cores of several users, which files
+    of random lines rarely load."""
+    records = [InteractionRecord(f"u{a}", f"u{b}", "mention", 0) for a, b in pairs if a != b]
+    followers = pick_followers(picks, records, min_weight)
+    expected = outcome(reference_graph, records, min_weight, followers)
+    graph = outcome(build_social_graph, records, followers, min_weight)
+    if expected[0] == "error":
+        assert graph == expected
+    else:
+        assert (graph.node_ids, graph.indptr.tolist(), graph.indices.tolist()) == expected
