@@ -5,6 +5,15 @@ matmul, indexing/gather, concat, segment sums, the pointwise functions the
 encoder and head use, and one fused op for a graph shell's attention or mean
 pooling (shell_aggregate).
 
+shell_aggregate has two layouts, picked per call from the shell's shape by
+dense_layout. The scatter layout gathers one (h,) row per edge and
+scatters it to its output row; its forward is bit-identical to the chain
+of elementary ops it fuses. The dense layout writes the edge weights into
+a zero-padded (samples, rows, ball) block and pools with one batched
+matmul; it matches that chain within 1e-12, not bit for bit. It is used
+only when the block fits in DENSE_MAX_CELLS (16 MiB of float64) and the
+shell is dense enough (DENSE_MIN_DENSITY).
+
 Each op is its forward value plus one vector-Jacobian product (VJP) per
 input, the map from the output's gradient g to that input's share of it.
 One-input ops are built by _unary, two-input ops by _binary, which sums
@@ -266,6 +275,94 @@ def reshape(t, shape) -> Tensor:
     return _unary(t, t.data.reshape(shape), lambda g: g.reshape(t.data.shape))
 
 
+# The dense layout's limits. Its block may hold at most DENSE_MAX_CELLS
+# cells (16 MiB of float64), so a hub's ball cannot blow up memory. And the
+# shell must be dense enough: the E gathered (E, h) neighbour rows of the
+# scatter layout must hold at least DENSE_MIN_DENSITY times the elements
+# the dense layout builds instead, the (S, R, B) block and the (S, B, h)
+# padded rows. The batched matmul is fast enough to beat the gathers and
+# scatters while it builds up to twice their elements.
+DENSE_MAX_CELLS = 1 << 21
+DENSE_MIN_DENSITY = 0.5
+
+
+def dense_layout(samples: int, rows: int, width: int, edges: int, dim: int) -> bool:
+    """Whether a shell of `edges` edges over a (samples, rows, width)
+    weight block pools rows of `dim` columns densely (see DENSE_MAX_CELLS)."""
+    cells = samples * rows * width
+    return (cells <= DENSE_MAX_CELLS
+            and edges * dim >= DENSE_MIN_DENSITY * (cells + samples * width * dim))
+
+
+def _pad(rows, index, samples: int, width: int):
+    """(samples, width, h) zeros holding rows[i] at flat row index[i].
+
+    index is increasing, so when it covers every flat row it is the
+    identity and rows is only reshaped."""
+    if len(index) == samples * width:
+        return rows.reshape(samples, width, -1)
+    out = np.zeros((samples * width, rows.shape[1]))
+    out[index] = rows
+    return out.reshape(samples, width, -1)
+
+
+def _unpad(padded, index):
+    """The flat rows `index` of a (samples, width, h) padded array."""
+    flat = padded.reshape(-1, padded.shape[-1])
+    return flat if len(index) == len(flat) else flat[index]
+
+
+class _DensePool:
+    """Weighted pooling through a zero-padded (S, R, B) weight block.
+
+    Edge i's weight goes to cell block.cells[i], so repeated (row,
+    neighbour) pairs add up, and the pool is one batched matmul of the
+    block with the (S, B, h) padded rows of x.
+    """
+
+    def __init__(self, xd, block, weights):
+        samples, rows, width = block.shape
+        self.block = block
+        self.a = np.bincount(block.cells, weights=weights,
+                             minlength=samples * rows * width).reshape(block.shape)
+        self.xp = _pad(xd, block.pad, samples, width)
+        self.value = _unpad(self.a @ self.xp, block.out)
+
+    def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
+        """(gradient of the E weights, gradient of x through the pool) for
+        the output gradient g; each is None when not asked for."""
+        samples, rows, _ = self.block.shape
+        gp = _pad(g, self.block.out, samples, rows)
+        dweights = dx = None
+        if weight_grad:
+            product = gp @ self.xp.transpose(0, 2, 1)
+            dweights = product.reshape(-1)[self.block.cells]
+        if x_grad:
+            dx = _unpad(self.a.transpose(0, 2, 1) @ gp, self.block.pad)
+        return dweights, dx
+
+
+class _ScatterPool:
+    """Weighted pooling edge by edge: gather x[neighbors], scatter to segments."""
+
+    def __init__(self, xd, shell, weights):
+        self.shell, self.weights = shell, weights
+        self.gathered = xd[shell.neighbors]
+        self.n = len(xd)
+        self.value = _scatter_add(weights[:, None] * self.gathered, shell.segments,
+                                  shell.size)
+
+    def grads(self, g, x_grad: bool = True):
+        """As _DensePool.grads; the weight gradient is always computed."""
+        spread = g[self.shell.segments]
+        dweights = np.einsum("ij,ij->i", spread, self.gathered)
+        dx = None
+        if x_grad:
+            spread *= self.weights[:, None]
+            dx = _scatter_add(spread, self.shell.neighbors, self.n)
+        return dweights, dx
+
+
 def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
 
@@ -277,24 +374,41 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     Without, it is the mean over the row's edges. A row without edges is
     zero.
 
-    One tape node with a hand-written backward. The forward runs the numpy
-    ops of the composed getitem / leaky_relu / exp / segment_sum / div / mul
-    chain in that chain's order, so its values are bit-identical to it;
-    the backward sums in another order.
+    One tape node with a hand-written backward and two layouts, chosen
+    from the shell's shape alone by dense_layout:
+    - scatter (shell.block is None, or the block is too large or too
+      sparse): gather the (E, h) neighbour rows, scatter them to the output
+      rows. Its forward runs the numpy ops of the composed getitem /
+      leaky_relu / exp / segment_sum / div / mul chain in that chain's
+      order, so its values are bit-identical to that chain.
+    - dense: the E edge weights fill a zero-padded (S, R, B) block (S
+      samples, R output rows and B ball rows each; shell.block holds the
+      padded coordinates) and one batched matmul pools the padded rows.
+      BLAS sums in another order, so values match the chain within 1e-12,
+      not bit for bit.
+    Both backwards sum in another order than the chain; only E-length
+    scalar scatters (softmax denominators, the score gradients of centres
+    and neighbours) are left outside the pool.
     """
     x = as_tensor(x)
     xd = x.data
     n, h = xd.shape
     centers, neighbors, segments, size = (shell.centers, shell.neighbors,
                                           shell.segments, shell.size)
-    gathered = xd[neighbors]
+    block = shell.block
+    dense = block is not None and dense_layout(*block.shape, centers.size, h)
     if attn is None:
-        scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
+        count = np.maximum(np.bincount(segments, minlength=size), 1)
+        if dense:
+            pool = _DensePool(xd, block, (1.0 / count)[segments])
+            return _node(pool.value, (x,), lambda g: x._accumulate(
+                pool.grads(g, weight_grad=False)[1]))
+        scale = 1.0 / count[:, None]
 
         def mean_backward(g):
             x._accumulate(_scatter_add((g * scale)[segments], neighbors, n))
 
-        return _node(_scatter_add(gathered, segments, size) * scale,
+        return _node(_scatter_add(xd[neighbors], segments, size) * scale,
                      (x,), mean_backward)
     attn = as_tensor(attn)
     ad = attn.data
@@ -304,23 +418,20 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     np.maximum.at(shift, segments, scores)
     expd = np.exp(scores - shift[segments])
     weights = expd / _scatter_add(expd, segments, size)[segments]
+    pool = _DensePool(xd, block, weights) if dense else _ScatterPool(xd, shell, weights)
 
     def backward(g):
-        spread = g[segments]
-        dweights = np.einsum("ij,ij->i", spread, gathered)
+        dweights, dx = pool.grads(g, x.requires_grad)
         dscores = weights * (dweights
                              - _scatter_add(weights * dweights, segments, size)[segments])
         draw = np.where(raw > 0, dscores, slope * dscores)
         dcenter = _scatter_add(draw, centers, n)
         dneighbor = _scatter_add(draw, neighbors, n)
         if x.requires_grad:
-            spread *= weights[:, None]
-            dx = _scatter_add(spread, neighbors, n)
             dx += np.outer(dcenter, ad[:h])
             dx += np.outer(dneighbor, ad[h:])
             x._accumulate(dx)
         if attn.requires_grad:
             attn._accumulate(np.concatenate([dcenter @ xd, dneighbor @ xd]))
 
-    return _node(_scatter_add(weights[:, None] * gathered, segments, size),
-                 (x, attn), backward)
+    return _node(pool.value, (x, attn), backward)

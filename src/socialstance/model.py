@@ -259,14 +259,32 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
             for name, arr in params.tensors.items()}
 
 
+class _Block(NamedTuple):
+    """A shell's coordinates in the dense layout of ag.shell_aggregate.
+
+    shape is (S, R, B): S samples of R output rows and B = the largest
+    ball's size each. Input row i sits at row pad[i] of the (S * B) padded
+    states, output row j at row out[j] of the (S * R) padded output, and
+    edge i at flat cell cells[i] of the (S, R, B) weight block; pad and
+    out are increasing.
+    """
+
+    shape: tuple
+    pad: np.ndarray
+    out: np.ndarray
+    cells: np.ndarray
+
+
 class _Shell(NamedTuple):
     """The edges of one shell order in a batch: edge i joins row centers[i]
-    to row neighbors[i] and feeds output row segments[i] of `size`."""
+    to row neighbors[i] and feeds output row segments[i] of `size`. block
+    lets the op pick the dense layout; without it the op scatters."""
 
     centers: np.ndarray
     neighbors: np.ndarray
     segments: np.ndarray
     size: int
+    block: _Block | None = None
 
 
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
@@ -274,29 +292,38 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
 
     Each sample's ball becomes a block of rows offset by the sizes of the
     balls before it, so shell edges never cross samples and every op runs
-    once for the whole batch.
+    once for the whole batch. Padded to the largest ball, row r of sample
+    s is row s * width + (r - offset of s), which the dense layout of the
+    shell aggregates reads.
     """
     if not samples:
         raise ValueError("empty batch")
-    k = config.hops
+    k, n_samples = config.hops, len(samples)
     sizes = [sample.n_nodes for sample in samples]
     offsets = np.cumsum([0] + sizes[:-1])
-    n = sum(sizes)
+    n, width = sum(sizes), max(sizes)
     authors = offsets + np.array([sample.author_row for sample in samples])
+    sample_of = np.repeat(np.arange(n_samples), sizes)
+    local = np.arange(n) - offsets[sample_of]
+    pad = sample_of * width + local
     # Only author rows reach the head, so the last layer aggregates just
     # the edges centred on an author, into one row per sample.
     slot = np.full(n, -1)
-    slot[authors] = np.arange(len(samples))
+    slot[authors] = np.arange(n_samples)
     inner, last = [], []
     for order in range(k):
         centers = np.concatenate([sample.shell_edges[order][0] + off
                                   for sample, off in zip(samples, offsets)])
         neighbors = np.concatenate([sample.shell_edges[order][1] + off
                                     for sample, off in zip(samples, offsets)])
-        inner.append(_Shell(centers, neighbors, centers, n))
+        inner.append(_Shell(centers, neighbors, centers, n, _Block(
+            (n_samples, width, width), pad, pad,
+            pad[centers] * width + local[neighbors])))
         keep = slot[centers] >= 0
-        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]],
-                           len(samples)))
+        authors_of = slot[centers[keep]]
+        last.append(_Shell(centers[keep], neighbors[keep], authors_of, n_samples,
+                           _Block((n_samples, 1, width), pad, np.arange(n_samples),
+                                  authors_of * width + local[neighbors[keep]])))
     hist = np.concatenate([sample.hist for sample in samples])
     if config.history == "pe":
         z_hist = None

@@ -7,6 +7,7 @@ differences, and the optimizer against a hand-stepped scalar oracle.
 
 import tempfile
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from socialstance.model import (
     HISTORY_KINDS,
     LEAKY_SLOPE,
     AdamState,
+    _Block,
     _Shell,
     _compile_sample,
     ModelParams,
@@ -69,6 +71,29 @@ def toy_world(n_users=8, history=2, embed_dim=8, seed=0):
     corpus = Corpus(posts)
     store = precompute(corpus, HashedNgramEncoder(dim=embed_dim))
     return corpus, graph, store
+
+
+# Module limits that force each layout of ag.shell_aggregate: no block fits
+# in zero cells, and every block is dense enough at density zero.
+FORCED_LAYOUTS = {"scatter": ("DENSE_MAX_CELLS", 0), "dense": ("DENSE_MIN_DENSITY", 0.0)}
+
+
+@contextmanager
+def forced_layout(monkeypatch, layout):
+    """Run the block with every shell aggregate on `layout`, and check that
+    the op chose it at least once and never the other."""
+    chosen = []
+    choose = ag.dense_layout
+
+    def spy(*shape):
+        chosen.append(choose(*shape))
+        return chosen[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ag, *FORCED_LAYOUTS[layout])
+        patch.setattr(ag, "dense_layout", spy)
+        yield
+    assert chosen and set(chosen) == {layout == "dense"}, layout
 
 
 def small_config(**kw):
@@ -244,29 +269,31 @@ class TestGradients:
     # hops=3 runs an inner shell that layers 1 and 2 both aggregate.
     @pytest.mark.parametrize("hops", [1, 2, 3])
     @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
-    def test_matches_finite_differences(self, aggregator, hops):
+    def test_matches_finite_differences(self, aggregator, hops, monkeypatch):
         corpus, graph, store = toy_world(n_users=6)
         cfg = small_config(hops=hops, hidden_dim=3, aggregator=aggregator)
         params = ModelParams(cfg)
         batch = [corpus.by_id[f"u{i}t"] for i in range(4)]
-        grads = gradients(batch, graph, corpus, store, params, cfg)
-        assert set(grads) == set(params.tensors)
-        step = 1e-5
-        rng = np.random.default_rng(0)
-        for name, arr in params.tensors.items():
-            # probe a few coordinates per tensor
-            flat = arr.reshape(-1)
-            for _ in range(min(3, flat.size)):
-                i = int(rng.integers(flat.size))
-                orig = flat[i]
-                flat[i] = orig + step
-                hi = loss(batch, graph, corpus, store, params, cfg)
-                flat[i] = orig - step
-                lo = loss(batch, graph, corpus, store, params, cfg)
-                flat[i] = orig
-                fd = (hi - lo) / (2 * step)
-                got = grads[name].reshape(-1)[i]
-                assert got == pytest.approx(fd, abs=3e-6), f"{name}[{i}]"
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                grads = gradients(batch, graph, corpus, store, params, cfg)
+                assert set(grads) == set(params.tensors)
+                step = 1e-5
+                rng = np.random.default_rng(0)
+                for name, arr in params.tensors.items():
+                    # probe a few coordinates per tensor
+                    flat = arr.reshape(-1)
+                    for _ in range(min(3, flat.size)):
+                        i = int(rng.integers(flat.size))
+                        orig = flat[i]
+                        flat[i] = orig + step
+                        hi = loss(batch, graph, corpus, store, params, cfg)
+                        flat[i] = orig - step
+                        lo = loss(batch, graph, corpus, store, params, cfg)
+                        flat[i] = orig
+                        fd = (hi - lo) / (2 * step)
+                        got = grads[name].reshape(-1)[i]
+                        assert got == pytest.approx(fd, abs=3e-6), f"{layout} {name}[{i}]"
 
     def test_loss_is_mean_of_sample_losses(self):
         corpus, graph, store = toy_world()
@@ -353,6 +380,86 @@ class TestShellAggregate:
                                            err_msg=name)
 
 
+def padded_shells():
+    """(name, shell) cases of a two-sample batch, 5 and 3 rows padded to
+    width 5: inner shells (one output row per row) with edges in both
+    samples and with none, and a last layer's author rows (author 1 of
+    sample 0, none of sample 1's rows has an edge)."""
+    sample_of = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    local = np.array([0, 1, 2, 3, 4, 0, 1, 2])
+    pad = sample_of * 5 + local
+    both = ([0, 0, 1, 3, 3, 4, 5, 6, 6, 7], [1, 3, 0, 4, 4, 2, 7, 5, 7, 6])
+    cases = {
+        "padded batch": (*both, both[0], 8),
+        "padded batch, empty shell": ([], [], [], 8),
+    }
+    for name, (c, nb, seg, size) in cases.items():
+        c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
+        yield name, _Shell(c, nb, seg, size,
+                           _Block((2, 5, 5), pad, pad, pad[c] * 5 + local[nb]))
+    c, nb, seg = (np.array(a, dtype=np.intp) for a in ([1, 1, 1], [0, 2, 2], [0, 0, 0]))
+    yield "padded author rows", _Shell(c, nb, seg, 2, _Block((2, 1, 5), pad, np.arange(2),
+                                                             seg * 5 + local[nb]))
+
+
+def dense_shells():
+    """Every oracle_shells() case as one sample of 7 rows, then the
+    padded two-sample cases."""
+    for name, shell in oracle_shells():
+        cells = shell.segments * 7 + shell.neighbors
+        yield name, shell._replace(block=_Block((1, shell.size, 7), np.arange(7),
+                                                np.arange(shell.size), cells))
+    yield from padded_shells()
+
+
+class TestDenseLayout:
+    """The dense layout against the composed chain, within 1e-12: BLAS
+    sums the block product in its own order."""
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+    def test_matches_composed_ops(self, aggregator, monkeypatch):
+        h = 3
+        rng = np.random.default_rng(1)
+        x0, attn0 = rng.standard_normal((8, h)), rng.standard_normal(2 * h)
+        for name, shell in dense_shells():
+            rows = x0[:len(shell.block.pad)]
+            outs, grads = [], []
+            for route in ("dense", "composed"):
+                x, attn = Tensor(rows, requires_grad=True), Tensor(attn0, requires_grad=True)
+                if route == "composed":
+                    out = composed_aggregate(x, attn, shell, aggregator)
+                else:
+                    with forced_layout(monkeypatch, "dense"):
+                        out = (ag.shell_aggregate(x, shell) if aggregator == "gcn"
+                               else ag.shell_aggregate(x, shell, attn, LEAKY_SLOPE))
+                weights = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
+                (out * Tensor(np.sin(weights))).sum().backward()
+                outs.append(out.data)
+                grads.append([np.zeros_like(t.data) if t.grad is None else t.grad
+                              for t in (x, attn)])
+            np.testing.assert_allclose(outs[0], outs[1], rtol=0, atol=1e-12, err_msg=name)
+            for dense, composed in zip(*grads):
+                np.testing.assert_allclose(dense, composed, rtol=0, atol=1e-12,
+                                           err_msg=name)
+
+
+class TestLayoutChoice:
+    """dense_layout on the shapes of a classify_large ball of 259 nodes and
+    16 hidden columns, whose order-1 shell holds 546 edges (0.8% of the
+    block's cells) and whose order-2 shell holds 4,424 (6.6%)."""
+
+    def test_sparse_order_one_scatters(self):
+        assert not ag.dense_layout(1, 259, 259, 546, 16)
+
+    def test_dense_order_two_goes_dense(self):
+        assert ag.dense_layout(1, 259, 259, 4424, 16)
+
+    def test_block_over_budget_scatters(self):
+        samples = ag.DENSE_MAX_CELLS // (259 * 259)
+        assert ag.dense_layout(samples, 259, 259, samples * 4424, 16)
+        assert not ag.dense_layout(samples + 1, 259, 259, (samples + 1) * 259 * 259, 16)
+
+
 def mixed_world():
     """Balls of different sizes in one batch: a ring with one chord, and a
     detached pair whose order-2 shells are empty; b has no history."""
@@ -388,28 +495,38 @@ class TestBatchedEngine:
         assert not exact_order_neighborhood(graph, "a", 2)
         return corpus, graph, store, cfg, ModelParams(cfg), batch
 
-    def test_loss_is_mean_of_single_post_losses(self, aggregator, history):
+    def test_loss_is_mean_of_single_post_losses(self, aggregator, history, monkeypatch):
         corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
-        total = loss(batch, graph, corpus, store, params, cfg)
-        singles = [loss([p], graph, corpus, store, params, cfg) for p in batch]
-        assert abs(total - np.mean(singles)) <= 1e-12
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                total = loss(batch, graph, corpus, store, params, cfg)
+                singles = [loss([p], graph, corpus, store, params, cfg) for p in batch]
+            assert abs(total - np.mean(singles)) <= 1e-12, layout
 
-    def test_gradients_are_mean_of_single_post_gradients(self, aggregator, history):
+    def test_gradients_are_mean_of_single_post_gradients(self, aggregator, history,
+                                                         monkeypatch):
         corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
-        grads = gradients(batch, graph, corpus, store, params, cfg)
-        singles = [gradients([p], graph, corpus, store, params, cfg) for p in batch]
-        for name, grad in grads.items():
-            mean = np.mean([single[name] for single in singles], axis=0)
-            np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12, err_msg=name)
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                grads = gradients(batch, graph, corpus, store, params, cfg)
+                singles = [gradients([p], graph, corpus, store, params, cfg)
+                           for p in batch]
+            for name, grad in grads.items():
+                mean = np.mean([single[name] for single in singles], axis=0)
+                np.testing.assert_allclose(grad, mean, rtol=0, atol=1e-12,
+                                           err_msg=f"{layout} {name}")
 
-    def test_evaluate_predicts_as_forward(self, aggregator, history):
+    def test_evaluate_predicts_as_forward(self, aggregator, history, monkeypatch):
         corpus, graph, store, cfg, params, batch = self.setup_world(aggregator, history)
-        # Relabel every post with forward()'s prediction: evaluate, which
-        # runs batch_size posts at a time, must then score every one.
-        relabelled = [replace(p, label=forward(p, graph, corpus, store, params,
-                                               cfg).label) for p in batch]
-        report = evaluate(relabelled, graph, corpus, store, params, cfg)
-        assert report.accuracy == 1.0
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                # Relabel every post with forward()'s prediction: evaluate,
+                # which runs batch_size posts at a time, must then score
+                # every one.
+                relabelled = [replace(p, label=forward(p, graph, corpus, store, params,
+                                                       cfg).label) for p in batch]
+                report = evaluate(relabelled, graph, corpus, store, params, cfg)
+            assert report.accuracy == 1.0, layout
 
 
 def bfs_distances(adj, start):
