@@ -5,14 +5,16 @@ matmul, indexing/gather, concat, segment sums, the pointwise functions the
 encoder and head use, and one fused op for a graph shell's attention or mean
 pooling (shell_aggregate).
 
-shell_aggregate has two layouts, picked per call from the shell's shape by
-dense_layout. The scatter layout gathers one (h,) row per edge and
-scatters it to its output row; its forward is bit-identical to the chain
-of elementary ops it fuses. The dense layout writes the edge weights into
-a zero-padded (samples, rows, ball) block and pools with one batched
-matmul; it matches that chain within 1e-12, not bit for bit. It is used
-only when the block fits in DENSE_MAX_CELLS (16 MiB of float64) and the
-shell is dense enough (DENSE_MIN_DENSITY).
+shell_aggregate pools a shell's rows with one weight per edge; GAT and GCN
+differ only in those weights: the attention softmax, or 1 with each output
+row then scaled by 1/|shell|. Both pool through one of two layouts, picked
+per call from the shell's shape by dense_layout. The scatter layout
+gathers, weights and scatters one (h,) row per edge; its forward is
+bit-identical to the chain of elementary ops it fuses. The dense layout
+writes the edge weights into a zero-padded (samples, rows, ball) block and
+pools with one batched matmul; it matches that chain within 1e-12, not bit
+for bit. It is used only when the block fits in DENSE_MAX_CELLS (16 MiB of
+float64) and the shell is dense enough (DENSE_MIN_DENSITY).
 
 Each op is its forward value plus one vector-Jacobian product (VJP) per
 input, the map from the output's gradient g to that input's share of it.
@@ -352,10 +354,10 @@ class _ScatterPool:
         self.value = _scatter_add(weights[:, None] * self.gathered, shell.segments,
                                   shell.size)
 
-    def grads(self, g, x_grad: bool = True):
-        """As _DensePool.grads; the weight gradient is always computed."""
+    def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
+        """As _DensePool.grads."""
         spread = g[self.shell.segments]
-        dweights = np.einsum("ij,ij->i", spread, self.gathered)
+        dweights = np.einsum("ij,ij->i", spread, self.gathered) if weight_grad else None
         dx = None
         if x_grad:
             spread *= self.weights[:, None]
@@ -367,20 +369,22 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
 
     Edge i carries row shell.neighbors[i] of x to output row
-    shell.segments[i]; shell.centers[i] is the row it is centred on. With
-    attn (2h,) the pool is GAT's: edge weights are the max-shifted softmax,
-    per output row, of
+    shell.segments[i]; shell.centers[i] is the row it is centred on. GAT
+    and GCN differ only in the edge weights. With attn (2h,) the pool is
+    GAT's: edge weights are the max-shifted softmax, per output row, of
     leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], slope).
-    Without, it is the mean over the row's edges. A row without edges is
-    zero.
+    Without, it is GCN's mean: every edge weighs 1 and each output row is
+    then scaled by 1/|shell|, one over its edge count. A row without edges
+    is zero; a shell without edges gives zeros and zero gradients.
 
     One tape node with a hand-written backward and two layouts, chosen
-    from the shell's shape alone by dense_layout:
+    from the shell's shape alone by dense_layout, for both aggregators:
     - scatter (shell.block is None, or the block is too large or too
-      sparse): gather the (E, h) neighbour rows, scatter them to the output
-      rows. Its forward runs the numpy ops of the composed getitem /
-      leaky_relu / exp / segment_sum / div / mul chain in that chain's
-      order, so its values are bit-identical to that chain.
+      sparse): gather the (E, h) neighbour rows, weight them and scatter
+      them to the output rows. Its forward runs the numpy ops of the
+      composed getitem / leaky_relu / exp / segment_sum / div / mul chain
+      in that chain's order (a weight of 1 leaves a row exact), so its
+      values are bit-identical to that chain.
     - dense: the E edge weights fill a zero-padded (S, R, B) block (S
       samples, R output rows and B ball rows each; shell.block holds the
       padded coordinates) and one batched matmul pools the padded rows.
@@ -398,27 +402,21 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
     block = shell.block
     dense = block is not None and dense_layout(*block.shape, centers.size, h)
     if attn is None:
-        count = np.maximum(np.bincount(segments, minlength=size), 1)
-        if dense:
-            pool = _DensePool(xd, block, (1.0 / count)[segments])
-            return _node(pool.value, (x,), lambda g: x._accumulate(
-                pool.grads(g, weight_grad=False)[1]))
-        scale = 1.0 / count[:, None]
-
-        def mean_backward(g):
-            x._accumulate(_scatter_add((g * scale)[segments], neighbors, n))
-
-        return _node(_scatter_add(xd[neighbors], segments, size) * scale,
-                     (x,), mean_backward)
-    attn = as_tensor(attn)
-    ad = attn.data
-    raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
-    scores = np.where(raw > 0, raw, slope * raw)
-    shift = np.full(size, -np.inf)
-    np.maximum.at(shift, segments, scores)
-    expd = np.exp(scores - shift[segments])
-    weights = expd / _scatter_add(expd, segments, size)[segments]
+        weights = np.ones(centers.size)
+    else:
+        attn = as_tensor(attn)
+        ad = attn.data
+        raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
+        scores = np.where(raw > 0, raw, slope * raw)
+        shift = np.full(size, -np.inf)
+        np.maximum.at(shift, segments, scores)
+        expd = np.exp(scores - shift[segments])
+        weights = expd / _scatter_add(expd, segments, size)[segments]
     pool = _DensePool(xd, block, weights) if dense else _ScatterPool(xd, shell, weights)
+    if attn is None:
+        scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
+        return _node(pool.value * scale, (x,), lambda g: x._accumulate(
+            pool.grads(g * scale, weight_grad=False)[1]))
 
     def backward(g):
         dweights, dx = pool.grads(g, x.requires_grad)

@@ -175,15 +175,17 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.edges and (args.interactions or args.followers):
+        raise InputDataError("--edges excludes --interactions and --followers")
+    if args.nodes and not args.edges:
+        raise InputDataError("--nodes needs --edges")
+    if not (args.edges or args.interactions):
+        raise InputDataError("classify needs --edges or --interactions")
     params = load_checkpoint(args.checkpoint)
     config = params.config
     corpus = load_posts(args.posts)
-    if args.edges:
-        graph = load_edge_list(args.edges, args.nodes)
-    else:
-        if not args.interactions:
-            raise InputDataError("classify needs --edges or --interactions")
-        graph = _load_graph_from(vars(args))
+    graph = (load_edge_list(args.edges, args.nodes) if args.edges
+             else _load_graph_from(vars(args)))
     provider = load_embedding_store(args.embeddings, config.embed_dim)
     rows = []
     skipped = []
@@ -226,6 +228,8 @@ def cmd_hesitancy(args) -> int:
                                  "are mutually exclusive")
         period_start = parse_timestamp(args.period_start)
         period_end = parse_timestamp(args.period_end)
+        if period_end < period_start:
+            raise InputDataError("--period-end is earlier than --period-start")
         margin = args.margin_days * SECONDS_PER_DAY
         before = window_scores(corpus, period_start - margin, period_start,
                                args.min_posts)

@@ -349,12 +349,8 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
 def _aggregate(ts, base: str, state: Tensor, shell: _Shell,
                config: TrainConfig) -> Tensor:
     """One (layer, order) shell aggregate: shell.size rows of hidden_dim."""
-    if shell.centers.size == 0:
-        return Tensor(np.zeros((shell.size, config.hidden_dim)))
-    projected = state @ ts[base + ".w"]
-    if config.aggregator == "gcn":
-        return ag.shell_aggregate(projected, shell)
-    return ag.shell_aggregate(projected, shell, ts[base + ".a"], LEAKY_SLOPE)
+    attn = ts[base + ".a"] if config.aggregator == "gat" else None
+    return ag.shell_aggregate(state @ ts[base + ".w"], shell, attn, LEAKY_SLOPE)
 
 
 def _mean_cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:

@@ -417,6 +417,25 @@ class TestClassify:
         assert code == 2
         assert "--edges or --interactions" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--interactions", "interactions", "--nodes", "/nonexistent"],
+         "--nodes needs --edges"),
+        (["--edges", "edges", "--interactions", "/nonexistent"],
+         "--edges excludes --interactions and --followers"),
+        (["--edges", "edges", "--followers", "followers"],
+         "--edges excludes --interactions and --followers"),
+    ])
+    def test_one_graph_source_exit_2(self, world, checkpoint, edge_list, flags,
+                                     needle, capsys):
+        paths = {**world, "edges": edge_list}
+        flags = [str(paths.get(flag, flag)) for flag in flags]
+        code = main(["classify", "--checkpoint", str(checkpoint),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {needle}\n"
+
 
 class TestTrack:
     def make_posts(self, tmp_path):
@@ -857,6 +876,26 @@ class TestHesitancy:
         posts = self.make_posts(tmp_path)
         assert main(["hesitancy", "--posts", str(posts), "--start",
                      str(100 * DAY), "--end", str(101 * DAY)]) == 4
+        capsys.readouterr()
+
+    def test_reversed_period_exit_2(self, tmp_path, capsys):
+        posts = [Post(id=f"{label.name}{m}", author_id="u1", timestamp=t + m,
+                      text="x", label=label)
+                 for label, t in ((StanceLabel.PO, 100), (StanceLabel.NG, 500))
+                 for m in range(3)]
+        path = tmp_path / "posts.jsonl"
+        write_posts(Corpus(posts), path)
+
+        def hesitancy(start, end):
+            return main(["hesitancy", "--posts", str(path), "--period-start", start,
+                         "--period-end", end, "--margin-days", "1", "--min-posts", "1"])
+
+        assert hesitancy("200", "300") == 0
+        assert capsys.readouterr().out.splitlines()[1] == "u1,1.0,-1.0,decreased"
+        assert hesitancy("300", "200") == 2
+        assert capsys.readouterr().err == (
+            "error: --period-end is earlier than --period-start\n")
+        assert hesitancy("300", "300") == 0
         capsys.readouterr()
 
     def test_mode_flag_validation(self, tmp_path, capsys):

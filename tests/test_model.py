@@ -204,15 +204,18 @@ class TestModelParams:
 class TestForward:
     @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
     @pytest.mark.parametrize("history", ["pe", "mean"])
-    def test_matches_reference_composition(self, aggregator, history):
+    def test_matches_reference_composition(self, aggregator, history, monkeypatch):
         corpus, graph, store = toy_world()
         cfg = small_config(aggregator=aggregator, history=history)
         params = ModelParams(cfg)
-        for user in ("u0", "u3", "u7"):
-            post = corpus.by_id[f"{user}t"]
-            got = forward(post, graph, corpus, store, params, cfg)
-            ref = reference_probabilities(post, graph, corpus, store, params, cfg)
-            np.testing.assert_allclose(got.probabilities, ref, atol=1e-10)
+        for layout in FORCED_LAYOUTS:
+            for user in ("u0", "u3", "u7"):
+                post = corpus.by_id[f"{user}t"]
+                with forced_layout(monkeypatch, layout):
+                    got = forward(post, graph, corpus, store, params, cfg)
+                ref = reference_probabilities(post, graph, corpus, store, params, cfg)
+                np.testing.assert_allclose(got.probabilities, ref, atol=1e-10,
+                                           err_msg=f"{layout} {user}")
 
     def test_probabilities_normalized(self):
         corpus, graph, store = toy_world()
@@ -294,6 +297,36 @@ class TestGradients:
                         fd = (hi - lo) / (2 * step)
                         got = grads[name].reshape(-1)[i]
                         assert got == pytest.approx(fd, abs=3e-6), f"{layout} {name}[{i}]"
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+    def test_shell_empty_in_every_sample(self, aggregator, monkeypatch):
+        # Graph a-b at hops 2: every order-2 shell is empty, so its
+        # parameters get exact zero gradients and forward still matches
+        # the reference route.
+        graph = SocialGraph([("a", "b")])
+        posts = [Post(id=f"{user}h", author_id=user, timestamp=10,
+                      text=f"earlier words from {user}") for user in "ab"]
+        posts += [Post(id=f"{user}t", author_id=user, timestamp=50,
+                       text=f"target post by {user}", label=label)
+                  for user, label in (("a", StanceLabel.PO), ("b", StanceLabel.NG))]
+        corpus = Corpus(posts)
+        store = precompute(corpus, HashedNgramEncoder(dim=8))
+        cfg = small_config(hops=2, aggregator=aggregator)
+        params = ModelParams(cfg)
+        batch = corpus.labelled()
+        order2 = [name for name in params.tensors if ".order2." in name]
+        assert len(order2) == 4
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                grads = gradients(batch, graph, corpus, store, params, cfg)
+                got = [forward(post, graph, corpus, store, params, cfg).probabilities
+                       for post in batch]
+            for name in order2:
+                assert np.all(grads[name] == 0), f"{layout} {name}"
+            for post, probs in zip(batch, got):
+                ref = reference_probabilities(post, graph, corpus, store, params, cfg)
+                np.testing.assert_allclose(probs, ref, atol=1e-10,
+                                           err_msg=f"{layout} {post.id}")
 
     def test_loss_is_mean_of_sample_losses(self):
         corpus, graph, store = toy_world()
