@@ -41,6 +41,7 @@ SWEEP_HEADER = "hops,history_len,val_accuracy"
 CHANGE_HEADER = "user,before_score,after_score,change"
 
 SECONDS_PER_DAY = 86_400
+DEFAULT_MARGIN_DAYS = 14
 
 # Config keys that are not TrainConfig fields, with their types.
 _PLUMBING_KEYS = {"posts": str, "interactions": str, "followers": str,
@@ -51,6 +52,10 @@ _CONFIG_KEYS = {**_PLUMBING_KEYS,
                 **{f.name: f.type for f in dataclasses.fields(TrainConfig)}}
 _CHOICES = {"aggregator": AGGREGATOR_KINDS, "history": HISTORY_KINDS}
 _EXPECTED = {int: "integer", float: "number", tuple: "comma-separated numbers"}
+# Keys sweep has no flag for: its grids set hops and history_len per cell,
+# and it writes no checkpoint or metric log. Its config file may still hold
+# them, so one file serves both train and sweep.
+_SWEEP_IGNORED = ("hops", "history_len", "checkpoint_out", "log_out")
 
 
 def parse_timestamp(text: str) -> int:
@@ -134,8 +139,10 @@ def _load_graph_from(plumbing: dict):
     followers = None
     if plumbing.get("followers"):
         followers = load_follower_edges(plumbing["followers"])
+    # classify's unset --min-weight arrives as None.
+    min_weight = plumbing.get("min_weight")
     return build_social_graph(records, followers,
-                              min_weight=plumbing.get("min_weight", 2))
+                              min_weight=2 if min_weight is None else min_weight)
 
 
 def _report_json(report: MetricReport) -> str:
@@ -177,6 +184,8 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     if args.edges and (args.interactions or args.followers):
         raise InputDataError("--edges excludes --interactions and --followers")
+    if args.edges and args.min_weight is not None:
+        raise InputDataError("--min-weight prunes --interactions, not --edges")
     if args.nodes and not args.edges:
         raise InputDataError("--nodes needs --edges")
     if not (args.edges or args.interactions):
@@ -230,7 +239,8 @@ def cmd_hesitancy(args) -> int:
         period_end = parse_timestamp(args.period_end)
         if period_end < period_start:
             raise InputDataError("--period-end is earlier than --period-start")
-        margin = args.margin_days * SECONDS_PER_DAY
+        margin_days = DEFAULT_MARGIN_DAYS if args.margin_days is None else args.margin_days
+        margin = margin_days * SECONDS_PER_DAY
         before = window_scores(corpus, period_start - margin, period_start,
                                args.min_posts)
         after = window_scores(corpus, period_end, period_end + margin, args.min_posts)
@@ -247,6 +257,8 @@ def cmd_hesitancy(args) -> int:
     if not (args.start and args.end):
         raise InputDataError("hesitancy needs --start/--end or "
                              "--period-start/--period-end")
+    if args.margin_days is not None:
+        raise InputDataError("--margin-days needs --period-start/--period-end")
     start, end = parse_timestamp(args.start), parse_timestamp(args.end)
     records = window_scores(corpus, start, end, args.min_posts)
     if not records:
@@ -320,10 +332,10 @@ def cmd_sweep(args) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_train_flags(sub: argparse.ArgumentParser) -> None:
+def _add_train_flags(sub: argparse.ArgumentParser, skip=()) -> None:
     sub.add_argument("--config", help="key=value settings file")
     for key, kind in _CONFIG_KEYS.items():
-        if kind is not tuple:  # split is set in the config file only
+        if kind is not tuple and key not in skip:  # split: config file only
             sub.add_argument(f"--{key.replace('_', '-')}", dest=key, type=kind,
                              choices=_CHOICES.get(key),
                              help=f"overrides config key {key}")
@@ -362,8 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--interactions",
                      help="interaction CSV (alternative to --edges)")
     sub.add_argument("--followers", help="optional follower CSV")
-    sub.add_argument("--min-weight", type=int, default=2,
-                     help="interaction pruning threshold (default: %(default)s)")
+    sub.add_argument("--min-weight", type=int,
+                     help="interaction pruning threshold; only with "
+                          "--interactions (default: 2)")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.set_defaults(handler=cmd_classify)
 
@@ -385,8 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--end", help="window end, exclusive (with --start)")
     sub.add_argument("--period-start", help="period start (with --period-end)")
     sub.add_argument("--period-end", help="period end (with --period-start)")
-    sub.add_argument("--margin-days", type=int, default=14,
-                     help="days before/after the period (default: %(default)s)")
+    sub.add_argument("--margin-days", type=int,
+                     help="days before/after the period; only with "
+                          f"--period-start/--period-end (default: {DEFAULT_MARGIN_DAYS})")
     sub.add_argument("--min-posts", type=int, default=3,
                      help="stance-bearing posts required per user "
                           "(default: %(default)s)")
@@ -418,9 +432,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="CSV of item_id,rater_id,label")
     sub.set_defaults(handler=cmd_agreement)
 
+    # No abbreviations here: --hops and --history-len would otherwise be
+    # read as --hops-grid and --history-len-grid.
     sub = commands.add_parser(
-        "sweep", help="grid search over hops and history length")
-    _add_train_flags(sub)
+        "sweep", help="grid search over hops and history length",
+        allow_abbrev=False)
+    _add_train_flags(sub, skip=_SWEEP_IGNORED)
     sub.add_argument("--hops-grid", default="1,2,3",
                      help="comma-separated hops values (default: %(default)s)")
     sub.add_argument("--history-len-grid", default="1,2,3,4,5",

@@ -9,9 +9,9 @@ each other.
 
 Layer structure: the layer-0 state is a projection of the node's history
 vector. Layer l maps every node's previous state through k shell aggregates
-(one per exact distance 1..k, each with its own projection and attention
-parameters) and concatenates them, so each layer emits k*h values per node
-and the final per-node code is [H^0 || H^1 || ... || H^k] with
+(one per exact distance 1..k, each with its own projection and, for GAT,
+attention parameters) and concatenates them, so each layer emits k*h values
+per node and the final per-node code is [H^0 || H^1 || ... || H^k] with
 h * (1 + k^2) entries. The node's own state never enters the aggregates;
 keeping the ego channel separate from neighbor channels is what lets the
 model use anti-correlated (heterophilous) neighborhoods as signal.
@@ -82,22 +82,25 @@ def aggregate_history_mean(history, dim: int | None = None) -> np.ndarray:
 
 @dataclass
 class AggregateParams:
-    """Projection and attention parameters for one (layer, order) aggregate.
+    """Projection and (GAT only) attention parameters of one (layer, order)
+    aggregate.
 
     w_proj: (in_dim, h) projection applied to center and neighbor states.
     attn:   (2h,) attention vector scoring [projected center || projected
-            neighbor].
+            neighbor]; None for the mean ("gcn") aggregate, which has no
+            attention.
     """
 
     w_proj: np.ndarray
-    attn: np.ndarray
-    leaky_slope: float = LEAKY_SLOPE
+    attn: np.ndarray | None = None
 
     def __post_init__(self):
         self.w_proj = np.asarray(self.w_proj, dtype=np.float64)
-        self.attn = np.asarray(self.attn, dtype=np.float64)
         if self.w_proj.ndim != 2:
             raise ValueError("w_proj must be a matrix")
+        if self.attn is None:
+            return
+        self.attn = np.asarray(self.attn, dtype=np.float64)
         if self.attn.shape != (2 * self.w_proj.shape[1],):
             raise ValueError(
                 f"attn must have shape ({2 * self.w_proj.shape[1]},), got {self.attn.shape}")
@@ -135,13 +138,13 @@ def gat_attention(center_state, neighbor_states, params: AggregateParams) -> np.
     neighbors = _canonical_rows(np.asarray(neighbor_states, dtype=np.float64))
     if neighbors.ndim != 2 or neighbors.shape[0] == 0:
         raise ValueError("neighbor_states must be a non-empty matrix")
+    if params.attn is None:
+        raise ValueError("gat attention needs attn")
     h = params.out_dim
     proj_center = center @ params.w_proj
     proj_neigh = neighbors @ params.w_proj
     scores = _leaky_relu(
-        proj_center @ params.attn[:h] + proj_neigh @ params.attn[h:],
-        params.leaky_slope,
-    )
+        proj_center @ params.attn[:h] + proj_neigh @ params.attn[h:], LEAKY_SLOPE)
     scores -= np.max(scores)
     exp = np.exp(scores)
     return exp / np.sum(exp)
@@ -193,6 +196,8 @@ def h2_layer(graph, states: np.ndarray, layer_params, kind: str = "gat") -> np.n
         if p.w_proj.shape[0] != states.shape[1]:
             raise ValueError(
                 f"w_proj expects input dim {p.w_proj.shape[0]}, states have {states.shape[1]}")
+        if kind == "gat" and p.attn is None:
+            raise ValueError("the gat aggregator needs attn in every AggregateParams")
     out = np.zeros((len(graph), k * h), dtype=np.float64)
     for i, node in enumerate(graph.node_ids):
         shells = graph.shells(node, k)

@@ -152,7 +152,8 @@ class ModelParams:
 
     tensors maps names ("position_weights", "input.w", "layer1.order2.a",
     "head.w", ...) to the live arrays; the optimizer updates them in place.
-    The mean-history variant carries no position_weights entry.
+    The mean-history variant carries no position_weights entry, and only
+    the attention ("gat") aggregator carries the ".a" attention vectors.
     """
 
     def __init__(self, config: TrainConfig, tensors=None):
@@ -172,7 +173,8 @@ class ModelParams:
             for order in range(1, k + 1):
                 base = f"layer{layer}.order{order}"
                 self.tensors[base + ".w"] = _xavier(rng, in_dim, h, (in_dim, h))
-                self.tensors[base + ".a"] = _xavier(rng, 2 * h, 1, (2 * h,))
+                if config.aggregator == "gat":
+                    self.tensors[base + ".a"] = _xavier(rng, 2 * h, 1, (2 * h,))
         z_dim = social_code_dim(config) + d
         self.tensors["head.w"] = _xavier(rng, z_dim, N_CLASSES, (z_dim, N_CLASSES))
         self.tensors["head.b"] = np.zeros(N_CLASSES, dtype=np.float64)
@@ -192,7 +194,7 @@ class ModelParams:
             layers.append([
                 AggregateParams(
                     w_proj=self.tensors[f"layer{layer}.order{order}.w"],
-                    attn=self.tensors[f"layer{layer}.order{order}.a"],
+                    attn=self.tensors.get(f"layer{layer}.order{order}.a"),
                 )
                 for order in range(1, k + 1)
             ])
@@ -337,20 +339,14 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     author_codes = [state[authors]]
     for layer in range(1, k + 1):
         shells = last if layer == k else inner
-        state = ag.concat([_aggregate(ts, f"layer{layer}.order{order}", state,
-                                      shell, config)
-                           for order, shell in enumerate(shells, 1)], axis=1)
+        state = ag.concat([
+            ag.shell_aggregate(state @ ts[f"layer{layer}.order{order}.w"], shell,
+                               ts.get(f"layer{layer}.order{order}.a"), LEAKY_SLOPE)
+            for order, shell in enumerate(shells, 1)], axis=1)
         author_codes.append(state if layer == k else state[authors])
     z_text = Tensor(np.stack([sample.z_text for sample in samples]))
     z = ag.concat(author_codes + [z_text], axis=1)
     return ag.relu(z) @ ts["head.w"] + ts["head.b"]
-
-
-def _aggregate(ts, base: str, state: Tensor, shell: _Shell,
-               config: TrainConfig) -> Tensor:
-    """One (layer, order) shell aggregate: shell.size rows of hidden_dim."""
-    attn = ts[base + ".a"] if config.aggregator == "gat" else None
-    return ag.shell_aggregate(state @ ts[base + ".w"], shell, attn, LEAKY_SLOPE)
 
 
 def _mean_cross_entropy(logits: Tensor, golds: np.ndarray) -> Tensor:
@@ -677,8 +673,11 @@ def load_checkpoint(path) -> ModelParams:
         tensors = {key[len("param:"):]: _archive_array(data, key)
                    for key in data.files if key.startswith("param:")}
     expected = ModelParams(config).tensors
-    if set(tensors) != set(expected):
-        raise InputDataError("checkpoint parameter names do not match its config")
+    unexpected = sorted(set(tensors) - set(expected))
+    missing = sorted(set(expected) - set(tensors))
+    if unexpected or missing:
+        raise InputDataError("checkpoint parameter names do not match its config: "
+                             f"unexpected {unexpected}, missing {missing}")
     for name, arr in tensors.items():
         if arr is None or arr.shape != expected[name].shape or arr.dtype != np.float64:
             raise InputDataError(

@@ -403,6 +403,24 @@ class TestClassify:
         assert err.startswith("error: post 'u0h': class probabilities are not finite")
         assert not out.exists()
 
+    def test_gcn_checkpoint_with_attention_vectors_exit_2(self, world, checkpoint,
+                                                          tmp_path, capsys):
+        # GCN checkpoints once carried unused attention vectors: the GAT
+        # parameter names under an aggregator = gcn config.
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"]["aggregator"] = "gcn"
+        arrays["__meta__"] = np.asarray(json.dumps(meta))
+        old = tmp_path / "model.npz"
+        np.savez(old, **arrays)
+        code = main(["classify", "--checkpoint", str(old),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys,
+                           "unexpected ['layer1.order1.a'], missing []")
+
     def test_missing_checkpoint_named_exit_2(self, world, tmp_path, capsys):
         code = main(["classify", "--checkpoint", str(tmp_path / "x.npz"),
                      "--posts", str(world["posts"]),
@@ -424,6 +442,8 @@ class TestClassify:
          "--edges excludes --interactions and --followers"),
         (["--edges", "edges", "--followers", "followers"],
          "--edges excludes --interactions and --followers"),
+        (["--edges", "edges", "--min-weight", "2"],
+         "--min-weight prunes --interactions, not --edges"),
     ])
     def test_one_graph_source_exit_2(self, world, checkpoint, edge_list, flags,
                                      needle, capsys):
@@ -898,6 +918,14 @@ class TestHesitancy:
         assert hesitancy("300", "300") == 0
         capsys.readouterr()
 
+    def test_margin_days_without_period_exit_2(self, tmp_path, capsys):
+        posts = self.make_posts(tmp_path)
+        code = main(["hesitancy", "--posts", str(posts), "--start", "0",
+                     "--end", "1000", "--margin-days", "3"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --margin-days needs --period-start/--period-end\n")
+
     def test_mode_flag_validation(self, tmp_path, capsys):
         posts = self.make_posts(tmp_path)
         assert main(["hesitancy", "--posts", str(posts), "--start", "0"]) == 2
@@ -1007,6 +1035,26 @@ class TestSweep:
         assert lines[0] == "hops,history_len,val_accuracy"
         assert len(lines) == 3
 
+
+    @pytest.mark.parametrize("flag", ["--hops", "--history-len", "--checkpoint-out",
+                                      "--log-out"])
+    def test_flags_it_would_ignore_exit_2(self, world, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "s.cfg", world, epochs=1)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_config_keys_it_ignores_still_run(self, world, tmp_path, capsys):
+        # write_config sets hops and history_len too; the grids override them.
+        cfg = write_config(tmp_path / "s.cfg", world, epochs=1,
+                           checkpoint_out=tmp_path / "model.npz",
+                           log_out=tmp_path / "log.csv")
+        assert main(["sweep", "--config", str(cfg), "--hops-grid", "1",
+                     "--history-len-grid", "1"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["cells"]) == 1
+        assert not (tmp_path / "model.npz").exists()
+        assert not (tmp_path / "log.csv").exists()
 
     def test_min_weight_zero_exit_2(self, world, tmp_path, capsys):
         cfg = write_config(tmp_path / "s.cfg", world, epochs=1)

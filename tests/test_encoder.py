@@ -218,6 +218,22 @@ class TestH2Layer:
         with pytest.raises(ValueError):
             h2_layer(g, np.zeros((len(g), 4)), [random_params(rng, 4, 3)], kind="sum")
 
+    def test_attn_only_for_gat(self):
+        # The mean aggregate reads only w_proj, so its params may omit attn;
+        # attention may not.
+        rng = np.random.default_rng(17)
+        g = self.graph()
+        states = rng.standard_normal((len(g), 4))
+        with_attn = random_params(rng, 4, 3)
+        without = AggregateParams(w_proj=with_attn.w_proj)
+        assert without.attn is None
+        np.testing.assert_array_equal(h2_layer(g, states, [without], kind="gcn"),
+                                      h2_layer(g, states, [with_attn], kind="gcn"))
+        with pytest.raises(ValueError, match="needs attn"):
+            h2_layer(g, states, [without], kind="gat")
+        with pytest.raises(ValueError, match="needs attn"):
+            gat_aggregate(states[0], states[1:], without)
+
 
 class TestSocialEncode:
     def test_output_width(self):

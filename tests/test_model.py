@@ -200,6 +200,16 @@ class TestModelParams:
         np.testing.assert_array_equal(a.tensors["head.w"], b.tensors["head.w"])
         assert not np.array_equal(a.tensors["head.w"], c.tensors["head.w"])
 
+    def test_attention_vectors_only_under_gat(self):
+        # GCN pools by the mean, so it has no attention to parameterise.
+        gat = ModelParams(TrainConfig())
+        gcn = ModelParams(TrainConfig(aggregator="gcn"))
+        assert set(gat.tensors) - set(gcn.tensors) == {
+            f"layer{layer}.order{order}.a" for layer in (1, 2) for order in (1, 2)}
+        assert set(gcn.tensors) < set(gat.tensors)
+        assert sum(arr.size for arr in gat.tensors.values()) == 30_791
+        assert sum(arr.size for arr in gcn.tensors.values()) == 30_279
+
 
 class TestForward:
     @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
@@ -315,7 +325,8 @@ class TestGradients:
         params = ModelParams(cfg)
         batch = corpus.labelled()
         order2 = [name for name in params.tensors if ".order2." in name]
-        assert len(order2) == 4
+        # .w of both layers, plus their attention vectors .a under GAT
+        assert len(order2) == (4 if aggregator == "gat" else 2)
         for layout in FORCED_LAYOUTS:
             with forced_layout(monkeypatch, layout):
                 grads = gradients(batch, graph, corpus, store, params, cfg)
