@@ -29,7 +29,7 @@ from .embed import load_embedding_store
 from .encoder import AGGREGATOR_KINDS
 from .metrics import MetricReport, agreement_report, load_ratings_csv
 from .model import (HISTORY_KINDS, TrainConfig, eligible_training_posts,
-                    evaluate, forward, load_checkpoint, save_checkpoint,
+                    evaluate, forward_author, load_checkpoint, save_checkpoint,
                     save_metric_log, split_dataset, sweep, train)
 from .socialgraph import (build_social_graph, graph_stats, load_edge_list,
                           load_follower_edges, load_interactions,
@@ -196,23 +196,47 @@ def cmd_classify(args) -> int:
     graph = (load_edge_list(args.edges, args.nodes) if args.edges
              else _load_graph_from(vars(args)))
     provider = load_embedding_store(args.embeddings, config.embed_dim)
-    rows = []
+    # Corpus positions per author, authors in the order of their first post:
+    # forward_author builds each ball once, and one ball is held at a time.
+    groups = {}
     skipped = []
+    for position, post in enumerate(corpus):
+        if post.author_id in graph:
+            groups.setdefault(post.author_id, []).append(position)
+        else:
+            skipped.append(post.author_id)
+    rows = [None] * len(corpus)  # by corpus position; None for a skipped post
+    # (position, error) of the first failing post in corpus order: the error
+    # a post-by-post pass would stop at. Whether a post fails depends on that
+    # post alone, so posts after it are not run.
+    failed = None
     # Finite parameters can still overflow; the check below reports that
     # once, as bad input, instead of a warning per operation.
     with np.errstate(over="ignore", invalid="ignore"):
-        for post in corpus:
-            if post.author_id not in graph:
-                skipped.append(post.author_id)
-                continue
-            prediction = forward(post, graph, corpus, provider, params, config)
-            if not np.isfinite(prediction.probabilities).all():
-                raise InputDataError(f"post {post.id!r}: class probabilities are not "
-                                     "finite (the checkpoint's parameters overflow)")
-            rows.append([post.id, prediction.label.name,
-                         *(repr(float(p)) for p in prediction.probabilities)])
+        for author in list(groups):
+            positions = groups.pop(author)  # freed as rows take its place
+            predictions = forward_author([corpus.posts[i] for i in positions],
+                                         graph, corpus, provider, params, config)
+            for position in positions:
+                if failed and position > failed[0]:
+                    break
+                post = corpus.posts[position]
+                try:
+                    prediction = next(predictions)
+                    if not np.isfinite(prediction.probabilities).all():
+                        raise InputDataError(
+                            f"post {post.id!r}: class probabilities are not "
+                            "finite (the checkpoint's parameters overflow)")
+                except (InputDataError, KeyError) as exc:  # bad input, raised below
+                    failed = (position, exc)
+                    break
+                rows[position] = [post.id, prediction.label.name,
+                                  *(repr(float(p)) for p in prediction.probabilities)]
+    if failed:
+        raise failed[1]
     for user in sorted(set(skipped)):
         print(f"skipped user not in social graph: {user}", file=sys.stderr)
+    rows = [row for row in rows if row is not None]
     if not rows:
         raise EmptyResultError("no posts could be classified")
     write_csv(args.out or sys.stdout, CLASSIFY_HEADER, rows)

@@ -6,13 +6,19 @@ over the author's k-hop neighborhood, where every neighborhood node is
 summarized by a position-weighted aggregate of its recent post history.
 
 Each post is first compiled into index arrays, with array operations and
-no per-node Python loop: the author's k-hop ball by frontier expansion over
-the graph's CSR arrays, the exact-distance shell edges between all pairs of
-ball nodes by one multi-source BFS over the ball's induced CSR, and each
-ball node's last history_len posts before the target's timestamp by the
-corpus's one batch history query, Corpus.history_at, addressed by the
-corpus's join of graph node indices to author codes (built once per graph;
-the corpus also memoizes the posts' embeddings per provider). One batched
+no per-node Python loop, in two halves. The per-author half,
+_compile_ball, builds the author's k-hop ball by frontier expansion over
+the graph's CSR arrays and the exact-distance shell edges between all
+pairs of ball nodes by one multi-source BFS over the ball's induced CSR.
+The per-post half, _compile_post, gathers each ball node's last
+history_len posts before the post's timestamp by the corpus's one batch
+history query, Corpus.history_at, addressed by the corpus's join of graph
+node indices to author codes (built once per graph; the corpus also
+memoizes the posts' embeddings per provider), and the post's own
+embedding. _compile_sample runs both for one post. forward_author runs
+the ball half once for all of one author's posts, which is why CLI
+classify groups a corpus by author: the ball is most of compile, and an
+author with four posts would otherwise build it four times. One batched
 forward, _batch_logits, then joins a batch of compiled posts into one
 block-diagonal graph (each ball's node indices offset by the sizes of the
 balls before it), encodes it and applies a linear head to [z_social ||
@@ -217,40 +223,67 @@ class _CompiledSample:
     gold: int | None
 
 
+class _Ball(NamedTuple):
+    """The per-author half of a compiled sample: the sorted graph node
+    indices of the author's k-hop ball, the author's row in it, and the
+    exact-distance shell edges between its rows."""
+
+    nodes: np.ndarray
+    author_row: int
+    shell_edges: tuple
+
+
 def _check_provider(provider, config: TrainConfig) -> None:
     if provider.dim != config.embed_dim:
         raise InputDataError(
             f"provider dim {provider.dim} != config embed_dim {config.embed_dim}")
 
 
-def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _CompiledSample:
-    """Every engine path compiles its posts here, so the provider's
-    dimension is checked here and nowhere else in the engine."""
-    _check_provider(provider, config)
-    k, lam = config.hops, config.history_len
-    author = graph.index(post.author_id)
-    reached = exact_shells(graph.indptr, graph.indices, [author], k)
+def _compile_ball(author_id, graph, hops: int) -> _Ball:
+    """The author's ball and its shells, which depend on nothing else."""
+    author = graph.index(author_id)
+    reached = exact_shells(graph.indptr, graph.indices, [author], hops)
     ball = np.sort(np.concatenate([[author]] + [nodes for _, nodes in reached]))
     # Exact-distance shells inside the induced subgraph, from every ball
     # node at once; pairs come out sorted by (center, neighbor).
     local_indptr, local_indices = induced_csr(graph.indptr, graph.indices, ball)
     shell_edges = tuple(exact_shells(local_indptr, local_indices,
-                                     np.arange(ball.size), k))
-    rows, counts = corpus.history_at(corpus.graph_authors(graph)[ball],
+                                     np.arange(ball.size), hops))
+    return _Ball(ball, int(np.searchsorted(ball, author)), shell_edges)
+
+
+def _compile_post(post, ball: _Ball, graph, corpus, provider,
+                  config: TrainConfig) -> _CompiledSample:
+    """The per-post half: the ball's history before the post's timestamp,
+    its embeddings and the post's own. Every engine path compiles its posts
+    here, so the provider's dimension is checked here and nowhere else in
+    the engine."""
+    _check_provider(provider, config)
+    lam = config.history_len
+    rows, counts = corpus.history_at(corpus.graph_authors(graph)[ball.nodes],
                                      post.timestamp, lam)
     real = rows >= 0
-    hist = np.zeros((ball.size, lam, config.embed_dim), dtype=np.float64)
+    hist = np.zeros((ball.nodes.size, lam, config.embed_dim), dtype=np.float64)
     hist[real] = corpus.embeddings(provider, rows[real])
     return _CompiledSample(
         post_id=post.id,
-        author_row=int(np.searchsorted(ball, author)),
-        n_nodes=ball.size,
+        author_row=ball.author_row,
+        n_nodes=ball.nodes.size,
         hist=hist,
         hist_counts=counts,
-        shell_edges=shell_edges,
+        shell_edges=ball.shell_edges,
         z_text=np.asarray(provider.embed_post(post), dtype=np.float64),
         gold=None if post.label is None else int(post.label),
     )
+
+
+def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _CompiledSample:
+    """One post compiled whole: its author's ball, then its history.
+
+    train, loss, gradients, evaluate and forward compile each post this
+    way; forward_author builds one ball for all of an author's posts."""
+    return _compile_post(post, _compile_ball(post.author_id, graph, config.hops),
+                         graph, corpus, provider, config)
 
 
 # -- engine ------------------------------------------------------------------
@@ -387,7 +420,32 @@ def forward(post, graph, corpus, provider, params: ModelParams,
     to the lowest class index.
     """
     sample = _compile_sample(post, graph, corpus, provider, config)
+    return _prediction(_make_tensors(params, requires_grad=False), sample, config)
+
+
+def forward_author(posts, graph, corpus, provider, params: ModelParams,
+                   config: TrainConfig):
+    """forward() of each post, lazily and in order, for posts that share
+    one author: the author's ball and shells are built once for all of them.
+
+    Each prediction is byte-identical to forward() of its post, which runs
+    as a batch of one here too. The ball is built on the first prediction
+    asked for and dropped with the generator, so callers that stream one
+    author at a time hold one ball at a time.
+    """
+    posts = list(posts)
+    if len({post.author_id for post in posts}) > 1:
+        raise ValueError("forward_author takes the posts of one author")
+    if not posts:
+        return
+    ball = _compile_ball(posts[0].author_id, graph, config.hops)
     ts = _make_tensors(params, requires_grad=False)
+    for post in posts:
+        yield _prediction(ts, _compile_post(post, ball, graph, corpus, provider, config),
+                          config)
+
+
+def _prediction(ts, sample, config: TrainConfig) -> Prediction:
     probs = softmax(_batch_logits(ts, [sample], config).data[0])
     return Prediction(probabilities=probs, label=StanceLabel(int(np.argmax(probs))))
 

@@ -254,15 +254,21 @@ def exact_shells(indptr, indices, centers, depth: int):
 
 def induced_csr(indptr, indices, keep):
     """CSR of the subgraph induced by the sorted node indices `keep`, its
-    nodes renumbered 0..len(keep)-1 in the same order."""
+    nodes renumbered 0..len(keep)-1 in the same order.
+
+    A position map places the neighbours: an n-length array holds each
+    kept node's new number and -1 elsewhere, so one read at the targets
+    renumbers them and its sign masks the edges that leave `keep`.
+    """
     starts = indptr[keep]
     counts = indptr[keep + 1] - starts
-    targets = indices[_ranges(starts, counts)]
+    where = np.full(len(indptr) - 1, -1, dtype=np.intp)
+    where[keep] = np.arange(len(keep))
+    loc = where[indices[_ranges(starts, counts)]]
+    inside = loc >= 0
     sources = np.repeat(np.arange(len(keep)), counts)
-    pos = np.minimum(np.searchsorted(keep, targets), max(len(keep) - 1, 0))
-    inside = keep[pos] == targets
     degree = np.bincount(sources[inside], minlength=len(keep))
-    return np.concatenate([[0], np.cumsum(degree)]), pos[inside]
+    return np.concatenate([[0], np.cumsum(degree)]), loc[inside]
 
 
 class SocialGraph:

@@ -38,6 +38,7 @@ from socialstance.model import (
     eligible_training_posts,
     evaluate,
     forward,
+    forward_author,
     gradients,
     load_checkpoint,
     loss,
@@ -244,6 +245,27 @@ class TestForward:
         pred = forward(post, graph, corpus, store, params, cfg)
         assert classify(post, graph, corpus, store, params, cfg) == StanceLabel(
             int(np.argmax(pred.probabilities)))
+
+    @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+    def test_forward_author_matches_forward_post_by_post(self, aggregator):
+        corpus, graph, store = toy_world(history=3)
+        cfg = small_config(aggregator=aggregator)
+        params = ModelParams(cfg)
+        for user in ("u0", "u5"):
+            posts = corpus.posts_by(user)[::-1]
+            got = forward_author(posts, graph, corpus, store, params, cfg)
+            assert [p.probabilities.tobytes() for p in got] == \
+                [forward(p, graph, corpus, store, params, cfg).probabilities.tobytes()
+                 for p in posts]
+
+    def test_forward_author_takes_one_author(self):
+        corpus, graph, store = toy_world()
+        cfg = small_config()
+        params = ModelParams(cfg)
+        assert list(forward_author([], graph, corpus, store, params, cfg)) == []
+        mixed = [corpus.by_id["u0t"], corpus.by_id["u1t"]]
+        with pytest.raises(ValueError, match="one author"):
+            next(forward_author(mixed, graph, corpus, store, params, cfg))
 
     def test_no_history_user_still_classifies(self):
         # a user whose only post is the target: history is empty

@@ -25,6 +25,7 @@ from socialstance.socialgraph import (
     build_social_graph,
     exact_order_neighborhood,
     graph_stats,
+    induced_csr,
     induced_subgraph,
     khop_neighborhood,
     largest_weakly_connected_component,
@@ -266,6 +267,41 @@ class TestInducedSubgraph:
         assert set(sub.node_ids) == {"a", "b", "d"}
         assert sub.neighbors("a") == ("b",)
         assert sub.degree("d") == 0
+
+
+@st.composite
+def csr_and_keep(draw):
+    """Target lists of a random CSR graph (self-loops, repeats and one-way
+    edges allowed) and a sorted node subset: empty, one node, every node or
+    any subset."""
+    n = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=6),
+                         min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["empty", "single", "all", "subset"]))
+    if kind == "empty" or not n:
+        keep = []
+    elif kind == "single":
+        keep = [draw(st.integers(0, n - 1))]
+    elif kind == "all":
+        keep = list(range(n))
+    else:
+        keep = sorted(draw(st.sets(st.integers(0, n - 1))))
+    return rows, keep
+
+
+@settings(max_examples=300, deadline=None)
+@given(csr_and_keep())
+def test_induced_csr_matches_set_oracle(case):
+    rows, keep = case
+    indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.intp)
+    indices = np.array([t for row in rows for t in row], dtype=np.intp)
+    got_indptr, got_indices = induced_csr(indptr, indices, np.array(keep, dtype=np.intp))
+    inside = set(keep)
+    number = {v: i for i, v in enumerate(keep)}
+    want = [[number[t] for t in rows[v] if t in inside] for v in keep]
+    assert got_indptr.dtype == got_indices.dtype == np.intp
+    assert got_indptr.tolist() == [0] + np.cumsum([len(w) for w in want]).tolist()
+    assert got_indices.tolist() == [t for w in want for t in w]
 
 
 # -- file IO -----------------------------------------------------------------
