@@ -240,7 +240,8 @@ def _check_provider(provider, config: TrainConfig) -> None:
 
 
 def _compile_ball(author_id, graph, hops: int) -> _Ball:
-    """The author's ball and its shells, which depend on nothing else."""
+    """The author's ball and its shells: they depend on the author and
+    hops alone, not on the post."""
     author = graph.index(author_id)
     reached = exact_shells(graph.indptr, graph.indices, [author], hops)
     ball = np.sort(np.concatenate([[author]] + [nodes for _, nodes in reached]))

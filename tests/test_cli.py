@@ -273,34 +273,38 @@ class TestClassify:
             assert sum(probs) == pytest.approx(1.0, abs=1e-9)
             assert line.split(",")[1] in ("PO", "NG", "NE", "PD")
 
+    @staticmethod
+    def ring_classify(root, posts, embedded, config, *extra):
+        """Run classify on `posts` over the ring a-b-c-d-e, with a store of
+        the `embedded` posts and a fresh checkpoint of `config`."""
+        users = ["a", "b", "c", "d", "e"]
+        write_posts(Corpus(posts), root / "posts.jsonl")
+        lines = ["source,target,kind,timestamp"]
+        for u, v in zip(users, users[1:] + users[:1]):
+            lines += [f"{u},{v},retweet,1", f"{v},{u},mention,2"]
+        (root / "inter.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        save_embedding_store(precompute(Corpus(embedded), HashedNgramEncoder(dim=8)),
+                             root / "emb.tsv")
+        save_checkpoint(ModelParams(config), root / "model.npz")
+        return main(["classify", "--checkpoint", str(root / "model.npz"),
+                     "--posts", str(root / "posts.jsonl"), "--embeddings", str(root / "emb.tsv"),
+                     "--interactions", str(root / "inter.csv"), *extra])
+
     def test_rows_follow_corpus_order_across_interleaved_authors(self, tmp_path, capsys):
         # classify builds each author's ball once; its rows must still be
         # forward()'s, post by post, in corpus order. Authors interleave, a
         # stranger is skipped midway, and a posts twice at one timestamp.
-        users = ["a", "b", "c", "d", "e"]
         order = ["a", "b", "a", "c", "b", "stranger", "d", "a", "e", "c", "b", "a"]
         stamps = [50, 40, 50, 30, 60, 45, 20, 10, 55, 70, 35, 65]
         posts = [Post(id=f"q{i}", author_id=user, timestamp=ts,
                       text=f"post {i} by {user} on the jab")
                  for i, (user, ts) in enumerate(zip(order, stamps))]
-        corpus = Corpus(posts)
-        write_posts(corpus, tmp_path / "posts.jsonl")
-        lines = ["source,target,kind,timestamp"]
-        for u, v in zip(users, users[1:] + users[:1]):
-            lines += [f"{u},{v},retweet,1", f"{v},{u},mention,2"]
-        (tmp_path / "inter.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        save_embedding_store(precompute(corpus, HashedNgramEncoder(dim=8)),
-                             tmp_path / "emb.tsv")
         config = TrainConfig(hops=2, history_len=2, embed_dim=8, hidden_dim=4, seed=3)
-        save_checkpoint(ModelParams(config), tmp_path / "model.npz")
         out = tmp_path / "pred.csv"
-        assert main(["classify", "--checkpoint", str(tmp_path / "model.npz"),
-                     "--posts", str(tmp_path / "posts.jsonl"),
-                     "--embeddings", str(tmp_path / "emb.tsv"),
-                     "--interactions", str(tmp_path / "inter.csv"),
-                     "--out", str(out)]) == 0
+        assert self.ring_classify(tmp_path, posts, posts, config, "--out", str(out)) == 0
         assert capsys.readouterr().err == "skipped user not in social graph: stranger\n"
 
+        corpus = Corpus(posts)
         graph = build_social_graph(load_interactions(tmp_path / "inter.csv"))
         store = load_embedding_store(tmp_path / "emb.tsv", 8)
         params = load_checkpoint(tmp_path / "model.npz")
@@ -316,24 +320,11 @@ class TestClassify:
     def test_first_failing_post_in_corpus_order_is_named(self, tmp_path, capsys):
         # c1 and a2 lack embeddings. Grouped by author, a2 (a's second post)
         # runs before c1, but c1 comes first in the corpus, so c1 is named.
-        users = ["a", "b", "c", "d", "e"]
         posts = [Post(id="a1", author_id="a", timestamp=10, text="first by a"),
                  Post(id="c1", author_id="c", timestamp=20, text="first by c"),
                  Post(id="a2", author_id="a", timestamp=30, text="second by a")]
-        corpus = Corpus(posts)
-        write_posts(corpus, tmp_path / "posts.jsonl")
-        lines = ["source,target,kind,timestamp"]
-        for u, v in zip(users, users[1:] + users[:1]):
-            lines += [f"{u},{v},retweet,1", f"{v},{u},mention,2"]
-        (tmp_path / "inter.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        save_embedding_store(precompute(Corpus(posts[:1]), HashedNgramEncoder(dim=8)),
-                             tmp_path / "emb.tsv")
         config = TrainConfig(hops=1, history_len=2, embed_dim=8, hidden_dim=4)
-        save_checkpoint(ModelParams(config), tmp_path / "model.npz")
-        code = main(["classify", "--checkpoint", str(tmp_path / "model.npz"),
-                     "--posts", str(tmp_path / "posts.jsonl"),
-                     "--embeddings", str(tmp_path / "emb.tsv"),
-                     "--interactions", str(tmp_path / "inter.csv")])
+        code = self.ring_classify(tmp_path, posts, posts[:1], config)
         assert_input_error(code, capsys, "unknown post id: 'c1'")
 
     def test_edge_list_input(self, world, checkpoint, tmp_path, capsys):
