@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+from .encoder import LEAKY_SLOPE
+
 
 def _unbroadcast(grad, shape):
     """Sum out broadcast axes so grad matches the original operand shape."""
@@ -317,15 +319,17 @@ def _unpad(padded, index):
 class _DensePool:
     """Weighted pooling through a zero-padded (S, R, B) weight block.
 
-    Edge i's weight goes to cell block.cells[i], so repeated (row,
-    neighbour) pairs add up, and the pool is one batched matmul of the
-    block with the (S, B, h) padded rows of x.
+    Edge i's weight goes to the cell of its output row and its neighbour's
+    place in the ball, out[segments[i]] * B + pad[neighbors[i]] % B, so
+    repeated (row, neighbour) pairs add up, and the pool is one batched
+    matmul of the block with the (S, B, h) padded rows of x.
     """
 
-    def __init__(self, xd, block, weights):
+    def __init__(self, xd, shell, weights):
+        self.block = block = shell.block
         samples, rows, width = block.shape
-        self.block = block
-        self.a = np.bincount(block.cells, weights=weights,
+        self.cells = block.out[shell.segments] * width + block.pad[shell.neighbors] % width
+        self.a = np.bincount(self.cells, weights=weights,
                              minlength=samples * rows * width).reshape(block.shape)
         self.xp = _pad(xd, block.pad, samples, width)
         self.value = _unpad(self.a @ self.xp, block.out)
@@ -338,7 +342,7 @@ class _DensePool:
         dweights = dx = None
         if weight_grad:
             product = gp @ self.xp.transpose(0, 2, 1)
-            dweights = product.reshape(-1)[self.block.cells]
+            dweights = product.reshape(-1)[self.cells]
         if x_grad:
             dx = _unpad(self.a.transpose(0, 2, 1) @ gp, self.block.pad)
         return dweights, dx
@@ -365,14 +369,14 @@ class _ScatterPool:
         return dweights, dx
 
 
-def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
+def shell_aggregate(x, shell, attn=None) -> Tensor:
     """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
 
     Edge i carries row shell.neighbors[i] of x to output row
     shell.segments[i]; shell.centers[i] is the row it is centred on. GAT
     and GCN differ only in the edge weights. With attn (2h,) the pool is
     GAT's: edge weights are the max-shifted softmax, per output row, of
-    leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], slope).
+    leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], LEAKY_SLOPE).
     Without, it is GCN's mean: every edge weighs 1 and each output row is
     then scaled by 1/|shell|, one over its edge count. A row without edges
     is zero; a shell without edges gives zeros and zero gradients.
@@ -407,12 +411,12 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
         attn = as_tensor(attn)
         ad = attn.data
         raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
-        scores = np.where(raw > 0, raw, slope * raw)
+        scores = np.where(raw > 0, raw, LEAKY_SLOPE * raw)
         shift = np.full(size, -np.inf)
         np.maximum.at(shift, segments, scores)
         expd = np.exp(scores - shift[segments])
         weights = expd / _scatter_add(expd, segments, size)[segments]
-    pool = _DensePool(xd, block, weights) if dense else _ScatterPool(xd, shell, weights)
+    pool = _DensePool(xd, shell, weights) if dense else _ScatterPool(xd, shell, weights)
     if attn is None:
         scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
         return _node(pool.value * scale, (x,), lambda g: x._accumulate(
@@ -422,7 +426,7 @@ def shell_aggregate(x, shell, attn=None, slope: float = 0.0) -> Tensor:
         dweights, dx = pool.grads(g, x.requires_grad)
         dscores = weights * (dweights
                              - _scatter_add(weights * dweights, segments, size)[segments])
-        draw = np.where(raw > 0, dscores, slope * dscores)
+        draw = np.where(raw > 0, dscores, LEAKY_SLOPE * dscores)
         dcenter = _scatter_add(draw, centers, n)
         dneighbor = _scatter_add(draw, neighbors, n)
         if x.requires_grad:

@@ -31,9 +31,9 @@ from .metrics import MetricReport, agreement_report, load_ratings_csv
 from .model import (HISTORY_KINDS, TrainConfig, eligible_training_posts,
                     evaluate, forward_author, load_checkpoint, save_checkpoint,
                     save_metric_log, split_dataset, sweep, train)
-from .socialgraph import (build_social_graph, graph_stats, load_edge_list,
-                          load_follower_edges, load_interactions,
-                          write_edge_list, write_nodes)
+from .socialgraph import (DEFAULT_MIN_WEIGHT, build_social_graph, graph_stats,
+                          load_edge_list, load_follower_edges,
+                          load_interactions, write_edge_list, write_nodes)
 
 CLASSIFY_HEADER = ",".join(["post_id", "label"]
                            + [f"p_{label.name}" for label in StanceLabel])
@@ -141,8 +141,8 @@ def _load_graph_from(plumbing: dict):
         followers = load_follower_edges(plumbing["followers"])
     # classify's unset --min-weight arrives as None.
     min_weight = plumbing.get("min_weight")
-    return build_social_graph(records, followers,
-                              min_weight=2 if min_weight is None else min_weight)
+    return build_social_graph(records, followers, DEFAULT_MIN_WEIGHT
+                              if min_weight is None else min_weight)
 
 
 def _report_json(report: MetricReport) -> str:
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--interactions", required=True,
                      help="CSV of source,target,kind,timestamp")
     sub.add_argument("--followers", help="optional CSV of follower pairs u,v")
-    sub.add_argument("--min-weight", type=int, default=2,
+    sub.add_argument("--min-weight", type=int, default=DEFAULT_MIN_WEIGHT,
                      help="minimum interaction count per edge (default: %(default)s)")
     sub.add_argument("--out-dir", required=True,
                      help="directory for edges.csv, nodes.txt, stats.json")
@@ -400,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--followers", help="optional follower CSV")
     sub.add_argument("--min-weight", type=int,
                      help="interaction pruning threshold; only with "
-                          "--interactions (default: 2)")
+                          f"--interactions (default: {DEFAULT_MIN_WEIGHT})")
     sub.add_argument("--out", help="output CSV path (default: stdout)")
     sub.set_defaults(handler=cmd_classify)
 
@@ -435,11 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
         "predict-change", help="train and score the attitude-change predictor")
     sub.add_argument("--data", required=True,
                      help="training CSV of theme counts and change labels")
-    sub.add_argument("--rounds", type=int, default=100,
+    sub.add_argument("--rounds", type=int, default=gbdt.GbdtConfig.rounds,
                      help="boosting rounds (default: %(default)s)")
-    sub.add_argument("--max-depth", type=int, default=5,
+    sub.add_argument("--max-depth", type=int, default=gbdt.GbdtConfig.max_depth,
                      help="tree depth bound (default: %(default)s)")
-    sub.add_argument("--shrinkage", type=float, default=0.1,
+    sub.add_argument("--shrinkage", type=float, default=gbdt.GbdtConfig.shrinkage,
                      help="learning rate of the booster (default: %(default)s)")
     sub.add_argument("--train-frac", type=float, default=0.8,
                      help="training fraction per session (default: %(default)s)")

@@ -144,7 +144,14 @@ def save_embedding_store(store: PrecomputedStore, path) -> None:
     """Write a store as 'd=<dim>' then one '<post_id>\\t<floats>' row per post.
 
     Floats are written with repr, which round-trips float64 bit-exactly.
+    A post id that load_embedding_store could not read back (empty, or
+    holding a tab or a line break) raises InputDataError before the file
+    is opened.
     """
+    for post_id in store._rows:
+        if not post_id or any(c in post_id for c in "\t\n\r"):
+            raise InputDataError(f"post id {post_id!r} cannot be written to an "
+                                 "embedding store (empty, or holds a tab or line break)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"d={store.dim}\n")
         for post_id in sorted(store._rows):

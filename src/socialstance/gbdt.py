@@ -207,9 +207,9 @@ def _check_labels(labels, n_classes: int, n: int | None = None) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def fit(features, labels, config: GbdtConfig = GbdtConfig(),
-        n_classes: int = N_CHANGE_CLASSES) -> GbdtModel:
-    """Train a booster on (n, f) features and integer class labels.
+def fit(features, labels, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
+    """Train a booster on (n, f) features and integer class labels of the
+    N_CHANGE_CLASSES change classes.
 
     Raises InputDataError, naming the round, if the training scores stop
     being finite (a shrinkage too large for the leaf values).
@@ -218,15 +218,15 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig(),
     n = features.shape[0]
     if n < 2:
         raise InputDataError("need at least 2 training samples")
-    labels = _check_labels(labels, n_classes, n)
+    labels = _check_labels(labels, N_CHANGE_CLASSES, n)
 
-    priors = np.bincount(labels, minlength=n_classes) / n
+    priors = np.bincount(labels, minlength=N_CHANGE_CLASSES) / n
     base_scores = np.log(np.maximum(priors, PROB_FLOOR))
-    model = GbdtModel(config=config, n_classes=n_classes,
+    model = GbdtModel(config=config, n_classes=N_CHANGE_CLASSES,
                       n_features=features.shape[1], base_scores=base_scores)
 
     scores = np.tile(base_scores, (n, 1))
-    onehot = np.zeros((n, n_classes))
+    onehot = np.zeros((n, N_CHANGE_CLASSES))
     onehot[np.arange(n), labels] = 1.0
     all_idx = np.arange(n)
     leaf_out = np.empty(n)  # every row lands in one leaf, so all are rewritten
@@ -237,9 +237,9 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig(),
             probs = softmax(scores)
             residuals = onehot - probs
             round_trees = []
-            for c in range(n_classes):
+            for c in range(N_CHANGE_CLASSES):
                 root = _grow_tree(features, residuals[:, c], all_idx, 0,
-                                  config.max_depth, n_classes, leaf_out)
+                                  config.max_depth, N_CHANGE_CLASSES, leaf_out)
                 round_trees.append(RegressionTree(root))
                 scores[:, c] += config.shrinkage * leaf_out
         if not np.isfinite(scores).all():
@@ -281,10 +281,10 @@ def log_loss(model: GbdtModel, features, labels) -> float:
     return mean_log_loss(probs[np.arange(labels.size), labels])
 
 
-def priors_log_loss(labels, n_classes: int = N_CHANGE_CLASSES) -> float:
+def priors_log_loss(labels) -> float:
     """Log-loss of predicting the training priors for every sample."""
-    labels = _check_labels(labels, n_classes)
-    priors = np.bincount(labels, minlength=n_classes) / labels.size
+    labels = _check_labels(labels, N_CHANGE_CLASSES)
+    priors = np.bincount(labels, minlength=N_CHANGE_CLASSES) / labels.size
     return mean_log_loss(priors[labels])
 
 

@@ -127,11 +127,10 @@ def window_scores(corpus: Corpus, start: int, end: int, min_posts: int) -> dict:
     return records
 
 
-def classify_change(before: float, after: float,
-                    threshold: float = CHANGE_THRESHOLD) -> ChangeLabel:
-    """Direction of the score change, with a dead zone of `threshold`.
+def classify_change(before: float, after: float) -> ChangeLabel:
+    """Direction of the score change, with a dead zone of CHANGE_THRESHOLD.
 
-    Strictly-smaller-than semantics: a change of exactly `threshold` is
+    Strictly-smaller-than semantics: a change of exactly CHANGE_THRESHOLD is
     directional, not "unchanged". Categories follow the score value, so
     "increased" means the user got more supportive.
     """
@@ -139,7 +138,7 @@ def classify_change(before: float, after: float,
         if not -1.0 <= value <= 1.0:
             raise InputDataError(f"{name} score {value} outside [-1, 1]")
     delta = after - before
-    if abs(delta) < threshold:
+    if abs(delta) < CHANGE_THRESHOLD:
         return ChangeLabel.unchanged
     return ChangeLabel.increased if delta > 0 else ChangeLabel.decreased
 

@@ -16,17 +16,19 @@ history query, Corpus.history_at, addressed by the corpus's join of graph
 node indices to author codes (built once per graph; the corpus also
 memoizes the posts' embeddings per provider), and the post's own
 embedding. _compile_sample runs both for one post. forward_author runs
-the ball half once for all of one author's posts, which is why CLI
-classify groups a corpus by author: the ball is most of compile, and an
-author with four posts would otherwise build it four times. One batched
-forward, _batch_logits, then joins a batch of compiled posts into one
-block-diagonal graph (each ball's node indices offset by the sizes of the
-balls before it), encodes it and applies a linear head to [z_social ||
-z_text] at the author rows. Each (layer, order) shell aggregate is one
-fused autograd op, autograd.shell_aggregate. train, loss, gradients,
-evaluate and forward (a batch of one) all run it through the autograd
-engine, so analytic gradients come from the exact inference path. Logits
-become probabilities through metrics.softmax, which gbdt shares.
+the ball half once for all of one author's posts (forward is it on one
+post), which is why CLI classify groups a corpus by author: the ball is
+most of compile, and an author with four posts would otherwise build it
+four times. One batched forward, _batch_logits, then joins a batch of
+compiled posts into one block-diagonal graph (each ball's node indices
+offset by the sizes of the balls before it), encodes it and applies a
+linear head to [z_social || z_text] at the author rows. Each (layer,
+order) shell aggregate is one fused autograd op, autograd.shell_aggregate,
+which derives its dense weight-block cells from the padded row indices.
+train, loss, gradients, evaluate and forward (a batch of one) all run it
+through the autograd engine, so analytic gradients come from the exact
+inference path. Logits become probabilities through metrics.softmax,
+which gbdt shares.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -45,10 +47,9 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import StanceLabel, recent_posts
-from .encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams,
-                      EncoderParams, aggregate_history_mean,
-                      aggregate_history_pe, code_dim, init_position_weights,
-                      social_encode)
+from .encoder import (AGGREGATOR_KINDS, AggregateParams, EncoderParams,
+                      aggregate_history_mean, aggregate_history_pe, code_dim,
+                      init_position_weights, social_encode)
 from .errors import (InputDataError, TrainingDivergedError, checked_fields,
                      write_csv)
 from .metrics import PROB_FLOOR, softmax, stance_report
@@ -60,6 +61,7 @@ N_CLASSES = len(StanceLabel)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 CHECKPOINT_VERSION = 1
 METRIC_LOG_HEADER = "epoch,train_loss,val_accuracy"
+BASELINE_EPOCHS, BASELINE_LEARNING_RATE = 300, 0.05  # train_text_baseline's Adam
 
 
 @dataclass
@@ -211,18 +213,6 @@ class ModelParams:
 # -- sample compilation ------------------------------------------------------
 
 
-@dataclass
-class _CompiledSample:
-    post_id: str
-    author_row: int
-    n_nodes: int
-    hist: np.ndarray          # (B, history_len, d); zero-padded slots
-    hist_counts: np.ndarray   # (B,) available history lengths
-    shell_edges: tuple        # per order: (centers, neighbors) int arrays
-    z_text: np.ndarray        # (d,)
-    gold: int | None
-
-
 class _Ball(NamedTuple):
     """The per-author half of a compiled sample: the sorted graph node
     indices of the author's k-hop ball, the author's row in it, and the
@@ -230,7 +220,17 @@ class _Ball(NamedTuple):
 
     nodes: np.ndarray
     author_row: int
-    shell_edges: tuple
+    shell_edges: tuple        # per order: (centers, neighbors) int arrays
+
+
+@dataclass
+class _CompiledSample:
+    post_id: str
+    ball: _Ball
+    hist: np.ndarray          # (B, history_len, d); zero-padded slots
+    hist_counts: np.ndarray   # (B,) available history lengths
+    z_text: np.ndarray        # (d,)
+    gold: int | None
 
 
 def _check_provider(provider, config: TrainConfig) -> None:
@@ -268,11 +268,9 @@ def _compile_post(post, ball: _Ball, graph, corpus, provider,
     hist[real] = corpus.embeddings(provider, rows[real])
     return _CompiledSample(
         post_id=post.id,
-        author_row=ball.author_row,
-        n_nodes=ball.nodes.size,
+        ball=ball,
         hist=hist,
         hist_counts=counts,
-        shell_edges=ball.shell_edges,
         z_text=np.asarray(provider.embed_post(post), dtype=np.float64),
         gold=None if post.label is None else int(post.label),
     )
@@ -300,15 +298,14 @@ class _Block(NamedTuple):
 
     shape is (S, R, B): S samples of R output rows and B = the largest
     ball's size each. Input row i sits at row pad[i] of the (S * B) padded
-    states, output row j at row out[j] of the (S * R) padded output, and
-    edge i at flat cell cells[i] of the (S, R, B) weight block; pad and
-    out are increasing.
+    states (pad[i] % B is its place in its ball) and output row j at row
+    out[j] of the (S * R) padded output; pad and out are increasing.
+    ag.shell_aggregate derives each edge's weight-block cell from them.
     """
 
     shape: tuple
     pad: np.ndarray
     out: np.ndarray
-    cells: np.ndarray
 
 
 class _Shell(NamedTuple):
@@ -335,31 +332,27 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     if not samples:
         raise ValueError("empty batch")
     k, n_samples = config.hops, len(samples)
-    sizes = [sample.n_nodes for sample in samples]
+    balls = [sample.ball for sample in samples]
+    sizes = [ball.nodes.size for ball in balls]
     offsets = np.cumsum([0] + sizes[:-1])
     n, width = sum(sizes), max(sizes)
-    authors = offsets + np.array([sample.author_row for sample in samples])
-    sample_of = np.repeat(np.arange(n_samples), sizes)
-    local = np.arange(n) - offsets[sample_of]
-    pad = sample_of * width + local
+    authors = offsets + np.array([ball.author_row for ball in balls])
+    pad = np.arange(n) + np.repeat(np.arange(n_samples) * width - offsets, sizes)
     # Only author rows reach the head, so the last layer aggregates just
     # the edges centred on an author, into one row per sample.
     slot = np.full(n, -1)
     slot[authors] = np.arange(n_samples)
     inner, last = [], []
     for order in range(k):
-        centers = np.concatenate([sample.shell_edges[order][0] + off
-                                  for sample, off in zip(samples, offsets)])
-        neighbors = np.concatenate([sample.shell_edges[order][1] + off
-                                    for sample, off in zip(samples, offsets)])
-        inner.append(_Shell(centers, neighbors, centers, n, _Block(
-            (n_samples, width, width), pad, pad,
-            pad[centers] * width + local[neighbors])))
+        centers = np.concatenate([ball.shell_edges[order][0] + off
+                                  for ball, off in zip(balls, offsets)])
+        neighbors = np.concatenate([ball.shell_edges[order][1] + off
+                                    for ball, off in zip(balls, offsets)])
+        inner.append(_Shell(centers, neighbors, centers, n,
+                            _Block((n_samples, width, width), pad, pad)))
         keep = slot[centers] >= 0
-        authors_of = slot[centers[keep]]
-        last.append(_Shell(centers[keep], neighbors[keep], authors_of, n_samples,
-                           _Block((n_samples, 1, width), pad, np.arange(n_samples),
-                                  authors_of * width + local[neighbors[keep]])))
+        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
+                           _Block((n_samples, 1, width), pad, np.arange(n_samples))))
     hist = np.concatenate([sample.hist for sample in samples])
     if config.history == "pe":
         z_hist = None
@@ -375,7 +368,7 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
         shells = last if layer == k else inner
         state = ag.concat([
             ag.shell_aggregate(state @ ts[f"layer{layer}.order{order}.w"], shell,
-                               ts.get(f"layer{layer}.order{order}.a"), LEAKY_SLOPE)
+                               ts.get(f"layer{layer}.order{order}.a"))
             for order, shell in enumerate(shells, 1)], axis=1)
         author_codes.append(state if layer == k else state[authors])
     z_text = Tensor(np.stack([sample.z_text for sample in samples]))
@@ -415,24 +408,26 @@ def _predicted_labels(ts, samples, config: TrainConfig) -> list:
 
 def forward(post, graph, corpus, provider, params: ModelParams,
             config: TrainConfig) -> Prediction:
-    """Class probabilities and argmax label for one post.
+    """Class probabilities and argmax label for one post: forward_author()
+    of that post alone.
 
     The author must be a node of `graph`; ties in the probabilities resolve
     to the lowest class index.
     """
-    sample = _compile_sample(post, graph, corpus, provider, config)
-    return _prediction(_make_tensors(params, requires_grad=False), sample, config)
+    return next(forward_author([post], graph, corpus, provider, params, config))
 
 
 def forward_author(posts, graph, corpus, provider, params: ModelParams,
                    config: TrainConfig):
-    """forward() of each post, lazily and in order, for posts that share
-    one author: the author's ball and shells are built once for all of them.
+    """The Prediction of each post, lazily and in order, for posts that
+    share one author: the author's ball and shells are built once for all
+    of them.
 
-    Each prediction is byte-identical to forward() of its post, which runs
-    as a batch of one here too. The ball is built on the first prediction
-    asked for and dropped with the generator, so callers that stream one
-    author at a time hold one ball at a time.
+    forward() is this generator on one post, so each prediction is
+    byte-identical to forward() of its post; every post runs as a batch of
+    one. The ball is built on the first prediction asked for and dropped
+    with the generator, so callers that stream one author at a time hold
+    one ball at a time.
     """
     posts = list(posts)
     if len({post.author_id for post in posts}) > 1:
@@ -442,13 +437,9 @@ def forward_author(posts, graph, corpus, provider, params: ModelParams,
     ball = _compile_ball(posts[0].author_id, graph, config.hops)
     ts = _make_tensors(params, requires_grad=False)
     for post in posts:
-        yield _prediction(ts, _compile_post(post, ball, graph, corpus, provider, config),
-                          config)
-
-
-def _prediction(ts, sample, config: TrainConfig) -> Prediction:
-    probs = softmax(_batch_logits(ts, [sample], config).data[0])
-    return Prediction(probabilities=probs, label=StanceLabel(int(np.argmax(probs))))
+        sample = _compile_post(post, ball, graph, corpus, provider, config)
+        probs = softmax(_batch_logits(ts, [sample], config).data[0])
+        yield Prediction(probabilities=probs, label=StanceLabel(int(np.argmax(probs))))
 
 
 def classify(post, graph, corpus, provider, params: ModelParams,
@@ -561,7 +552,7 @@ def adam_step(tensors: dict, grads: dict, state: AdamState, learning_rate: float
 # -- data splitting ----------------------------------------------------------
 
 
-def split_dataset(items, fractions=(0.8, 0.1, 0.1), seed: int = 0):
+def split_dataset(items, fractions=TrainConfig.split, seed: int = 0):
     """Shuffle items with the seed and cut at cumulative-floor boundaries.
 
     Cut points are floor(n*f1) and floor(n*(f1+f2)), so for n=18246 at
@@ -749,12 +740,12 @@ def load_checkpoint(path) -> ModelParams:
 # -- text-only baseline ------------------------------------------------------
 
 
-def train_text_baseline(posts, provider, config: TrainConfig, epochs: int = 300,
-                        learning_rate: float = 0.05):
+def train_text_baseline(posts, provider, config: TrainConfig):
     """Softmax head on the post embedding alone, same split as train().
 
     Serves as the floor any graph-aware model must beat: it sees z_text and
-    nothing else. Full-batch Adam; returns {"w": ..., "b": ...}.
+    nothing else. Full-batch Adam for BASELINE_EPOCHS steps at
+    BASELINE_LEARNING_RATE; returns {"w": ..., "b": ...}.
     """
     train_posts, _, _ = split_dataset(posts, config.split, config.seed)
     features = np.stack([provider.embed_post(p) for p in train_posts])
@@ -765,12 +756,12 @@ def train_text_baseline(posts, provider, config: TrainConfig, epochs: int = 300,
         "b": np.zeros(N_CLASSES, dtype=np.float64),
     }
     state = AdamState.fresh(tensors)
-    for _ in range(epochs):
+    for _ in range(BASELINE_EPOCHS):
         w = Tensor(tensors["w"], requires_grad=True)
         b = Tensor(tensors["b"], requires_grad=True)
         total = _mean_cross_entropy(Tensor(features) @ w + b, golds)
         total.backward()
-        adam_step(tensors, {"w": w.grad, "b": b.grad}, state, learning_rate)
+        adam_step(tensors, {"w": w.grad, "b": b.grad}, state, BASELINE_LEARNING_RATE)
     return tensors
 
 

@@ -27,6 +27,7 @@ from .errors import InputDataError, checked_header, checked_lines
 INTERACTION_HEADER = "source,target,kind,timestamp"
 FOLLOWER_HEADER = "u,v"
 INTERACTION_KINDS = ("retweet", "mention")
+DEFAULT_MIN_WEIGHT = 2  # interactions a user pair needs to become an edge
 _KIND_CODES = {kind: code for code, kind in enumerate(INTERACTION_KINDS)}
 # Lines parsed and checked together by load_interactions.
 _CHUNK_LINES = 8192
@@ -383,7 +384,8 @@ def induced_subgraph(graph: SocialGraph, nodes) -> SocialGraph:
     return graph.subgraph(np.sort(np.fromiter(map(graph.index, keep), np.intp, len(keep))))
 
 
-def build_social_graph(records, follower_edges=None, min_weight: int = 2) -> SocialGraph:
+def build_social_graph(records, follower_edges=None,
+                       min_weight: int = DEFAULT_MIN_WEIGHT) -> SocialGraph:
     """End-to-end graph construction.
 
     records is an Interactions table or a sequence of InteractionRecords
@@ -434,9 +436,21 @@ def graph_stats(graph: SocialGraph) -> GraphStats:
     return GraphStats(n_nodes=n, n_edges=e, avg_degree=avg)
 
 
+def _check_writable_ids(graph: SocialGraph) -> None:
+    """Refuse a node id that load_edge_list would read back changed or not
+    at all, because its loaders strip fields and do not unquote."""
+    for node in graph.node_ids:
+        if not node or node != node.strip() or any(c in node for c in ",\n\r"):
+            raise InputDataError(
+                f"node id {node!r} cannot be written to an edge list or nodes file "
+                "(empty, surrounding whitespace, a comma or a line break)")
+
+
 def write_edge_list(graph: SocialGraph, path) -> None:
     """Write the undirected edge list as CSV with header u,v, one line per
-    edge (u < v; a SocialGraph has no self-edges)."""
+    edge (u < v; a SocialGraph has no self-edges). An id the loader cannot
+    read back raises InputDataError."""
+    _check_writable_ids(graph)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(FOLLOWER_HEADER + "\n")
         for u, v in graph.edges():
@@ -444,7 +458,9 @@ def write_edge_list(graph: SocialGraph, path) -> None:
 
 
 def write_nodes(graph: SocialGraph, path) -> None:
-    """Write the node set, one id per line, sorted."""
+    """Write the node set, one id per line, sorted; ids are checked as by
+    write_edge_list."""
+    _check_writable_ids(graph)
     with open(path, "w", encoding="utf-8") as fh:
         for node in graph.node_ids:
             fh.write(f"{node}\n")

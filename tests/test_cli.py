@@ -6,6 +6,7 @@ invocations produce byte-identical files and stdout).
 """
 
 import contextlib
+import inspect
 import io
 import json
 import re
@@ -20,14 +21,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialstance import gbdt
-from socialstance.cli import CLASSIFY_HEADER, load_config_file, main, parse_timestamp
+from socialstance.cli import (CLASSIFY_HEADER, build_parser, load_config_file, main,
+                              parse_timestamp)
 from socialstance.corpus import Corpus, Post, StanceLabel, write_posts
 from socialstance.embed import (HashedNgramEncoder, load_embedding_store, precompute,
                                 save_embedding_store)
 from socialstance.errors import InputDataError, write_csv
 from socialstance.model import (ModelParams, TrainConfig, forward, load_checkpoint,
                                 save_checkpoint)
-from socialstance.socialgraph import build_social_graph, load_interactions
+from socialstance.socialgraph import (DEFAULT_MIN_WEIGHT, build_social_graph,
+                                      load_interactions)
 
 DAY = 86_400
 
@@ -1138,3 +1141,24 @@ class TestArgparseSurface:
             main([])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command", ["build-graph", "train", "classify", "track",
+                                         "hesitancy", "predict-change", "agreement",
+                                         "sweep"])
+    def test_subcommand_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: socialstance {command}")
+
+    def test_predict_change_defaults_are_gbdt_config(self):
+        args = build_parser().parse_args(["predict-change", "--data", "d.csv"])
+        config = gbdt.GbdtConfig()
+        assert (args.rounds, args.max_depth, args.shrinkage) == \
+            (config.rounds, config.max_depth, config.shrinkage)
+
+    def test_min_weight_default_is_the_graph_builders(self):
+        args = build_parser().parse_args(["build-graph", "--interactions", "i.csv",
+                                          "--out-dir", "out"])
+        builder = inspect.signature(build_social_graph).parameters["min_weight"]
+        assert args.min_weight == DEFAULT_MIN_WEIGHT == builder.default

@@ -4,6 +4,7 @@ The hashing tests verify against an independent FNV-1a written inline and
 against known reference digests of the 64-bit FNV-1a function.
 """
 
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -174,6 +175,15 @@ class TestStoreIO:
         path.write_text("d=1\na\t1.0\na\t2.0\n")
         with pytest.raises(InputDataError, match="duplicate"):
             load_embedding_store(path)
+
+    @pytest.mark.parametrize("post_id", ["a\tb", "a\nb", "a\rb", "b\r", ""])
+    def test_unreadable_post_id_not_written(self, tmp_path, post_id):
+        # write_posts round-trips such ids, but the store's lines could not.
+        store = PrecomputedStore({"a": [1.0, 2.0], post_id: [3.0, 4.0]})
+        path = tmp_path / "store.tsv"
+        with pytest.raises(InputDataError, match=re.escape(repr(post_id))):
+            save_embedding_store(store, path)
+        assert not path.exists()
 
 
 # -- generative: the chunked, matrix-backed store vs line-by-line parsing ------

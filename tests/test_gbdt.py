@@ -337,7 +337,7 @@ class TestFit:
         with pytest.raises(InputDataError):
             fit(np.zeros((1, 2)), np.array([0]))
         with pytest.raises(InputDataError):
-            fit(np.zeros((3, 2)), np.array([0, 1, 3]), n_classes=3)
+            fit(np.zeros((3, 2)), np.array([0, 1, 3]))
         with pytest.raises(InputDataError):
             fit(np.zeros(3), np.array([0, 1, 0]))
 

@@ -171,10 +171,11 @@ class TestLocality:
                    for post in twins for corpus in (with_twins, without)]
         first = samples[0]
         for sample in samples[1:]:
-            assert sample.author_row == first.author_row
-            assert sample.n_nodes == first.n_nodes
+            assert sample.ball.author_row == first.ball.author_row
+            assert sample.ball.nodes.size == first.ball.nodes.size
             assert all(np.array_equal(c, c0) and np.array_equal(n, n0)
-                       for (c, n), (c0, n0) in zip(sample.shell_edges, first.shell_edges))
+                       for (c, n), (c0, n0) in zip(sample.ball.shell_edges,
+                                                   first.ball.shell_edges))
             assert np.array_equal(sample.hist_counts, first.hist_counts)
             assert sample.hist.tobytes() == first.hist.tobytes()
 

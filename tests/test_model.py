@@ -5,6 +5,7 @@ composition in reference_probabilities, gradients against central finite
 differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
+import inspect
 import tempfile
 from collections import deque
 from contextlib import contextmanager
@@ -22,10 +23,10 @@ from socialstance.autograd import Tensor
 from socialstance.corpus import Corpus, Post, StanceLabel, recent_posts
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
-from socialstance.encoder import AGGREGATOR_KINDS
+from socialstance.encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams,
+                                  gat_aggregate)
 from socialstance.model import (
     HISTORY_KINDS,
-    LEAKY_SLOPE,
     AdamState,
     _Block,
     _Shell,
@@ -434,7 +435,7 @@ class TestShellAggregate:
                 elif aggregator == "gcn":
                     out = ag.shell_aggregate(x, shell)
                 else:
-                    out = ag.shell_aggregate(x, shell, attn, LEAKY_SLOPE)
+                    out = ag.shell_aggregate(x, shell, attn)
                 weights = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
                 (out * Tensor(np.sin(weights))).sum().backward()
                 outs.append(out.data)
@@ -444,6 +445,17 @@ class TestShellAggregate:
             for fused, composed in zip(*grads):
                 np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-12,
                                            err_msg=name)
+
+    def test_gat_matches_encoder_oracle(self):
+        # The op takes no slope: it scores with encoder.LEAKY_SLOPE, as the
+        # straight-line gat_aggregate does. Some raw scores are negative.
+        rng = np.random.default_rng(4)
+        states, w, attn = (rng.standard_normal(shape) for shape in ((6, 3), (3, 2), 4))
+        centre = np.zeros(5, dtype=np.intp)
+        shell = _Shell(centre, np.arange(1, 6), centre, 1)
+        out = ag.shell_aggregate(Tensor(states @ w), shell, Tensor(attn)).data[0]
+        want = gat_aggregate(states[0], states[1:], AggregateParams(w_proj=w, attn=attn))
+        np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
 
 
 def padded_shells():
@@ -461,20 +473,17 @@ def padded_shells():
     }
     for name, (c, nb, seg, size) in cases.items():
         c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
-        yield name, _Shell(c, nb, seg, size,
-                           _Block((2, 5, 5), pad, pad, pad[c] * 5 + local[nb]))
+        yield name, _Shell(c, nb, seg, size, _Block((2, 5, 5), pad, pad))
     c, nb, seg = (np.array(a, dtype=np.intp) for a in ([1, 1, 1], [0, 2, 2], [0, 0, 0]))
-    yield "padded author rows", _Shell(c, nb, seg, 2, _Block((2, 1, 5), pad, np.arange(2),
-                                                             seg * 5 + local[nb]))
+    yield "padded author rows", _Shell(c, nb, seg, 2, _Block((2, 1, 5), pad, np.arange(2)))
 
 
 def dense_shells():
     """Every oracle_shells() case as one sample of 7 rows, then the
     padded two-sample cases."""
     for name, shell in oracle_shells():
-        cells = shell.segments * 7 + shell.neighbors
         yield name, shell._replace(block=_Block((1, shell.size, 7), np.arange(7),
-                                                np.arange(shell.size), cells))
+                                                np.arange(shell.size)))
     yield from padded_shells()
 
 
@@ -497,7 +506,7 @@ class TestDenseLayout:
                 else:
                     with forced_layout(monkeypatch, "dense"):
                         out = (ag.shell_aggregate(x, shell) if aggregator == "gcn"
-                               else ag.shell_aggregate(x, shell, attn, LEAKY_SLOPE))
+                               else ag.shell_aggregate(x, shell, attn))
                 weights = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
                 (out * Tensor(np.sin(weights))).sum().backward()
                 outs.append(out.data)
@@ -656,10 +665,10 @@ class TestCompile:
         cfg = small_config(hops=k, history_len=lam, embed_dim=4)
         sample = _compile_sample(target, graph, corpus, encoder, cfg)
         ball, shells = oracle_compile(nodes, edges, author, k)
-        assert sample.n_nodes == len(ball)
-        assert sample.author_row == ball.index(author)
-        assert len(sample.shell_edges) == k
-        for (centers, neighbors), (want_c, want_n) in zip(sample.shell_edges, shells):
+        assert sample.ball.nodes.size == len(ball)
+        assert sample.ball.author_row == ball.index(author)
+        assert len(sample.ball.shell_edges) == k
+        for (centers, neighbors), (want_c, want_n) in zip(sample.ball.shell_edges, shells):
             assert centers.dtype == neighbors.dtype == np.intp
             assert centers.tolist() == want_c and neighbors.tolist() == want_n
         for i, node in enumerate(ball):
@@ -709,7 +718,7 @@ class TestGraphCorpusJoin:
         assert np.array_equal(sample.hist_counts, counts)
         assert np.array_equal(sample.hist, hist)
         _, shells = oracle_compile(graph.node_ids, graph.edges(), author, k)
-        assert [(c.tolist(), n.tolist()) for c, n in sample.shell_edges] == \
+        assert [(c.tolist(), n.tolist()) for c, n in sample.ball.shell_edges] == \
             [tuple(shell) for shell in shells]
         return counts
 
@@ -831,6 +840,10 @@ class TestSplitDataset:
     def test_non_finite_fraction_rejected(self):
         with pytest.raises(InputDataError, match="finite"):
             split_dataset(range(20), fractions=(float("nan"), 0.5, 0.5))
+
+    def test_default_fractions_are_train_config_split(self):
+        default = inspect.signature(split_dataset).parameters["fractions"].default
+        assert default == TrainConfig().split
 
 
 class TestTraining:
@@ -996,8 +1009,7 @@ class TestTextBaseline:
         from socialstance.embed import PrecomputedStore
         store = PrecomputedStore(vectors)
         cfg = small_config(split=(0.6, 0.2, 0.2))
-        baseline = train_text_baseline(posts, store, cfg, epochs=200,
-                                       learning_rate=0.05)
+        baseline = train_text_baseline(posts, store, cfg)
         train_posts, _, _ = split_dataset(posts, cfg.split, cfg.seed)
         hits = sum(classify_text_baseline(baseline, p, store) == p.label
                    for p in train_posts)

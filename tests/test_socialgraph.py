@@ -4,6 +4,7 @@ The neighborhood and component tests check the library against plain
 BFS / union-find oracles written inline, on randomly generated graphs.
 """
 
+import re
 import tempfile
 from collections import Counter, deque
 from pathlib import Path
@@ -364,6 +365,16 @@ class TestIO:
         loaded = load_edge_list(epath, npath)
         assert loaded.node_ids == g.node_ids
         assert loaded.edges() == g.edges()
+
+    @pytest.mark.parametrize("node", ["a,b", "a\nb", "a\rb", " a", "a\t", ""])
+    @pytest.mark.parametrize("write", [write_edge_list, write_nodes])
+    def test_unreadable_id_not_written(self, tmp_path, node, write):
+        # load_edge_list would fail on these ids or read them back changed.
+        g = SocialGraph([("a", node), ("a", "b")])
+        path = tmp_path / "out.csv"
+        with pytest.raises(InputDataError, match=re.escape(repr(node))):
+            write(g, path)
+        assert not path.exists()
 
     def test_ids_are_stripped(self, tmp_path):
         inter, fol = tmp_path / "inter.csv", tmp_path / "fol.csv"
