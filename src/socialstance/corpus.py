@@ -50,7 +50,7 @@ class StanceLabel(IntEnum):
     PD = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Post:
     """One social-media post, valid by construction.
 
@@ -60,6 +60,9 @@ class Post:
     but retweet is authored text. timestamp is Unix seconds (UTC), an int.
     retweet_count is an int >= 0. label is None for unannotated posts. A
     field that breaks any of this raises InputDataError.
+
+    Posts are immutable and hashable. They keep their fields in slots, not
+    in a per-instance __dict__, since a corpus holds one Post per line.
     """
 
     id: str
@@ -72,28 +75,27 @@ class Post:
     label: StanceLabel | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.id, str) and self.id):
+        # One read per field and no helper calls: every loaded line runs this.
+        post_id, author, kind, source = self.id, self.author_id, self.kind, self.source_post_id
+        timestamp, retweets = self.timestamp, self.retweet_count
+        if not (isinstance(post_id, str) and post_id):
             raise InputDataError("post id must be a non-empty string")
-        if not (isinstance(self.author_id, str) and self.author_id):
-            raise InputDataError(f"post {self.id!r}: author_id must be a non-empty string")
-        if self.kind not in POST_KINDS:
-            raise InputDataError(f"post {self.id!r}: unknown kind {self.kind!r}")
-        if not isinstance(self.source_post_id, (str, type(None))):
-            raise InputDataError(f"post {self.id!r}: source_post_id must be a string")
-        if self.kind != "original" and not self.source_post_id:
+        if not (isinstance(author, str) and author):
+            raise InputDataError(f"post {post_id!r}: author_id must be a non-empty string")
+        if kind not in POST_KINDS:
+            raise InputDataError(f"post {post_id!r}: unknown kind {kind!r}")
+        if not (source is None or isinstance(source, str)):
+            raise InputDataError(f"post {post_id!r}: source_post_id must be a string")
+        if kind != "original" and not source:
             raise InputDataError(
-                f"post {self.id!r}: kind {self.kind!r} requires source_post_id")
-        if not _is_int(self.timestamp):
-            raise InputDataError(f"post {self.id!r}: timestamp must be an integer")
+                f"post {post_id!r}: kind {kind!r} requires source_post_id")
+        if not isinstance(timestamp, int) or isinstance(timestamp, bool):
+            raise InputDataError(f"post {post_id!r}: timestamp must be an integer")
         if not isinstance(self.text, str):
-            raise InputDataError(f"post {self.id!r}: text must be a string")
-        if not (_is_int(self.retweet_count) and self.retweet_count >= 0):
+            raise InputDataError(f"post {post_id!r}: text must be a string")
+        if not isinstance(retweets, int) or isinstance(retweets, bool) or retweets < 0:
             raise InputDataError(
-                f"post {self.id!r}: retweet_count must be a non-negative integer")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+                f"post {post_id!r}: retweet_count must be a non-negative integer")
 
 
 class Corpus:
@@ -225,18 +227,33 @@ class _HistoryIndex:
 
 
 def _parse_label(raw):
-    if raw is None:
-        return None
     try:
         return StanceLabel[raw]
     except (KeyError, TypeError):
         raise InputDataError(f"unknown label {raw!r}") from None
 
 
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def _json_value(line):
+    """json.loads(line), with the same value and the same error.
+
+    A line starting with '{' is scanned by one raw_decode call, the call
+    json.loads makes for it, and accepted when only JSON whitespace
+    follows; any other line goes through json.loads itself.
+    """
+    if line.startswith("{"):
+        obj, end = _raw_decode(line)
+        if not line[end:].strip(" \t\n\r"):
+            return obj
+    return json.loads(line)
+
+
 def _post_row(line):
     """The Post of one JSONL line."""
     try:
-        obj = json.loads(line)
+        obj = _json_value(line)
     except (ValueError, RecursionError) as exc:
         # ValueError covers JSONDecodeError and integer literals past the
         # int-string conversion limit; RecursionError deep nesting.
@@ -246,15 +263,18 @@ def _post_row(line):
     for field in ("id", "author_id", "timestamp", "text"):
         if field not in obj:
             raise InputDataError(f"missing field {field!r}")
+    post_id, author, source = obj["id"], obj["author_id"], obj.get("source_post_id")
+    label = obj.get("label")
+    # Strings and None pass as they are; only other values need converting.
     return Post(
-        id=_as_id(obj["id"]),
-        author_id=_as_id(obj["author_id"]),
+        id=post_id if type(post_id) is str else _as_id(post_id),
+        author_id=author if type(author) is str else _as_id(author),
         timestamp=obj["timestamp"],
         text=obj["text"],
         kind=obj.get("kind", "original"),
-        source_post_id=_as_id(obj.get("source_post_id")),
+        source_post_id=source if source is None or type(source) is str else _as_id(source),
         retweet_count=obj.get("retweet_count", 0),
-        label=_parse_label(obj.get("label")),
+        label=None if label is None else _parse_label(label),
     )
 
 
@@ -273,7 +293,7 @@ def load_posts(path) -> Corpus:
 
 def _as_id(value):
     """A JSON id field: integers become strings; Post refuses other non-strings."""
-    return str(value) if _is_int(value) else value
+    return str(value) if isinstance(value, int) and not isinstance(value, bool) else value
 
 
 def write_posts(posts, path) -> None:

@@ -5,13 +5,15 @@ Two providers cover the pipeline: a file-backed store of precomputed vectors
 hashed character n-gram encoder that needs no model weights, used by tests,
 demos, and anywhere a deterministic lightweight text signal is enough. Both
 expose `dim` and `embed_post`. The store holds its vectors as the rows of
-one matrix; its loader reads the file in chunks of lines, parses each
-chunk's floats with one numpy call and checks finiteness once over the
-matrix, falling back to a line-by-line read only to name a bad line.
+one matrix; its loader reads the file in chunks of lines, splits each
+chunk into ids and token lists with no Python loop over its lines, parses
+its floats with one numpy call over the token lists and checks finiteness
+once over the matrix, falling back to a line-by-line read only to name a
+bad line.
 """
 
 import string
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -25,8 +27,10 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # Strip punctuation but keep '#' so hashtags survive normalization.
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation.replace("#", ""))
-# Lines parsed and checked together by load_embedding_store.
-_CHUNK_LINES = 4096
+# Lines parsed and checked together by load_embedding_store. Small, so that
+# a chunk's token lists are freed before the garbage collector promotes
+# them to the older generations it scans less often but at greater cost.
+_CHUNK_LINES = 512
 
 
 def fnv1a64(data: bytes) -> int:
@@ -165,26 +169,24 @@ def _store_rows(lines, lineno, dim, rows):
     the ids of earlier chunks.
 
     Each check runs once over the whole chunk, and all its floats are parsed
-    by one np.array call, which accepts exactly the tokens float() accepts.
-    A chunk that fails a check holds a bad line, which _raise_bad_store_line
-    names.
+    by one np.array call of the lines' token lists, which accepts exactly
+    the tokens float() accepts; a ragged chunk fails it and a chunk of the
+    wrong width fails the shape check. A chunk that fails a check holds a
+    bad line, which _raise_bad_store_line names.
     """
-    ids, seps, rests = [], [], []
-    for line in map(str.rstrip, lines, repeat("\n")):
-        if line:
-            post_id, sep, rest = line.partition("\t")
-            ids.append(post_id)
-            seps.append(sep)
-            rests.append(rest)
-    tokens = list(map(str.split, rests))
+    kept = list(filter(None, map(str.rstrip, lines, repeat("\n"))))
+    if not kept:
+        return (), np.zeros((0, dim))
+    ids, seps, rests = zip(*map(str.partition, kept, repeat("\t")))
     new = set(ids)
-    if ("" not in seps and "" not in ids and len(new) == len(ids)
-            and rows.keys().isdisjoint(new) and all(len(t) == dim for t in tokens)):
+    if "" not in seps and "" not in new and len(new) == len(ids) and rows.keys().isdisjoint(new):
         try:
-            return ids, np.array(list(chain.from_iterable(tokens)),
-                                 dtype=np.float64).reshape(len(ids), dim)
+            block = np.array(list(map(str.split, rests)), dtype=np.float64)
         except ValueError:
             pass
+        else:
+            if block.shape == (len(ids), dim):
+                return ids, block
     _raise_bad_store_line(lines, lineno, dim, rows)
 
 

@@ -29,8 +29,9 @@ FOLLOWER_HEADER = "u,v"
 INTERACTION_KINDS = ("retweet", "mention")
 DEFAULT_MIN_WEIGHT = 2  # interactions a user pair needs to become an edge
 _KIND_CODES = {kind: code for code, kind in enumerate(INTERACTION_KINDS)}
-# Lines parsed and checked together by load_interactions.
-_CHUNK_LINES = 8192
+# Lines parsed and checked together by load_interactions. Small, so that a
+# chunk's row tuples are freed before the garbage collector promotes them.
+_CHUNK_LINES = 1024
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """Corpus container, JSONL round-trips, text cleanup, annotation selection."""
 
+import dataclasses
 import json
+import pickle
 import tempfile
 from bisect import bisect_left
 from pathlib import Path
@@ -15,6 +17,7 @@ from socialstance.corpus import (
     Corpus,
     Post,
     StanceLabel,
+    _post_row,
     clean_text,
     filter_vaccine_related,
     load_posts,
@@ -55,6 +58,30 @@ class TestPost:
         p = make_post("a")
         with pytest.raises(AttributeError):
             p.text = "other"
+
+    def test_slotted_posts_hash_compare_replace_and_pickle(self):
+        p = make_post("a", "u1", 5, "text", kind="reply", source_post_id="s",
+                      retweet_count=2, label=StanceLabel.NG)
+        assert not hasattr(p, "__dict__")
+        with pytest.raises(AttributeError):
+            p.label = None
+        # A name that is not a field has no slot; CPython 3.11 refuses it
+        # with TypeError from the frozen __setattr__ of the rebuilt class.
+        with pytest.raises((AttributeError, TypeError)):
+            p.extra = 1
+        twin = make_post("a", "u1", 5, "text", kind="reply", source_post_id="s",
+                         retweet_count=2, label=StanceLabel.NG)
+        assert p == twin and hash(p) == hash(twin)
+        assert len({p, twin}) == 1
+        assert p != dataclasses.replace(p, text="other")
+        relabelled = dataclasses.replace(p, label=StanceLabel.PO)
+        assert relabelled.label is StanceLabel.PO
+        assert dataclasses.replace(relabelled, label=StanceLabel.NG) == p
+        with pytest.raises(InputDataError, match="retweet_count"):
+            dataclasses.replace(p, retweet_count=-1)
+        again = pickle.loads(pickle.dumps(p))
+        assert again == p and hash(again) == hash(p)
+        assert again.label is StanceLabel.NG
 
     @pytest.mark.parametrize("bad", [
         dict(pid=""), dict(user=""), dict(pid=5), dict(user=["u"]), dict(ts=1.5), dict(ts=True), dict(text=5),
@@ -207,6 +234,20 @@ class TestJsonl:
         with pytest.raises(InputDataError) as err:
             load_posts(path)
         assert "2" in str(err.value)
+
+    def test_lines_that_parse_only_when_joined_report_the_first(self, tmp_path):
+        # Each line is invalid JSON on its own, but the three joined by
+        # commas inside [...] parse as three posts.
+        lines = ['{"id":"p1","author_id":"u","timestamp":1,"text":"x","extra":[{}\n',
+                 '{}]}\n',
+                 '{"id":"p2","author_id":"u","timestamp":1,"text":"x"},'
+                 '{"id":"p3","author_id":"u","timestamp":1,"text":"x"}\n']
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        path = tmp_path / "posts.jsonl"
+        path.write_text("".join(lines))
+        with pytest.raises(InputDataError) as err:
+            load_posts(path)
+        assert str(err.value) == "line 1: invalid JSON (Expecting ',' delimiter)"
 
     @pytest.mark.parametrize("line", ['{"id": ' + "1" * 5000 + "}", "[" * 100_000],
                              ids=["huge-integer", "deep-nesting"])
@@ -381,6 +422,90 @@ def test_write_then_load_round_trips(posts):
         write_posts(loaded, again)
         assert again.read_bytes() == path.read_bytes()
     assert loaded.posts == posts
+
+
+def reference_post_row(line):
+    """The Post of a JSONL line read by one json.loads call, which
+    _post_row must match value for value and error for error."""
+    try:
+        obj = json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        raise InputDataError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from None
+    if not isinstance(obj, dict):
+        raise InputDataError("expected a JSON object")
+    for field in ("id", "author_id", "timestamp", "text"):
+        if field not in obj:
+            raise InputDataError(f"missing field {field!r}")
+
+    def as_id(value):
+        return str(value) if isinstance(value, int) and not isinstance(value, bool) else value
+
+    label = obj.get("label")
+    if label is not None:
+        try:
+            label = StanceLabel[label]
+        except (KeyError, TypeError):
+            raise InputDataError(f"unknown label {label!r}") from None
+    return Post(id=as_id(obj["id"]), author_id=as_id(obj["author_id"]),
+                timestamp=obj["timestamp"], text=obj["text"],
+                kind=obj.get("kind", "original"),
+                source_post_id=as_id(obj.get("source_post_id")),
+                retweet_count=obj.get("retweet_count", 0), label=label)
+
+
+def row_outcome(parse, line):
+    try:
+        return parse(line)
+    except InputDataError as exc:
+        return str(exc)
+
+
+# A token json.dumps cannot write: an integer literal past the int-string
+# conversion limit, which json.loads refuses with a ValueError.
+_HUGE = "\x00huge\x00"
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2 ** 70) | st.floats()
+    | st.text(max_size=3) | st.just(_HUGE),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_field_values = {
+    "id": st.sampled_from(["p", "p", "p", 7, "", True]),
+    "author_id": st.sampled_from(["u", "u", "u", 3]),
+    "timestamp": st.sampled_from([0, 0, 2 ** 70, -1, 1.5]),
+    "text": st.sampled_from(["x", "x", ""]),
+    "kind": st.sampled_from(["original", "original", "original", "retweet", "reply", "poll"]),
+    "source_post_id": st.sampled_from([None, "p", 5, ""]),
+    "retweet_count": st.sampled_from([0, 4, 4, -1]),
+    "label": st.sampled_from([None, "NG", "PD", "PD", "YES", 2]),
+    "extra": _json_values,
+}
+_REQUIRED = ("id", "author_id", "timestamp", "text")
+
+
+@st.composite
+def post_lines(draw):
+    """JSONL lines around JSON values, most of them post-shaped objects
+    whose fields are usually present and usually plausible."""
+    def odds(k, n):
+        return draw(st.integers(0, n - 1)) < k
+
+    obj = {field: draw(_json_values if odds(1, 20) else values)
+           for field, values in _field_values.items()
+           if odds(15 if field in _REQUIRED else 8, 16)}
+    body = obj if odds(3, 4) else draw(_json_values)
+    text = json.dumps(body, separators=(",", ":") if odds(1, 2) else (", ", ": "))
+    text = text.replace(json.dumps(_HUGE), "1" * 5000)
+    head = "" if odds(1, 2) else draw(st.sampled_from([" ", "\t", "\r", "\ufeff", "\xa0"]))
+    tail = draw(st.sampled_from(["\n", "", "\r\n", " \t\r\n", "\r", "\n\n"]) if odds(3, 4)
+                else st.sampled_from(["{}", " {}\n", ",{}\n", "]\n", "x", "\x0b\n", "\u2028\n"]))
+    return head + text + tail
+
+
+@settings(max_examples=400, deadline=None)
+@given(post_lines())
+def test_post_row_matches_one_json_loads_per_line(line):
+    assert row_outcome(_post_row, line) == row_outcome(reference_post_row, line)
 
 
 def bisect_recent(posts, user, before, limit):
