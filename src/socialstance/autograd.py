@@ -11,10 +11,11 @@ row then scaled by 1/|shell|. Both pool through one of two layouts, picked
 per call from the shell's shape by dense_layout. The scatter layout
 gathers, weights and scatters one (h,) row per edge; its forward is
 bit-identical to the chain of elementary ops it fuses. The dense layout
-writes the edge weights into a zero-padded (samples, rows, ball) block and
-pools with one batched matmul; it matches that chain within 1e-12, not bit
-for bit. It is used only when the block fits in DENSE_MAX_CELLS (16 MiB of
-float64) and the shell is dense enough (DENSE_MIN_DENSITY).
+writes the edge weights into zero-padded (samples, rows, ball) blocks, one
+per size band of the batch, and pools each with one batched matmul; it
+matches that chain within 1e-12, not bit for bit. It is used only when the
+whole batch's block fits in DENSE_MAX_CELLS (16 MiB of float64) and the
+shell is dense enough (DENSE_MIN_DENSITY).
 
 Each op is its forward value plus one vector-Jacobian product (VJP) per
 input, the map from the output's gradient g to that input's share of it.
@@ -22,12 +23,24 @@ One-input ops are built by _unary, two-input ops by _binary, which sums
 each VJP back over broadcast axes. Every gather's VJP scatters through
 _scatter_add, one flat bincount that sums each bucket in row order.
 
-Graphs are built per call and discarded, so there is no grad zeroing;
+Graphs are built per call and discarded, so there is no grad zeroing.
 backward() topologically sorts the tape iteratively (sample graphs are
-deep enough to overflow Python's recursion limit).
+deep enough to overflow Python's recursion limit), runs each node's VJP
+once, and then drops that node's gradient: only leaves (tensors no op
+made) keep theirs, so a gradient lives only until its inputs have their
+shares.
+
+Memory. While a Workspace is active (training makes one active for each
+gradient batch's forward), the ops that build the large forward values
+(add, mul, div, 2-D matmul, concat, position_sum and shell_aggregate)
+write them into it through numpy's out= instead of allocating, so every
+batch reuses the memory the first one touched. VJPs never take from it:
+backward's temporaries are freed as it goes.
 """
 
+import contextvars
 import math
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -61,6 +74,82 @@ def _scatter_add(values, index, num_rows):
     flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
     out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
+
+
+# Cells (float64) of a training run's Workspace: 16 MiB of address space,
+# of which a batch touches only what its forward values fill. Values that
+# do not fit are allocated by numpy as usual.
+WORKSPACE_CELLS = 1 << 21
+
+# The Workspace whose batch is running in this thread (or context), or
+# None: ops then allocate.
+_active = contextvars.ContextVar("workspace", default=None)
+
+
+class Workspace:
+    """One buffer that every gradient batch of a training run fills anew.
+
+    A bump allocator: take() hands out consecutive slices of the buffer,
+    and batch() rewinds it and makes it active for one batch's forward.
+    Leaving the with-block of the Workspace itself drops the buffer.
+    """
+
+    def __init__(self):
+        self._cells = np.empty(WORKSPACE_CELLS)
+        # Start every slice on a 64-byte boundary.
+        self._base = (-self._cells.ctypes.data % 64) // 8
+        self._top = self._base
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._cells = None
+
+    @contextmanager
+    def batch(self):
+        """Active in this thread, and empty, for the with-block: the
+        previous batch's values are overwritten. It is inactive again
+        however the block ends."""
+        self._top = self._base
+        token = _active.set(self)
+        try:
+            yield
+        finally:
+            _active.reset(token)
+
+    def take(self, shape):
+        """An uninitialised (shape) slice of the buffer, or None if the
+        rest of the buffer is too small."""
+        start = self._top
+        end = start + math.prod(shape)
+        if end > self._cells.size:
+            return None
+        self._top = end + (-end & 7)
+        return self._cells[start:end].reshape(shape)
+
+
+def _out(shape):
+    """An op's out= for a forward value of `shape`: workspace memory, or
+    None (numpy allocates) when no workspace is active or it is full."""
+    workspace = _active.get()
+    return None if workspace is None else workspace.take(shape)
+
+
+def _out_like(a, b):
+    """_out for the broadcast result of arrays a and b."""
+    workspace = _active.get()
+    if workspace is None:
+        return None
+    return workspace.take(a.shape if a.shape == b.shape
+                          else np.broadcast_shapes(a.shape, b.shape))
+
+
+def empty(shape) -> np.ndarray:
+    """An uninitialised float64 forward array: workspace memory while a
+    workspace is active, a new array otherwise."""
+    out = _out(shape)
+    return np.empty(shape) if out is None else out
 
 
 class Tensor:
@@ -98,6 +187,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- operator sugar -------------------------------------------------
 
@@ -168,18 +258,20 @@ def _binary(a: Tensor, b: Tensor, value, vjp_a, vjp_b) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
+    return _binary(a, b, np.add(a.data, b.data, out=_out_like(a.data, b.data)),
+                   lambda g: g, lambda g: g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data * b.data,
+    return _binary(a, b, np.multiply(a.data, b.data, out=_out_like(a.data, b.data)),
                    lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, a.data / b.data, lambda g: g / b.data,
+    return _binary(a, b, np.divide(a.data, b.data, out=_out_like(a.data, b.data)),
+                   lambda g: g / b.data,
                    lambda g: -g * a.data / (b.data * b.data))
 
 
@@ -198,7 +290,8 @@ def matmul(a, b) -> Tensor:
     def grad_2d(g):  # g as (rows of a, columns of b)
         return g.reshape(len(np.atleast_2d(ad)), len(np.atleast_2d(bd.T)))
 
-    return _binary(a, b, ad @ bd,
+    out = _out((len(ad), bd.shape[1])) if ad.ndim == bd.ndim == 2 else None
+    return _binary(a, b, np.matmul(ad, bd, out=out),
                    lambda g: (grad_2d(g) @ np.atleast_2d(bd.T)).reshape(ad.shape),
                    lambda g: (np.atleast_2d(ad).T @ grad_2d(g)).reshape(bd.shape))
 
@@ -230,7 +323,10 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
+    shape = list(tensors[0].data.shape)
+    shape[axis] = int(bounds[-1])
+    return _node(np.concatenate([t.data for t in tensors], axis=axis, out=_out(tuple(shape))),
+                 tensors, backward)
 
 
 def segment_sum(t: Tensor, segment_ids: np.ndarray, num_segments: int) -> Tensor:
@@ -279,6 +375,31 @@ def reshape(t, shape) -> Tensor:
     return _unary(t, t.data.reshape(shape), lambda g: g.reshape(t.data.shape))
 
 
+def position_sum(w, hist: np.ndarray) -> Tensor:
+    """sum over m of w[m] * hist[:, m, :]: the (n, d) weighted sum of the
+    (n, L, d) array hist over its L positions, for the (L,) tensor w.
+
+    It fuses the chain w[0] * hist[:, 0, :] + w[1] * hist[:, 1, :] + ...
+    and sums in that chain's order, so its value and w's gradient are
+    bit-identical to the chain's.
+    """
+    w = as_tensor(w)
+    wd = w.data
+    out = np.multiply(hist[:, 0, :], wd[0], out=_out(hist[:, 0, :].shape))
+    for m in range(1, len(wd)):
+        out += hist[:, m, :] * wd[m]
+
+    def vjp(g):
+        # The chain's mul VJP sums g * hist[:, m, :] over both axes; its
+        # getitem VJP adds that into zeros.
+        dw = np.zeros(len(wd))
+        for m in range(len(wd)):
+            dw[m] += (g * hist[:, m, :]).sum(axis=(0, 1))
+        return dw
+
+    return _unary(w, out, vjp)
+
+
 # The dense layout's limits. Its block may hold at most DENSE_MAX_CELLS
 # cells (16 MiB of float64), so a hub's ball cannot blow up memory. And the
 # shell must be dense enough: the E gathered (E, h) neighbour rows of the
@@ -298,53 +419,71 @@ def dense_layout(samples: int, rows: int, width: int, edges: int, dim: int) -> b
             and edges * dim >= DENSE_MIN_DENSITY * (cells + samples * width * dim))
 
 
-def _pad(rows, index, samples: int, width: int):
-    """(samples, width, h) zeros holding rows[i] at flat row index[i].
+def _pad(rows, index, total: int, ordered: bool, out=None):
+    """(total, h) zeros, in out if given, holding rows[i] at row index[i].
 
-    index is increasing, so when it covers every flat row it is the
-    identity and rows is only reshaped."""
-    if len(index) == samples * width:
-        return rows.reshape(samples, width, -1)
-    out = np.zeros((samples * width, rows.shape[1]))
+    An ordered index (increasing) that covers every row is the identity,
+    so rows is returned as it is."""
+    if ordered and len(index) == total:
+        return rows
+    if out is None:
+        out = np.zeros((total, rows.shape[1]))
+    else:
+        out[...] = 0.0
     out[index] = rows
-    return out.reshape(samples, width, -1)
+    return out
 
 
-def _unpad(padded, index):
-    """The flat rows `index` of a (samples, width, h) padded array."""
-    flat = padded.reshape(-1, padded.shape[-1])
-    return flat if len(index) == len(flat) else flat[index]
+def _unpad(padded, index, ordered: bool, out=None):
+    """Rows `index` of the (total, h) array padded, into out if given."""
+    if ordered and len(index) == len(padded):
+        return padded
+    return padded.take(index, axis=0, out=out)
 
 
 class _DensePool:
-    """Weighted pooling through a zero-padded (S, R, B) weight block.
+    """Weighted pooling through zero-padded weight blocks, one per band.
 
-    Edge i's weight goes to the cell of its output row and its neighbour's
-    place in the ball, out[segments[i]] * B + pad[neighbors[i]] % B, so
-    repeated (row, neighbour) pairs add up, and the pool is one batched
-    matmul of the block with the (S, B, h) padded rows of x.
+    Each band's samples are padded to that band's widest ball. Edge i's
+    weight goes to cell row_cell[segments[i]] + place[neighbors[i]] of the
+    bands' flat weight cells, so repeated (row, neighbour) pairs add up,
+    and each band pools with one batched matmul of its (S, R, B) block and
+    its (S, B, h) padded rows of x. With one band this is one block padded
+    to the widest ball of the batch.
     """
 
     def __init__(self, xd, shell, weights):
         self.block = block = shell.block
-        samples, rows, width = block.shape
-        self.cells = block.out[shell.segments] * width + block.pad[shell.neighbors] % width
-        self.a = np.bincount(self.cells, weights=weights,
-                             minlength=samples * rows * width).reshape(block.shape)
-        self.xp = _pad(xd, block.pad, samples, width)
-        self.value = _unpad(self.a @ self.xp, block.out)
+        self.ordered = len(block.bands) == 1
+        end = block.bands[-1]
+        h = xd.shape[1]
+        self.cells = block.row_cell[shell.segments] + block.place[shell.neighbors]
+        self.a = np.bincount(self.cells, weights=weights, minlength=end.cells.stop)
+        self.xp = _pad(xd, block.pad, end.rows_in.stop, self.ordered,
+                       _out((end.rows_in.stop, h)))
+        pooled = empty((end.rows_out.stop, h))
+        for (s, r, b), cells, rows_in, rows_out in block.bands:
+            np.matmul(self.a[cells].reshape(s, r, b), self.xp[rows_in].reshape(s, b, h),
+                      out=pooled[rows_out].reshape(s, r, h))
+        self.value = _unpad(pooled, block.out, self.ordered, _out((len(block.out), h)))
 
     def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
         """(gradient of the E weights, gradient of x through the pool) for
         the output gradient g; each is None when not asked for."""
-        samples, rows, _ = self.block.shape
-        gp = _pad(g, self.block.out, samples, rows)
-        dweights = dx = None
-        if weight_grad:
-            product = gp @ self.xp.transpose(0, 2, 1)
-            dweights = product.reshape(-1)[self.cells]
-        if x_grad:
-            dx = _unpad(self.a.transpose(0, 2, 1) @ gp, self.block.pad)
+        h = g.shape[1]
+        gp = _pad(g, self.block.out, self.block.bands[-1].rows_out.stop, self.ordered)
+        product = np.empty(len(self.a)) if weight_grad else None
+        dxp = np.empty(self.xp.shape) if x_grad else None
+        for (s, r, b), cells, rows_in, rows_out in self.block.bands:
+            g_band = gp[rows_out].reshape(s, r, h)
+            if weight_grad:
+                np.matmul(g_band, self.xp[rows_in].reshape(s, b, h).transpose(0, 2, 1),
+                          out=product[cells].reshape(s, r, b))
+            if x_grad:
+                np.matmul(self.a[cells].reshape(s, r, b).transpose(0, 2, 1), g_band,
+                          out=dxp[rows_in].reshape(s, b, h))
+        dweights = product[self.cells] if weight_grad else None
+        dx = _unpad(dxp, self.block.pad, self.ordered) if x_grad else None
         return dweights, dx
 
 
@@ -353,7 +492,8 @@ class _ScatterPool:
 
     def __init__(self, xd, shell, weights):
         self.shell, self.weights = shell, weights
-        self.gathered = xd[shell.neighbors]
+        self.gathered = xd.take(shell.neighbors, axis=0,
+                                out=_out((len(shell.neighbors), xd.shape[1])))
         self.n = len(xd)
         self.value = _scatter_add(weights[:, None] * self.gathered, shell.segments,
                                   shell.size)
@@ -389,11 +529,13 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
       composed getitem / leaky_relu / exp / segment_sum / div / mul chain
       in that chain's order (a weight of 1 leaves a row exact), so its
       values are bit-identical to that chain.
-    - dense: the E edge weights fill a zero-padded (S, R, B) block (S
-      samples, R output rows and B ball rows each; shell.block holds the
-      padded coordinates) and one batched matmul pools the padded rows.
-      BLAS sums in another order, so values match the chain within 1e-12,
-      not bit for bit.
+    - dense: the E edge weights fill zero-padded (S, R, B) blocks (S
+      samples, R output rows and B ball rows each), one per band of
+      shell.block, which holds the padded coordinates, and one batched
+      matmul per band pools its padded rows. dense_layout judges the
+      whole batch's block, shell.block.shape. BLAS sums in another order,
+      so values match the chain within 1e-12, not bit for bit; a sample's
+      values do not depend on its band's width.
     Both backwards sum in another order than the chain; only E-length
     scalar scatters (softmax denominators, the score gradients of centres
     and neighbours) are left outside the pool.
@@ -410,16 +552,19 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
     else:
         attn = as_tensor(attn)
         ad = attn.data
-        raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
+        raw = np.add((xd @ ad[:h])[centers], (xd @ ad[h:])[neighbors],
+                     out=_out(centers.shape))
         scores = np.where(raw > 0, raw, LEAKY_SLOPE * raw)
         shift = np.full(size, -np.inf)
         np.maximum.at(shift, segments, scores)
         expd = np.exp(scores - shift[segments])
-        weights = expd / _scatter_add(expd, segments, size)[segments]
+        weights = np.divide(expd, _scatter_add(expd, segments, size)[segments],
+                            out=_out(centers.shape))
     pool = _DensePool(xd, shell, weights) if dense else _ScatterPool(xd, shell, weights)
     if attn is None:
         scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
-        return _node(pool.value * scale, (x,), lambda g: x._accumulate(
+        value = np.multiply(pool.value, scale, out=_out(pool.value.shape))
+        return _node(value, (x,), lambda g: x._accumulate(
             pool.grads(g * scale, weight_grad=False)[1]))
 
     def backward(g):

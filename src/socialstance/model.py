@@ -34,6 +34,7 @@ reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -293,19 +294,44 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
             for name, arr in params.tensors.items()}
 
 
+class _Band(NamedTuple):
+    """One size band of a _Block: its (S, R, B) shape, S samples of R
+    output rows padded to B ball rows each, and its slices of the block's
+    flat weight cells, padded input rows and padded output rows."""
+
+    shape: tuple
+    cells: slice
+    rows_in: slice
+    rows_out: slice
+
+
 class _Block(NamedTuple):
     """A shell's coordinates in the dense layout of ag.shell_aggregate.
 
     shape is (S, R, B): S samples of R output rows and B = the largest
-    ball's size each. Input row i sits at row pad[i] of the (S * B) padded
-    states (pad[i] % B is its place in its ball) and output row j at row
-    out[j] of the (S * R) padded output; pad and out are increasing.
-    ag.shell_aggregate derives each edge's weight-block cell from them.
+    ball's size each, the whole batch's block that ag.dense_layout judges.
+    The op pools band by band instead (see _Band), the bands laid out one
+    after another. Input row i sits at row pad[i] of the padded states and
+    output row j at row out[j] of the padded output; place[i] is row i's
+    place in its ball, and row_cell[j] is the flat weight cell of output
+    row j's first column. One band keeps the batch's sample order, so pad
+    and out increase.
     """
 
     shape: tuple
+    bands: tuple
     pad: np.ndarray
     out: np.ndarray
+    row_cell: np.ndarray
+    place: np.ndarray
+
+    @classmethod
+    def padded(cls, shape, pad, out):
+        """One band: every sample padded to the widest ball, B = shape[2]."""
+        samples, rows, width = shape
+        band = _Band(shape, slice(0, samples * rows * width), slice(0, samples * width),
+                     slice(0, samples * rows))
+        return cls(shape, (band,), pad, out, out * width, pad % width)
 
 
 class _Shell(NamedTuple):
@@ -320,24 +346,68 @@ class _Shell(NamedTuple):
     block: _Block | None = None
 
 
+# Size bands of a training batch's inner dense blocks (see _dense_blocks).
+DENSE_BANDS = 4
+
+
+def _dense_blocks(sizes, offsets):
+    """The inner and the last-layer _Block of a batch of balls of these
+    sizes, each starting at its offset in the batch's rows.
+
+    Inner blocks have one output row per ball row. Their samples, sorted
+    by ball size (ties in batch order), are cut into up to DENSE_BANDS
+    bands of equal count, and each band pads its samples to its widest
+    ball. The rows of the batch keep their order; only their padded
+    coordinates move. Last-layer blocks have one output row per
+    sample and stay one band: their products run as vector-matrix
+    products, whose sums depend on the padded width. A batch of one is
+    one band in both, padded as the whole batch was before bands.
+    """
+    n_samples, width = len(sizes), int(sizes.max())
+    if n_samples == 1:
+        rows = np.arange(width)
+        return (_Block.padded((1, width, width), rows, rows),
+                _Block.padded((1, 1, width), rows, rows[:1]))
+    place = np.arange(offsets[-1] + sizes[-1]) - np.repeat(offsets, sizes)
+    last = _Block.padded((n_samples, 1, width),
+                         place + np.repeat(np.arange(n_samples) * width, sizes),
+                         np.arange(n_samples))
+    rank = np.argsort(sizes, kind="stable")
+    in_base, cell_base, band_width = (np.empty(n_samples, dtype=np.intp) for _ in range(3))
+    bands = []
+    rows = cells = 0
+    for members in np.array_split(rank, min(DENSE_BANDS, n_samples)):
+        count, band = len(members), int(sizes[members[-1]])
+        local = np.arange(count)
+        in_base[members] = rows + local * band
+        cell_base[members] = cells + local * band * band
+        band_width[members] = band
+        bands.append(_Band((count, band, band), slice(cells, cells + count * band * band),
+                           slice(rows, rows + count * band), slice(rows, rows + count * band)))
+        rows += count * band
+        cells += count * band * band
+    pad = place + np.repeat(in_base, sizes)
+    row_cell = np.repeat(cell_base, sizes) + place * np.repeat(band_width, sizes)
+    return _Block((n_samples, width, width), tuple(bands), pad, pad, row_cell, place), last
+
+
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     """Logits (S, N_CLASSES) of S compiled samples, run as one disjoint-union graph.
 
     Each sample's ball becomes a block of rows offset by the sizes of the
     balls before it, so shell edges never cross samples and every op runs
-    once for the whole batch. Padded to the largest ball, row r of sample
-    s is row s * width + (r - offset of s), which the dense layout of the
-    shell aggregates reads.
+    once for the whole batch. The dense layout of the shell aggregates
+    reads the padded coordinates of _dense_blocks.
     """
     if not samples:
         raise ValueError("empty batch")
     k, n_samples = config.hops, len(samples)
     balls = [sample.ball for sample in samples]
-    sizes = [ball.nodes.size for ball in balls]
-    offsets = np.cumsum([0] + sizes[:-1])
-    n, width = sum(sizes), max(sizes)
+    sizes = np.array([ball.nodes.size for ball in balls])
+    offsets = np.cumsum(sizes) - sizes
+    n = int(offsets[-1] + sizes[-1])
     authors = offsets + np.array([ball.author_row for ball in balls])
-    pad = np.arange(n) + np.repeat(np.arange(n_samples) * width - offsets, sizes)
+    inner_block, last_block = _dense_blocks(sizes, offsets)
     # Only author rows reach the head, so the last layer aggregates just
     # the edges centred on an author, into one row per sample.
     slot = np.full(n, -1)
@@ -348,17 +418,14 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
                                   for ball, off in zip(balls, offsets)])
         neighbors = np.concatenate([ball.shell_edges[order][1] + off
                                     for ball, off in zip(balls, offsets)])
-        inner.append(_Shell(centers, neighbors, centers, n,
-                            _Block((n_samples, width, width), pad, pad)))
+        inner.append(_Shell(centers, neighbors, centers, n, inner_block))
         keep = slot[centers] >= 0
         last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
-                           _Block((n_samples, 1, width), pad, np.arange(n_samples))))
-    hist = np.concatenate([sample.hist for sample in samples])
+                           last_block))
+    hist = np.concatenate([sample.hist for sample in samples],
+                          out=ag.empty((n,) + samples[0].hist.shape[1:]))
     if config.history == "pe":
-        z_hist = None
-        for m in range(config.history_len):
-            term = ts["position_weights"][m] * Tensor(hist[:, m, :])
-            z_hist = term if z_hist is None else z_hist + term
+        z_hist = ag.position_sum(ts["position_weights"], hist)
     else:
         counts = np.concatenate([sample.hist_counts for sample in samples])
         z_hist = Tensor(hist.sum(axis=1) / np.maximum(counts, 1)[:, None])
@@ -468,8 +535,12 @@ def gradients(batch, graph, corpus, provider, params: ModelParams,
     return _gradients_from_samples(ts, samples, config)[1]
 
 
-def _gradients_from_samples(ts, samples, config):
-    total = _batch_loss(ts, samples, config)
+def _gradients_from_samples(ts, samples, config, workspace=None):
+    """(loss, gradients) of one batch of compiled samples. With a
+    workspace, the forward fills it (see ag.Workspace); backward never
+    does."""
+    with workspace.batch() if workspace is not None else contextlib.nullcontext():
+        total = _batch_loss(ts, samples, config)
     if not np.isfinite(total.data):
         raise ValueError("non-finite loss")
     total.backward()
@@ -603,7 +674,9 @@ def train(corpus, graph, provider, config: TrainConfig):
     best_acc, best_params = -1.0, None
     # A diverging run overflows; the finite checks of the loss and the
     # gradients report that once, instead of a warning per operation.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Every gradient batch's forward reuses the workspace's memory; it is
+    # dropped however train() ends.
+    with np.errstate(over="ignore", invalid="ignore"), ag.Workspace() as workspace:
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_samples))
             batch_losses = []
@@ -611,7 +684,8 @@ def train(corpus, graph, provider, config: TrainConfig):
                 batch = [train_samples[i] for i in order[start:start + config.batch_size]]
                 ts = _make_tensors(params, requires_grad=True)
                 try:
-                    batch_loss, grads = _gradients_from_samples(ts, batch, config)
+                    batch_loss, grads = _gradients_from_samples(ts, batch, config,
+                                                                workspace)
                 except ValueError as exc:
                     raise TrainingDivergedError(epoch, str(exc)) from None
                 adam_step(params.tensors, grads, state, config.learning_rate,

@@ -1,5 +1,7 @@
 """Reverse-mode autodiff checked against central finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -241,6 +243,26 @@ class TestGraph:
         y.backward()
         np.testing.assert_allclose(x.grad, 7.0)
 
+    def test_diamond_frees_interior_gradients(self):
+        # y is consumed twice (y * y and + y): its gradient sums both shares
+        # before its VJP runs, and every interior node drops its gradient
+        # once that VJP has run; only the leaf keeps one.
+        x0 = np.array([0.3, -1.2, 2.0])
+
+        def build(x):
+            y = ag.mul(x, x)
+            return ag.tsum(ag.add(ag.mul(y, y), y))
+
+        check_grad(build, x0)
+        x = ag.Tensor(x0.copy(), requires_grad=True)
+        y = ag.mul(x, x)
+        square = ag.mul(y, y)
+        both = ag.add(square, y)
+        out = ag.tsum(both)
+        out.backward()
+        np.testing.assert_allclose(x.grad, 4 * x0 ** 3 + 2 * x0)
+        assert all(node.grad is None for node in (y, square, both, out))
+
     def test_deep_chain_no_recursion_error(self):
         x = ag.Tensor(np.array(1.0), requires_grad=True)
         y = x
@@ -272,3 +294,98 @@ class TestGraph:
                 return -ag.log(ag.clip_min(ag.getitem(p, target), 1e-12))
 
             check_grad(build, w0, atol=1e-5, rtol=1e-4)
+
+
+def composed_position_sum(w, hist):
+    """The getitem / mul / add chain that ag.position_sum fuses."""
+    total = None
+    for m in range(hist.shape[1]):
+        term = w[m] * ag.Tensor(hist[:, m, :])
+        total = term if total is None else total + term
+    return total
+
+
+class TestPositionSum:
+    def test_matches_composed_chain_bytes(self):
+        rng = np.random.default_rng(6)
+        hist = rng.standard_normal((9, 4, 5))
+        hist[:, 3, :] = 0.0  # an empty history slot
+        w0 = rng.standard_normal(4)
+        g = -np.abs(rng.standard_normal((9, 5)))
+        outs, grads = [], []
+        for route in (ag.position_sum, composed_position_sum):
+            w = ag.Tensor(w0.copy(), requires_grad=True)
+            out = route(w, hist)
+            ag.tsum(out * ag.Tensor(g)).backward()
+            outs.append(out.data.tobytes())
+            grads.append(w.grad.tobytes())
+        assert outs[0] == outs[1]
+        assert grads[0] == grads[1]
+
+    def test_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        hist = rng.standard_normal((6, 3, 4))
+        check_grad(lambda w: ag.tsum(ag.mul(ag.position_sum(w, hist), hist[:, 0, :])),
+                   rng.standard_normal(3))
+
+
+class TestWorkspace:
+    def test_ops_fill_the_active_workspace_and_match_fresh_arrays(self):
+        rng = np.random.default_rng(8)
+        a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
+
+        def build():
+            a, b = ag.Tensor(a0), ag.Tensor(b0)
+            prod = ag.matmul(a, b)
+            return [prod, ag.add(prod, 1.0), ag.concat([prod, prod], axis=1)]
+
+        fresh = [t.data.copy() for t in build()]
+        with ag.Workspace() as workspace:
+            with workspace.batch():
+                held = build()
+            for t, want in zip(held, fresh):
+                assert t.data.base is not None  # a view of the workspace
+                assert t.data.tobytes() == want.tobytes()
+            with workspace.batch():
+                again = build()
+            # A new batch starts over from the buffer's start.
+            assert again[0].data.ctypes.data == held[0].data.ctypes.data
+
+    def test_full_workspace_falls_back_to_numpy(self, monkeypatch):
+        monkeypatch.setattr(ag, "WORKSPACE_CELLS", 16)
+        with ag.Workspace() as workspace, workspace.batch():
+            small = ag.matmul(ag.Tensor(np.ones((2, 2))), ag.Tensor(np.ones((2, 2))))
+            big = ag.matmul(ag.Tensor(np.ones((5, 5))), ag.Tensor(np.ones((5, 5))))
+        assert small.data.base is not None
+        assert big.data.base is None
+        np.testing.assert_array_equal(big.data, np.full((5, 5), 5.0))
+
+    def test_inactive_after_the_batch_however_it_ends(self):
+        with ag.Workspace() as workspace:
+            with pytest.raises(KeyboardInterrupt):
+                with workspace.batch():
+                    assert ag._active.get() is workspace
+                    raise KeyboardInterrupt
+            assert ag._active.get() is None
+            out = ag.add(ag.Tensor(np.ones(3)), 1.0)
+            assert out.data.base is None
+
+    def test_active_only_in_its_own_thread(self):
+        seen = []
+        with ag.Workspace() as workspace, workspace.batch():
+            thread = threading.Thread(target=lambda: seen.append(ag._active.get()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert seen == [None]
+
+    def test_backward_takes_nothing_from_the_workspace(self):
+        x0 = np.arange(6.0).reshape(2, 3)
+        with ag.Workspace() as workspace:
+            with workspace.batch():
+                x = ag.Tensor(x0, requires_grad=True)
+                out = ag.tsum(ag.matmul(x, ag.Tensor(np.ones((3, 2)))))
+            top = workspace._top
+            out.backward()
+            assert workspace._top == top
+            assert x.grad.base is None or x.grad.base is not workspace._cells

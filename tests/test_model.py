@@ -28,9 +28,14 @@ from socialstance.encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams
 from socialstance.model import (
     HISTORY_KINDS,
     AdamState,
+    DENSE_BANDS,
     _Block,
     _Shell,
+    _batch_logits,
     _compile_sample,
+    _dense_blocks,
+    _gradients_from_samples,
+    _make_tensors,
     ModelParams,
     TrainConfig,
     adam_step,
@@ -473,17 +478,18 @@ def padded_shells():
     }
     for name, (c, nb, seg, size) in cases.items():
         c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
-        yield name, _Shell(c, nb, seg, size, _Block((2, 5, 5), pad, pad))
+        yield name, _Shell(c, nb, seg, size, _Block.padded((2, 5, 5), pad, pad))
     c, nb, seg = (np.array(a, dtype=np.intp) for a in ([1, 1, 1], [0, 2, 2], [0, 0, 0]))
-    yield "padded author rows", _Shell(c, nb, seg, 2, _Block((2, 1, 5), pad, np.arange(2)))
+    yield "padded author rows", _Shell(c, nb, seg, 2,
+                                       _Block.padded((2, 1, 5), pad, np.arange(2)))
 
 
 def dense_shells():
     """Every oracle_shells() case as one sample of 7 rows, then the
     padded two-sample cases."""
     for name, shell in oracle_shells():
-        yield name, shell._replace(block=_Block((1, shell.size, 7), np.arange(7),
-                                                np.arange(shell.size)))
+        yield name, shell._replace(block=_Block.padded((1, shell.size, 7), np.arange(7),
+                                                       np.arange(shell.size)))
     yield from padded_shells()
 
 
@@ -516,6 +522,37 @@ class TestDenseLayout:
             for dense, composed in zip(*grads):
                 np.testing.assert_allclose(dense, composed, rtol=0, atol=1e-12,
                                            err_msg=name)
+
+
+class TestDensePoolBands:
+    """A mixed-size batch's banded dense pool against the one-band pool,
+    byte for byte. Weights are multiples of 1/8 and rows small integers,
+    so every sum is exact in any order and only the layout is tested."""
+
+    def test_banded_pool_equals_one_band(self):
+        rng = np.random.default_rng(11)
+        sizes = np.array([5, 3, 7, 2, 6, 4, 7, 1])
+        offsets = np.cumsum(sizes) - sizes
+        n, width, h = int(sizes.sum()), int(sizes.max()), 3
+        banded, _ = _dense_blocks(sizes, offsets)
+        assert len(banded.bands) == DENSE_BANDS
+        assert len({band.shape[2] for band in banded.bands}) == DENSE_BANDS
+        pad = np.arange(n) + np.repeat(np.arange(len(sizes)) * width - offsets, sizes)
+        one = _Block.padded((len(sizes), width, width), pad, pad)
+        # Edges within each ball, some (row, neighbour) pairs repeated.
+        pairs = [(off + rng.integers(size, size=3 * size), off + rng.integers(size, size=3 * size))
+                 for size, off in zip(sizes, offsets)]
+        centers = np.concatenate([c for c, _ in pairs])
+        neighbors = np.concatenate([nb for _, nb in pairs])
+        weights = rng.integers(1, 9, centers.size) / 8.0
+        x = rng.integers(-4, 5, (n, h)).astype(float)
+        g = rng.integers(-4, 5, (n, h)).astype(float)
+        runs = []
+        for block in (banded, one):
+            pool = ag._DensePool(x, _Shell(centers, neighbors, centers, n, block), weights)
+            dweights, dx = pool.grads(g)
+            runs.append((pool.value.tobytes(), dweights.tobytes(), dx.tobytes()))
+        assert runs[0] == runs[1]
 
 
 class TestLayoutChoice:
@@ -846,6 +883,94 @@ class TestSplitDataset:
         assert default == TrainConfig().split
 
 
+def grad_bytes(grads):
+    return {name: grad.tobytes() for name, grad in grads.items()}
+
+
+@pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+@pytest.mark.parametrize("history", ["pe", "mean"])
+class TestTrainingBatchMemory:
+    """Training's gradient batches fill a reused workspace and pool dense
+    shells band by band; neither may change a byte."""
+
+    def setup_world(self, aggregator, history):
+        corpus, graph, store = mixed_world()
+        cfg = small_config(aggregator=aggregator, history=history, history_len=2)
+        batch = eligible_training_posts(corpus, graph)
+        samples = [_compile_sample(p, graph, corpus, store, cfg) for p in batch]
+        return corpus, graph, store, cfg, ModelParams(cfg), batch, samples
+
+    def test_workspace_gradients_equal_gradients(self, aggregator, history, monkeypatch):
+        corpus, graph, store, cfg, params, batch, samples = self.setup_world(
+            aggregator, history)
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                want = grad_bytes(gradients(batch, graph, corpus, store, params, cfg))
+                want_loss = loss(batch, graph, corpus, store, params, cfg)
+                with ag.Workspace() as workspace:
+                    # The second batch overwrites the first one's memory.
+                    for _ in range(2):
+                        got_loss, got = _gradients_from_samples(
+                            _make_tensors(params, True), samples, cfg, workspace)
+                        assert grad_bytes(got) == want, layout
+                        assert got_loss == want_loss, layout
+                assert ag._active.get() is None
+
+    def test_banded_engine_matches_one_band(self, aggregator, history, monkeypatch):
+        # BLAS may pick its kernel by matrix shape, so a band's sums can
+        # differ from the padded block's in the last bits: within 1e-12,
+        # as for every dense result. TestDensePoolBands pins the layout
+        # byte for byte.
+        corpus, graph, store, cfg, params, batch, samples = self.setup_world(
+            aggregator, history)
+        runs = []
+        for bands in (DENSE_BANDS, 1):
+            with forced_layout(monkeypatch, "dense"):
+                monkeypatch.setattr("socialstance.model.DENSE_BANDS", bands)
+                logits = _batch_logits(_make_tensors(params, False), samples, cfg)
+                _, grads = _gradients_from_samples(_make_tensors(params, True), samples, cfg)
+            runs.append((logits.data, grads))
+        np.testing.assert_allclose(runs[0][0], runs[1][0], rtol=0, atol=1e-12)
+        for name, grad in runs[0][1].items():
+            np.testing.assert_allclose(grad, runs[1][1][name], rtol=0, atol=1e-12,
+                                       err_msg=name)
+
+    def test_batch_of_one_is_one_band(self, aggregator, history, monkeypatch):
+        corpus, graph, store, cfg, params, batch, samples = self.setup_world(
+            aggregator, history)
+        blocks = []
+        real = ag.shell_aggregate
+
+        def spy(x, shell, attn=None):
+            blocks.append(shell.block)
+            return real(x, shell, attn)
+
+        monkeypatch.setattr(ag, "shell_aggregate", spy)
+        for post, sample in zip(batch, samples):
+            forward(post, graph, corpus, store, params, cfg)
+            width = sample.ball.nodes.size
+            rows = np.arange(width)
+            want = (_Block.padded((1, width, width), rows, rows),
+                    _Block.padded((1, 1, width), rows, rows[:1]))
+            for block in blocks:
+                assert len(block.bands) == 1
+                assert any(block.shape == w.shape and all(
+                    np.array_equal(getattr(block, f), getattr(w, f))
+                    for f in ("pad", "out", "row_cell", "place")) for w in want)
+            blocks.clear()
+
+    def test_two_trainings_in_one_process_match(self, aggregator, history, monkeypatch):
+        corpus, graph, store = mixed_world()
+        cfg = small_config(aggregator=aggregator, history=history, history_len=2,
+                           epochs=3, batch_size=4)
+        for layout in FORCED_LAYOUTS:
+            with forced_layout(monkeypatch, layout):
+                runs = [train(corpus, graph, store, cfg) for _ in range(2)]
+            (p1, logs1), (p2, logs2) = runs
+            assert logs1 == logs2, layout
+            assert grad_bytes(p1.tensors) == grad_bytes(p2.tensors), layout
+
+
 class TestTraining:
     def test_fifty_fullbatch_steps_halve_loss(self):
         phrases = {
@@ -908,8 +1033,41 @@ class TestTraining:
     def test_divergence_reports_epoch(self):
         corpus, graph, store = toy_world(n_users=10)
         cfg = small_config(epochs=4, learning_rate=1e25)
+        params = ModelParams(cfg)
+        batch = eligible_training_posts(corpus, graph)[:4]
+
+        def outputs():
+            return (grad_bytes(gradients(batch, graph, corpus, store, params, cfg)),
+                    forward(batch[0], graph, corpus, store, params, cfg).probabilities.tobytes())
+
+        before = outputs()
         with pytest.raises(TrainingDivergedError, match="training diverged at epoch"):
             train(corpus, graph, store, cfg)
+        # The diverged run's workspace is gone and inactive.
+        assert ag._active.get() is None
+        assert outputs() == before
+
+    # train() reports a ValueError inside a batch as divergence.
+    @pytest.mark.parametrize("error, reported", [(KeyboardInterrupt, KeyboardInterrupt),
+                                                 (InputDataError, TrainingDivergedError)])
+    def test_interrupted_training_leaves_no_workspace_active(self, error, reported,
+                                                             monkeypatch):
+        corpus, graph, store = toy_world(n_users=10)
+        cfg = small_config(epochs=2)
+        real = ag.shell_aggregate
+        calls = []
+
+        def interrupt(*args):
+            calls.append(ag._active.get())
+            if len(calls) == 3:
+                raise error("stop")
+            return real(*args)
+
+        monkeypatch.setattr(ag, "shell_aggregate", interrupt)
+        with pytest.raises(reported):
+            train(corpus, graph, store, cfg)
+        assert calls[-1] is not None  # raised inside a batch's forward
+        assert ag._active.get() is None
 
     def test_evaluate_runs_and_bounds(self):
         corpus, graph, store = toy_world(n_users=10)
