@@ -138,11 +138,7 @@ def _out(shape):
 
 def _out_like(a, b):
     """_out for the broadcast result of arrays a and b."""
-    workspace = _active.get()
-    if workspace is None:
-        return None
-    return workspace.take(a.shape if a.shape == b.shape
-                          else np.broadcast_shapes(a.shape, b.shape))
+    return _out(a.shape if a.shape == b.shape else np.broadcast(a, b).shape)
 
 
 def empty(shape) -> np.ndarray:
@@ -419,13 +415,15 @@ def dense_layout(samples: int, rows: int, width: int, edges: int, dim: int) -> b
             and edges * dim >= DENSE_MIN_DENSITY * (cells + samples * width * dim))
 
 
-def _pad(rows, index, total: int, ordered: bool, out=None):
-    """(total, h) zeros, in out if given, holding rows[i] at row index[i].
+def _pad(rows, index, total: int, ordered: bool):
+    """(total, h) zeros holding rows[i] at row index[i], in workspace
+    memory while one is active (see _out).
 
     An ordered index (increasing) that covers every row is the identity,
     so rows is returned as it is."""
     if ordered and len(index) == total:
         return rows
+    out = _out((total, rows.shape[1]))
     if out is None:
         out = np.zeros((total, rows.shape[1]))
     else:
@@ -434,11 +432,13 @@ def _pad(rows, index, total: int, ordered: bool, out=None):
     return out
 
 
-def _unpad(padded, index, ordered: bool, out=None):
-    """Rows `index` of the (total, h) array padded, into out if given."""
+def _unpad(padded, index, ordered: bool):
+    """Rows `index` of the (total, h) array padded, as _pad places them."""
     if ordered and len(index) == len(padded):
         return padded
-    return padded.take(index, axis=0, out=out)
+    # mode="clip" writes straight into out (the default mode buffers it);
+    # the index is always in range.
+    return padded.take(index, axis=0, out=_out((len(index), padded.shape[1])), mode="clip")
 
 
 class _DensePool:
@@ -459,13 +459,12 @@ class _DensePool:
         h = xd.shape[1]
         self.cells = block.row_cell[shell.segments] + block.place[shell.neighbors]
         self.a = np.bincount(self.cells, weights=weights, minlength=end.cells.stop)
-        self.xp = _pad(xd, block.pad, end.rows_in.stop, self.ordered,
-                       _out((end.rows_in.stop, h)))
+        self.xp = _pad(xd, block.pad, end.rows_in.stop, self.ordered)
         pooled = empty((end.rows_out.stop, h))
         for (s, r, b), cells, rows_in, rows_out in block.bands:
             np.matmul(self.a[cells].reshape(s, r, b), self.xp[rows_in].reshape(s, b, h),
                       out=pooled[rows_out].reshape(s, r, h))
-        self.value = _unpad(pooled, block.out, self.ordered, _out((len(block.out), h)))
+        self.value = _unpad(pooled, block.out, self.ordered)
 
     def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
         """(gradient of the E weights, gradient of x through the pool) for
@@ -492,7 +491,7 @@ class _ScatterPool:
 
     def __init__(self, xd, shell, weights):
         self.shell, self.weights = shell, weights
-        self.gathered = xd.take(shell.neighbors, axis=0,
+        self.gathered = xd.take(shell.neighbors, axis=0, mode="clip",
                                 out=_out((len(shell.neighbors), xd.shape[1])))
         self.n = len(xd)
         self.value = _scatter_add(weights[:, None] * self.gathered, shell.segments,

@@ -347,7 +347,9 @@ class _Shell(NamedTuple):
 
 
 # Size bands of a training batch's inner dense blocks (see _dense_blocks).
-DENSE_BANDS = 4
+# On 64-post train_small batches, three bands pool as fast as four or six,
+# and one or two bands are slower (timings in ROADMAP.md).
+DENSE_BANDS = 3
 
 
 def _dense_blocks(sizes, offsets):
@@ -365,6 +367,9 @@ def _dense_blocks(sizes, offsets):
     """
     n_samples, width = len(sizes), int(sizes.max())
     if n_samples == 1:
+        # Every forward is a batch of one. The general path below builds
+        # the same blocks at three to four times the cost of these two
+        # calls, which slowed forward by 6-9% on 200-user worlds.
         rows = np.arange(width)
         return (_Block.padded((1, width, width), rows, rows),
                 _Block.padded((1, 1, width), rows, rows[:1]))
