@@ -5,7 +5,16 @@ fit to the pseudo-residuals (one-hot minus predicted probability) by exact
 greedy squared-error split search, and its leaves take the standard Newton
 step for multiclass log-loss. Scores start at the per-class log-priors and
 accumulate shrinkage-weighted tree outputs, which fit takes from the leaves
-as they grow. Each node's split search covers all features in one array pass.
+as they grow.
+
+Each node holds its rows as one (f + 2, n) block: the features,
+feature-major, then the residuals and their squares. A split partitions
+the block with one compress, and the search covers all features in one
+array pass: one sort per feature row, one take of the residuals and
+squares in every row's order, and one prefix-sum pass over both. Every
+float comes from the same operation on the same operands in the same
+order as in a search of one feature at a time, so the trees are the ones
+that search grows, byte for byte.
 """
 
 import math
@@ -99,67 +108,74 @@ class RegressionTree:
         return max(d for _, d in self.walk())
 
 
-def _leaf_value(residuals: np.ndarray, n_classes: int) -> float:
+def _leaf_value(residuals: np.ndarray, n_classes: int, total=None) -> float:
+    """Newton step of one leaf; total, when given, is residuals.sum()."""
     # Newton step for the multiclass softmax objective: the hessian diagonal
     # for residual r = y - p is p(1-p) = |r|(1-|r|).
-    numerator = float(residuals.sum())
-    denominator = float(np.sum(np.abs(residuals) * (1.0 - np.abs(residuals))))
+    numerator = float(residuals.sum() if total is None else total)
+    magnitude = np.abs(residuals)
+    denominator = float((magnitude * (1.0 - magnitude)).sum())
     if abs(denominator) < _MIN_HESSIAN:
         return 0.0
     return (n_classes - 1.0) / n_classes * numerator / denominator
 
 
-def _best_split(features: np.ndarray, residuals: np.ndarray, idx: np.ndarray):
+def _best_split(block: np.ndarray, total, counts: np.ndarray):
     """Exact greedy SSE split over all (feature, midpoint) candidates at once.
 
-    Returns (feature, threshold) or None when no split reduces squared
-    error. Ties break toward the lowest feature index, then the lowest
-    threshold: argmax takes the first maximum of the feature-major ravel of
-    the (n - 1, f) gains, and each column's candidates ascend with its values.
+    block is the node's (f + 2, n) block: its features feature-major, then
+    its residuals and their squares; total is the residuals' sum and counts
+    holds 1.0, 2.0, ... up to at least n - 1. Returns (feature, threshold)
+    or None when no split reduces squared error. Ties break toward the
+    lowest feature index, then the lowest threshold: argmax takes the first
+    maximum of the (f, n - 1) gains, and each row's candidates ascend with
+    its values.
     """
-    node_r = residuals[idx]
-    n = idx.size
-    total = node_r.sum()
+    f, n = block.shape[0] - 2, block.shape[1]
+    vals, node_r = block[:f], block[f]
     total_sq = float(node_r @ node_r)
     parent_sse = total_sq - total * total / n
-    vals = features[idx]
-    order = np.argsort(vals, axis=0, kind="stable")
-    sv = np.take_along_axis(vals, order, axis=0)
-    sr = node_r[order]
-    left_sum = np.cumsum(sr, axis=0)[:-1]
-    left_sq = np.cumsum(sr * sr, axis=0)[:-1]
-    n_left = np.arange(1, n, dtype=np.float64)[:, None]
+    order = vals.argsort(axis=1, kind="stable")
+    sv = vals[np.arange(f)[:, None], order]
+    # Row k of each (f, n) half runs the residuals, or their squares, in
+    # feature k's order; one pass sums every prefix in that order.
+    prefix = np.add.accumulate(block[f:].take(order, axis=1), axis=2)
+    left_sum, left_sq = prefix[0, :, :-1], prefix[1, :, :-1]
+    n_left, n_right = counts[:n - 1], counts[n - 2::-1]  # n_right = n - n_left
     left_sse = left_sq - left_sum * left_sum / n_left
     right_sum = total - left_sum
-    right_sse = (total_sq - left_sq) - right_sum * right_sum / (n - n_left)
-    gain = parent_sse - left_sse - right_sse
+    right_sse = (total_sq - left_sq) - right_sum * right_sum / n_right
+    gain = parent_sse - left_sse
+    gain -= right_sse
     # Splitting between equal values is meaningless; mask those slots.
-    gain[sv[1:] == sv[:-1]] = -np.inf
-    best = int(np.argmax(gain.T.ravel()))
-    f, i = divmod(best, n - 1)
-    if not gain[i, f] > _MIN_GAIN:
+    np.copyto(gain, -np.inf, where=sv[:, 1:] == sv[:, :-1])
+    feature, i = divmod(int(gain.argmax()), n - 1)
+    if not gain[feature, i] > _MIN_GAIN:
         return None
-    return f, (float(sv[i, f]) + float(sv[i + 1, f])) / 2.0
+    return feature, (float(sv[feature, i]) + float(sv[feature, i + 1])) / 2.0
 
 
-def _grow_tree(features, residuals, idx, depth, max_depth, n_classes,
-               out) -> TreeNode:
-    """Grow the subtree over rows idx; write each leaf's value to out[rows]."""
+def _grow_tree(block, idx, depth, max_depth, n_classes, out, counts) -> TreeNode:
+    """Grow the subtree over rows idx, ascending, whose block is as
+    _best_split takes it; write each leaf's value to out[idx]."""
+    node_r = block[-2]
+    total = node_r.sum()
     split = None
     if depth < max_depth and idx.size >= 2:
-        split = _best_split(features, residuals, idx)
+        split = _best_split(block, total, counts)
     if split is None:
-        out[idx] = value = _leaf_value(residuals[idx], n_classes)
+        out[idx] = value = _leaf_value(node_r, n_classes, total)
         return TreeNode(value=value)
     feature, threshold = split
-    left_mask = features[idx, feature] <= threshold
+    left = block[feature] <= threshold
+    right = ~left
     return TreeNode(
         feature=feature,
         threshold=threshold,
-        left=_grow_tree(features, residuals, idx[left_mask],
-                        depth + 1, max_depth, n_classes, out),
-        right=_grow_tree(features, residuals, idx[~left_mask],
-                         depth + 1, max_depth, n_classes, out),
+        left=_grow_tree(block.compress(left, axis=1), idx[left],
+                        depth + 1, max_depth, n_classes, out, counts),
+        right=_grow_tree(block.compress(right, axis=1), idx[right],
+                         depth + 1, max_depth, n_classes, out, counts),
     )
 
 
@@ -228,19 +244,26 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     scores = np.tile(base_scores, (n, 1))
     onehot = np.zeros((n, N_CHANGE_CLASSES))
     onehot[np.arange(n), labels] = 1.0
+    # The root block: the features, feature-major, then one class's
+    # residuals and their squares, which each tree overwrites.
+    f = features.shape[1]
+    root = np.empty((f + 2, n))
+    root[:f] = features.T
     all_idx = np.arange(n)
+    counts = np.arange(1, n, dtype=np.float64)
     leaf_out = np.empty(n)  # every row lands in one leaf, so all are rewritten
     for round_no in range(1, config.rounds + 1):
         # Scores may overflow (a huge shrinkage); the check below reports
         # that once, as bad input, instead of a warning per operation.
         with np.errstate(over="ignore"):
             probs = softmax(scores)
-            residuals = onehot - probs
             round_trees = []
             for c in range(N_CHANGE_CLASSES):
-                root = _grow_tree(features, residuals[:, c], all_idx, 0,
-                                  config.max_depth, N_CHANGE_CLASSES, leaf_out)
-                round_trees.append(RegressionTree(root))
+                np.subtract(onehot[:, c], probs[:, c], out=root[f])
+                np.multiply(root[f], root[f], out=root[f + 1])
+                tree = _grow_tree(root, all_idx, 0, config.max_depth,
+                                  N_CHANGE_CLASSES, leaf_out, counts)
+                round_trees.append(RegressionTree(tree))
                 scores[:, c] += config.shrinkage * leaf_out
         if not np.isfinite(scores).all():
             raise InputDataError(
@@ -464,8 +487,9 @@ def training_csv_header(with_prior: bool = False) -> str:
 def load_training_csv(path):
     """Read change-prediction training data.
 
-    Expects the 11 theme columns (optionally followed by prior_score) and a
-    label column of ChangeLabel names. Returns (features, labels) arrays.
+    Expects the 11 theme columns (optionally followed by prior_score), all
+    finite numbers, and a label column of ChangeLabel names. Returns
+    (features, labels) arrays.
     """
     def example(line):
         parts = line.strip().split(",")
@@ -475,6 +499,8 @@ def load_training_csv(path):
             features = [float(v) for v in parts[:-1]]
         except ValueError:
             raise InputDataError("non-numeric feature") from None
+        if not all(map(math.isfinite, features)):
+            raise InputDataError("non-finite feature")
         try:
             return features, int(ChangeLabel[parts[-1]])
         except KeyError:

@@ -666,12 +666,20 @@ def train(corpus, graph, provider, config: TrainConfig):
     validation accuracy (earliest epoch wins ties). Also returns the per
     epoch EpochStats list.
     """
+    train_samples, val_samples = (
+        [_compile_sample(p, graph, corpus, provider, config) for p in part]
+        for part in _train_val_posts(corpus, graph, config))
+    return _train_compiled(train_samples, val_samples, config)
+
+
+def _train_val_posts(corpus, graph, config: TrainConfig):
+    """The train and validation parts of train()'s split."""
     labelled = eligible_training_posts(corpus, graph)
-    train_posts, val_posts, _ = split_dataset(labelled, config.split, config.seed)
-    train_samples = [_compile_sample(p, graph, corpus, provider, config)
-                     for p in train_posts]
-    val_samples = [_compile_sample(p, graph, corpus, provider, config)
-                   for p in val_posts]
+    return split_dataset(labelled, config.split, config.seed)[:2]
+
+
+def _train_compiled(train_samples, val_samples, config: TrainConfig):
+    """train() on samples compiled for the config."""
     params = ModelParams(config)
     state = AdamState.fresh(params.tensors)
     rng = np.random.default_rng(config.seed)
@@ -724,18 +732,38 @@ def evaluate(posts, graph, corpus, provider, params: ModelParams,
 
 def sweep(corpus, graph, provider, config: TrainConfig, hops_values,
           history_len_values):
-    """Grid over (hops, history_len); reports best validation accuracy."""
+    """Grid over (hops, history_len); reports best validation accuracy.
+
+    Each cell trains as train() would. Samples are compiled once per hops
+    value, at the widest history length; a narrower cell keeps the newest
+    history_len slots of each history, which is what compiling at that
+    length gathers.
+    """
+    grid = [[replace(config, hops=hops, history_len=history_len)
+             for history_len in history_len_values] for hops in hops_values]
+    parts = _train_val_posts(corpus, graph, config)
     rows = []
-    for hops in hops_values:
-        for history_len in history_len_values:
-            cell = replace(config, hops=hops, history_len=history_len)
-            _, logs = train(corpus, graph, provider, cell)
+    for cells in grid:
+        widest = max(cells, key=lambda cell: cell.history_len)
+        compiled = [[_compile_sample(p, graph, corpus, provider, widest) for p in part]
+                    for part in parts]
+        for cell in cells:
+            train_samples, val_samples = (
+                [_narrowed(s, cell.history_len) for s in part] for part in compiled)
+            _, logs = _train_compiled(train_samples, val_samples, cell)
             rows.append({
-                "hops": hops,
-                "history_len": history_len,
+                "hops": cell.hops,
+                "history_len": cell.history_len,
                 "val_accuracy": max(stat.val_accuracy for stat in logs),
             })
     return rows
+
+
+def _narrowed(sample: _CompiledSample, history_len: int) -> _CompiledSample:
+    """The sample as compiled at a history length no wider than its own:
+    history slots run newest first, so the narrower one keeps the first."""
+    return replace(sample, hist=np.ascontiguousarray(sample.hist[:, :history_len]),
+                   hist_counts=np.minimum(sample.hist_counts, history_len))
 
 
 # -- metric log file ---------------------------------------------------------

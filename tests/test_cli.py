@@ -1055,6 +1055,15 @@ class TestPredictChange:
         assert err == ("error: round 1: training scores are not finite "
                        "(shrinkage 1e+308 is too large)\n")
 
+    def test_non_finite_feature_names_its_line(self, training_csv, tmp_path, capsys):
+        lines = training_csv.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(","):]
+        path = tmp_path / "nan.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["predict-change", "--data", str(path), "--rounds", "2"])
+        assert capsys.readouterr().err == "error: line 3: non-finite feature\n"
+        assert code == 2
+
     def test_negative_seed_exit_2(self, training_csv, capsys):
         code = main(["predict-change", "--data", str(training_csv),
                      "--rounds", "2", "--seed", "-1"])

@@ -38,6 +38,7 @@ from socialstance.gbdt import (
 )
 from socialstance.metrics import PROB_FLOOR, softmax
 from socialstance.hesitancy import ChangeLabel
+from socialstance.synthetic import change_benchmark
 
 
 # Label arrays that are not integer class indices and must not be cast.
@@ -121,6 +122,14 @@ def reference_fit(features, labels, config, n_classes=3):
     return model
 
 
+def best_split(features, residuals):
+    """_best_split over every row of (n, f) features, as the grower calls it
+    at a root."""
+    block = np.vstack([features.T, residuals, residuals * residuals])
+    return _best_split(block, residuals.sum(),
+                       np.arange(1, residuals.size, dtype=np.float64))
+
+
 def separable_dataset(rng, n=120, n_features=6, n_classes=3):
     """Labels decided by thresholds on feature 0 alone."""
     features = rng.standard_normal((n, n_features))
@@ -145,7 +154,7 @@ class TestBestSplit:
     def test_threshold_strictly_between_values(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]])
         residuals = np.array([-1.0, -1.0, 1.0, 1.0])
-        feat, thresh = _best_split(features, residuals, np.arange(4))
+        feat, thresh = best_split(features, residuals)
         assert feat == 0
         assert thresh == pytest.approx(1.5)
         assert 1.0 < thresh < 2.0
@@ -153,14 +162,14 @@ class TestBestSplit:
     def test_no_split_on_constant_feature(self):
         features = np.ones((5, 2))
         residuals = np.array([1.0, -1.0, 1.0, -1.0, 0.0])
-        assert _best_split(features, residuals, np.arange(5)) is None
+        assert best_split(features, residuals) is None
 
     def test_tie_breaks_lowest_feature_then_threshold(self):
         # feature 1 duplicates feature 0: identical gains, feature 0 wins
         base = np.array([0.0, 0.0, 1.0, 1.0])
         features = np.stack([base, base], axis=1)
         residuals = np.array([-1.0, -1.0, 1.0, 1.0])
-        feat, thresh = _best_split(features, residuals, np.arange(4))
+        feat, thresh = best_split(features, residuals)
         assert feat == 0
         assert thresh == pytest.approx(0.5)
 
@@ -180,7 +189,7 @@ class TestBestSplit:
             n = int(rng.integers(3, 20))
             features = rng.standard_normal((n, 3))
             residuals = rng.standard_normal(n)
-            got = _best_split(features, residuals, np.arange(n))
+            got = best_split(features, residuals)
 
             best_gain = 0.0
             for f in range(3):
@@ -204,7 +213,7 @@ class TestBestSplit:
         # threshold 5.0. The lower feature still wins.
         features = np.array([[9.0, 0.0], [0.0, 5.0], [1.0, 6.0]])
         residuals = np.array([2.0, -1.0, -1.0])
-        assert _best_split(features, residuals, np.arange(3)) == (0, 5.0)
+        assert best_split(features, residuals) == (0, 5.0)
         assert reference_best_split(features, residuals, np.arange(3)) == (0, 5.0)
 
 
@@ -264,6 +273,16 @@ class TestAgainstReference:
         features, labels, config = inputs
         assert model_text(fit(features, labels, config)) == \
             model_text(reference_fit(features, labels, config))
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_fit_matches_reference_at_the_benchmark_shape(self, seed):
+        # The 160-row sessions of predict-change on change_benchmark(200):
+        # nodes far larger than the property test's n <= 60 draws.
+        features, labels = change_benchmark(200, seed=seed)
+        rows = np.random.default_rng(seed).permutation(200)[:160]
+        config = GbdtConfig(rounds=10)
+        assert model_text(fit(features[rows], labels[rows], config)) == \
+            model_text(reference_fit(features[rows], labels[rows], config))
 
     def test_predict_matches_predict_one_row_by_row(self):
         rng = np.random.default_rng(13)
@@ -677,6 +696,15 @@ class TestTrainingCsv:
         rows = [training_csv_header(), ",".join(["0.0"] * 11) + ",sideways"]
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(InputDataError, match="line 2"):
+            load_training_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_names_its_line(self, tmp_path, value):
+        path = tmp_path / "train.csv"
+        good = ",".join(["1.0"] * 11) + ",unchanged"
+        bad = ",".join([value] + ["1.0"] * 10) + ",decreased"
+        path.write_text("\n".join([training_csv_header(), good, bad, good]) + "\n")
+        with pytest.raises(InputDataError, match="^line 3: non-finite feature$"):
             load_training_csv(path)
 
 

@@ -36,6 +36,7 @@ from socialstance.model import (
     _dense_blocks,
     _gradients_from_samples,
     _make_tensors,
+    _narrowed,
     ModelParams,
     TrainConfig,
     adam_step,
@@ -1086,6 +1087,31 @@ class TestTraining:
         assert [(r["hops"], r["history_len"]) for r in rows] == [
             (1, 1), (1, 2), (2, 1), (2, 2)]
         assert all(0.0 <= r["val_accuracy"] <= 1.0 for r in rows)
+
+    def test_narrowed_sample_is_the_narrower_compile(self):
+        # Four history posts per user: at lengths 1 and 3 the histories
+        # are cut, at 5 they are not.
+        corpus, graph, store = toy_world(history=4)
+        wide = small_config(history_len=5)
+        for post in corpus.labelled():
+            widest = _compile_sample(post, graph, corpus, store, wide)
+            for history_len in (1, 3, 5):
+                got = _narrowed(widest, history_len)
+                want = _compile_sample(post, graph, corpus, store,
+                                       replace(wide, history_len=history_len))
+                np.testing.assert_array_equal(got.hist, want.hist)
+                np.testing.assert_array_equal(got.hist_counts, want.hist_counts)
+                assert got.hist_counts.dtype == want.hist_counts.dtype
+
+    def test_sweep_cells_equal_train(self):
+        corpus, graph, store = toy_world(n_users=10, history=4)
+        cfg = small_config(epochs=2)
+        rows = sweep(corpus, graph, store, cfg, hops_values=[1, 2],
+                     history_len_values=[3, 1])
+        for row in rows:
+            cell = replace(cfg, hops=row["hops"], history_len=row["history_len"])
+            _, logs = train(corpus, graph, store, cell)
+            assert row["val_accuracy"] == max(stat.val_accuracy for stat in logs)
 
 
 class TestCheckpoint:
