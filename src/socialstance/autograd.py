@@ -9,8 +9,10 @@ shell_aggregate pools a shell's rows with one weight per edge; GAT and GCN
 differ only in those weights: the attention softmax, or 1 with each output
 row then scaled by 1/|shell|. Both pool through one of two layouts, picked
 per call from the shell's shape by dense_layout. The scatter layout
-gathers, weights and scatters one (h,) row per edge; its forward is
-bit-identical to the chain of elementary ops it fuses. The dense layout
+gathers, weights and scatters one (h,) row per edge, in chunks of edges
+of at most DENSE_MAX_CELLS cells, so a hub's shell takes memory linear in
+its edges; its forward is bit-identical to the chain of elementary ops it
+fuses, and its chunks change no byte. The dense layout
 writes the edge weights into zero-padded (samples, rows, ball) blocks, one
 per size band of the batch, and pools each with one batched matmul; it
 matches that chain within 1e-12, not bit for bit. It is used only when the
@@ -60,6 +62,12 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _flat_index(index, width: int):
+    """The flat positions of rows `index` of an array of `width` columns,
+    row by row."""
+    return index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
+
+
 def _scatter_add(values, index, num_rows):
     """out[index[i]] += values[i] over i in order, into num_rows zero rows.
 
@@ -71,8 +79,8 @@ def _scatter_add(values, index, num_rows):
     index = np.asarray(index)
     tail = values.shape[1:]
     width = math.prod(tail)
-    flat = index if width == 1 else (index[:, None] * width + np.arange(width)).ravel()
-    out = np.bincount(flat, weights=values.reshape(-1), minlength=num_rows * width)
+    out = np.bincount(_flat_index(index, width), weights=values.reshape(-1),
+                      minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
 
 
@@ -397,11 +405,12 @@ def position_sum(w, hist: np.ndarray) -> Tensor:
 
 
 # The dense layout's limits. Its block may hold at most DENSE_MAX_CELLS
-# cells (16 MiB of float64), so a hub's ball cannot blow up memory. And the
-# shell must be dense enough: the E gathered (E, h) neighbour rows of the
-# scatter layout must hold at least DENSE_MIN_DENSITY times the elements
-# the dense layout builds instead, the (S, R, B) block and the (S, B, h)
-# padded rows. The batched matmul is fast enough to beat the gathers and
+# cells (16 MiB of float64), so a hub's ball cannot blow up memory; the
+# scatter layout builds its (E, h) arrays in chunks of the same budget.
+# And the shell must be dense enough: the E gathered (E, h) neighbour rows
+# of the scatter layout must hold at least DENSE_MIN_DENSITY times the
+# elements the dense layout builds instead, the (S, R, B) block and the
+# (S, B, h) padded rows. The batched matmul is fast enough to beat the gathers and
 # scatters while it builds up to twice their elements.
 DENSE_MAX_CELLS = 1 << 21
 DENSE_MIN_DENSITY = 0.5
@@ -486,25 +495,84 @@ class _DensePool:
         return dweights, dx
 
 
+def _edge_chunks(segments, width: int):
+    """(start, stop) ranges of the edges, in order, that _ScatterPool
+    takes together: each chunk's (edges, width) arrays hold at most
+    DENSE_MAX_CELLS cells, the dense layout's budget.
+
+    Chunks are cut where the (non-decreasing) segments change, so every
+    segment's edges are in one chunk; a segment with more edges than the
+    budget allows is a chunk of its own. Edges that fit are one chunk.
+    """
+    total = len(segments)
+    step = max(DENSE_MAX_CELLS // max(width, 1), 1)
+    if total <= step:
+        return [(0, total)]
+    chunks, start = [], 0
+    while start < total:
+        stop = start + step
+        if stop >= total:
+            stop = total
+        else:
+            stop = int(np.searchsorted(segments, segments[stop], "left"))
+            if stop <= start:
+                stop = int(np.searchsorted(segments, segments[start], "right"))
+        chunks.append((start, stop))
+        start = stop
+    return chunks
+
+
 class _ScatterPool:
-    """Weighted pooling edge by edge: gather x[neighbors], scatter to segments."""
+    """Weighted pooling edge by edge: gather x[neighbors], weight the rows
+    and scatter them to segments.
+
+    The (E, h) arrays are built one chunk of edges at a time (_edge_chunks),
+    so a hub's shell takes memory linear in E, not E times h. Every
+    segment's edges are in one chunk and sum in edge order, so the value
+    equals one flat scatter bit for bit. Backward scatters the first
+    chunk's rows to the neighbours by bincount and adds each later chunk's
+    into that running output in edge order (np.add.at), which equals one
+    bincount bit for bit too. A shell within the budget is one chunk, whose
+    gathered rows are kept for backward; a chunked shell gathers them again.
+    """
 
     def __init__(self, xd, shell, weights):
-        self.shell, self.weights = shell, weights
-        self.gathered = xd.take(shell.neighbors, axis=0, mode="clip",
-                                out=_out((len(shell.neighbors), xd.shape[1])))
-        self.n = len(xd)
-        self.value = _scatter_add(weights[:, None] * self.gathered, shell.segments,
-                                  shell.size)
+        self.xd, self.shell, self.weights = xd, shell, weights
+        segments, neighbors = shell.segments, shell.neighbors
+        self.chunks = _edge_chunks(segments, xd.shape[1])
+        self.gathered = None
+        if len(self.chunks) == 1:
+            self.gathered = xd.take(neighbors, axis=0, mode="clip",
+                                    out=_out((len(neighbors), xd.shape[1])))
+            self.value = _scatter_add(weights[:, None] * self.gathered, segments, shell.size)
+            return
+        self.value = np.zeros((shell.size, xd.shape[1]))
+        for start, stop in self.chunks:
+            first, last = segments[start], segments[stop - 1] + 1
+            rows = xd.take(neighbors[start:stop], axis=0)
+            rows *= weights[start:stop, None]
+            self.value[first:last] = _scatter_add(rows, segments[start:stop] - first,
+                                                  last - first)
 
     def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
         """As _DensePool.grads."""
-        spread = g[self.shell.segments]
-        dweights = np.einsum("ij,ij->i", spread, self.gathered) if weight_grad else None
+        segments, neighbors = self.shell.segments, self.shell.neighbors
+        n, h = self.xd.shape
+        dweights = np.empty(len(segments)) if weight_grad else None
         dx = None
-        if x_grad:
-            spread *= self.weights[:, None]
-            dx = _scatter_add(spread, self.shell.neighbors, self.n)
+        for start, stop in self.chunks:
+            spread = g[segments[start:stop]]
+            if weight_grad:
+                gathered = (self.gathered if self.gathered is not None
+                            else self.xd.take(neighbors[start:stop], axis=0))
+                dweights[start:stop] = np.einsum("ij,ij->i", spread, gathered)
+            if x_grad:
+                spread *= self.weights[start:stop, None]
+                if dx is None:
+                    dx = _scatter_add(spread, neighbors[start:stop], n)
+                else:
+                    np.add.at(dx.reshape(-1), _flat_index(neighbors[start:stop], h),
+                              spread.reshape(-1))
         return dweights, dx
 
 
@@ -512,7 +580,8 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
     """Pool rows of the (n, h) tensor x over one shell's edges: (shell.size, h).
 
     Edge i carries row shell.neighbors[i] of x to output row
-    shell.segments[i]; shell.centers[i] is the row it is centred on. GAT
+    shell.segments[i], which never decreases with i; shell.centers[i] is
+    the row it is centred on. GAT
     and GCN differ only in the edge weights. With attn (2h,) the pool is
     GAT's: edge weights are the max-shifted softmax, per output row, of
     leaky_relu(x[centers] @ attn[:h] + x[neighbors] @ attn[h:], LEAKY_SLOPE).
@@ -524,10 +593,11 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
     from the shell's shape alone by dense_layout, for both aggregators:
     - scatter (shell.block is None, or the block is too large or too
       sparse): gather the (E, h) neighbour rows, weight them and scatter
-      them to the output rows. Its forward runs the numpy ops of the
-      composed getitem / leaky_relu / exp / segment_sum / div / mul chain
-      in that chain's order (a weight of 1 leaves a row exact), so its
-      values are bit-identical to that chain.
+      them to the output rows, in chunks of edges of at most
+      DENSE_MAX_CELLS cells (_ScatterPool). Its forward runs the numpy
+      ops of the composed getitem / leaky_relu / exp / segment_sum / div /
+      mul chain in that chain's order (a weight of 1 leaves a row exact),
+      so its values are bit-identical to that chain.
     - dense: the E edge weights fill zero-padded (S, R, B) blocks (S
       samples, R output rows and B ball rows each), one per band of
       shell.block, which holds the padded coordinates, and one batched

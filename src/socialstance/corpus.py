@@ -106,7 +106,7 @@ class Corpus:
     orders every post by (author, timestamp, id); it is built on first use,
     so loading stays a single pass. history_at is the one batch query of
     it: it takes author codes, which graph_authors gives for every node of
-    a graph and keeps per graph, the way embeddings keeps vectors per
+    a graph and keeps per graph, the way embeddings keeps a vector memo per
     provider; recent_posts is the one-user name form over it.
     """
 
@@ -178,21 +178,35 @@ class Corpus:
         rows[real] = index.rows[(cuts[:, None] - 1 - back)[real]]
         return rows, counts
 
-    def embeddings(self, provider, rows) -> np.ndarray:
-        """provider.embed_post of the posts at `rows`, as (len(rows), dim).
+    def embeddings(self, provider, rows):
+        """(matrix, where): the vector of the post at corpus row rows[i] is
+        matrix[where[i]].
 
-        Vectors are kept per provider for as long as the provider lives,
-        so each post is embedded at most once per provider.
+        Every provider has one memo per corpus, kept for as long as the
+        provider lives: a vector matrix and each corpus row's row of it. A
+        provider with a lend method (a PrecomputedStore) lends its own
+        matrix, indexed through its id map, so no vector is copied. Any
+        other provider fills a (len(corpus), dim) matrix the corpus owns,
+        embedding each post at most once, on first use. A row without a
+        vector is passed to provider.embed_post in increasing row order, so
+        a store raises its KeyError for the lowest such row.
         """
-        if provider not in self._embeddings:
-            self._embeddings[provider] = (
-                np.zeros((len(self.posts), provider.dim)),
-                np.zeros(len(self.posts), dtype=bool))
-        table, done = self._embeddings[provider]
-        for r in np.unique(rows[~done[rows]]).tolist():
-            table[r] = provider.embed_post(self.posts[r])
-            done[r] = True
-        return table[rows]
+        memo = self._embeddings.get(provider)
+        if memo is None:
+            lend = getattr(provider, "lend", None)
+            memo = (lend(post.id for post in self.posts) if lend is not None else
+                    (np.zeros((len(self.posts), provider.dim)),
+                     np.full(len(self.posts), -1, dtype=np.intp)))
+            self._embeddings[provider] = memo
+        matrix, index = memo
+        where = index[rows]
+        missing = where < 0
+        if missing.any():
+            for r in np.unique(rows[missing]).tolist():
+                matrix[r] = provider.embed_post(self.posts[r])
+                index[r] = r
+            where = index[rows]
+        return matrix, where
 
     def labelled(self):
         """Posts carrying a stance label, in corpus order."""
@@ -250,8 +264,17 @@ def _json_value(line):
     return json.loads(line)
 
 
-def _post_row(line):
-    """The Post of one JSONL line."""
+# A loaded post's kind is one of these string objects, not its own copy.
+_KIND_STRINGS = {kind: kind for kind in POST_KINDS}
+
+
+def _post_row(line, authors):
+    """The Post of one JSONL line.
+
+    authors maps each author id met so far to its one string object: the
+    post shares that object, and a new author id is added. Its kind is the
+    POST_KINDS string object of that name.
+    """
     try:
         obj = _json_value(line)
     except (ValueError, RecursionError) as exc:
@@ -264,14 +287,20 @@ def _post_row(line):
         if field not in obj:
             raise InputDataError(f"missing field {field!r}")
     post_id, author, source = obj["id"], obj["author_id"], obj.get("source_post_id")
-    label = obj.get("label")
+    kind, label = obj.get("kind", "original"), obj.get("label")
     # Strings and None pass as they are; only other values need converting.
+    if type(author) is not str:
+        author = _as_id(author)
+    if type(author) is str:
+        author = authors.setdefault(author, author)
+    if type(kind) is str:
+        kind = _KIND_STRINGS.get(kind, kind)
     return Post(
         id=post_id if type(post_id) is str else _as_id(post_id),
-        author_id=author if type(author) is str else _as_id(author),
+        author_id=author,
         timestamp=obj["timestamp"],
         text=obj["text"],
-        kind=obj.get("kind", "original"),
+        kind=kind,
         source_post_id=source if source is None or type(source) is str else _as_id(source),
         retweet_count=obj.get("retweet_count", 0),
         label=None if label is None else _parse_label(label),
@@ -284,10 +313,13 @@ def load_posts(path) -> Corpus:
     Raises InputDataError naming the offending line on malformed input, and
     naming the id on duplicates. Field values are checked by Post itself;
     id, author_id and source_post_id may be JSON strings or integers, and
-    integers become their decimal strings.
+    integers become their decimal strings. Posts by one author share one
+    author_id string object, and posts of one kind one kind string object,
+    so a corpus holds each such string once, not once a post.
     """
+    authors = {}
     with open(path, encoding="utf-8") as fh:
-        posts = checked_lines(fh, _post_row)
+        posts = checked_lines(fh, lambda line: _post_row(line, authors))
     return Corpus(posts)
 
 

@@ -89,7 +89,8 @@ class PrecomputedStore:
     The vectors are the rows of one (n, dim) float64 matrix, found through
     an id -> row dict. Built from an id -> vector mapping, each vector must
     be 1-D of one length (dim, when given); the matrix is then checked for
-    non-finite values once.
+    non-finite values once. The matrix is read-only, so a vector the store
+    returns, or lends to a corpus (lend), cannot be changed through it.
     """
 
     def __init__(self, vectors, dim: int | None = None):
@@ -115,6 +116,7 @@ class PrecomputedStore:
         if not finite.all():
             post_id = next(islice(rows, int(np.argmin(finite)), None))
             raise InputDataError(f"embedding for {post_id!r} contains non-finite values")
+        matrix.flags.writeable = False
         self._rows, self._matrix, self.dim = rows, matrix, matrix.shape[1]
 
     def __len__(self):
@@ -130,6 +132,12 @@ class PrecomputedStore:
 
     def embed_post(self, post) -> np.ndarray:
         return self.vector(post.id)
+
+    def lend(self, post_ids):
+        """(matrix, rows): the store's own read-only matrix, and each post
+        id's row of it as an int array, -1 for an id the store lacks.
+        Corpus.embeddings reads the store's vectors in place through it."""
+        return self._matrix, np.fromiter(map(self._rows.get, post_ids, repeat(-1)), np.intp)
 
     def items(self):
         """(post id, vector) pairs in row order."""

@@ -13,16 +13,17 @@ pairs of ball nodes by one multi-source BFS over the ball's induced CSR.
 The per-post half, _compile_post, gathers each ball node's last
 history_len posts before the post's timestamp by the corpus's one batch
 history query, Corpus.history_at, addressed by the corpus's join of graph
-node indices to author codes (built once per graph; the corpus also
-memoizes the posts' embeddings per provider), and the post's own
-embedding. _compile_sample runs both for one post. forward_author runs
-the ball half once for all of one author's posts (forward is it on one
-post), which is why CLI classify groups a corpus by author: the ball is
-most of compile, and an author with four posts would otherwise build it
-four times. One batched forward, _batch_logits, then joins a batch of
-compiled posts into one block-diagonal graph (each ball's node indices
-offset by the sizes of the balls before it), encodes it and applies a
-linear head to [z_social || z_text] at the author rows. Each (layer,
+node indices to author codes (built once per graph), their vectors by
+one gather from the corpus's memo for the provider (a store's own matrix,
+read in place), and the post's own embedding. _compile_sample runs both
+for one post. forward_author runs the ball half once for all of one
+author's posts (forward is it on one post), which is why CLI classify
+groups a corpus by author: the ball is most of compile, and an author
+with four posts would otherwise build it four times. One batched
+forward, _batch_logits, then joins a batch of compiled posts into one
+block-diagonal graph (each ball's node indices offset by the sizes of
+the balls before it), encodes it and applies a linear head to
+[z_social || z_text] at the author rows. Each (layer,
 order) shell aggregate is one fused autograd op, autograd.shell_aggregate,
 which derives its dense weight-block cells from the padded row indices.
 train, loss, gradients, evaluate and forward (a batch of one) all run it
@@ -265,8 +266,9 @@ def _compile_post(post, ball: _Ball, graph, corpus, provider,
     rows, counts = corpus.history_at(corpus.graph_authors(graph)[ball.nodes],
                                      post.timestamp, lam)
     real = rows >= 0
+    matrix, where = corpus.embeddings(provider, rows[real])
     hist = np.zeros((ball.nodes.size, lam, config.embed_dim), dtype=np.float64)
-    hist[real] = corpus.embeddings(provider, rows[real])
+    hist[real] = matrix[where]
     return _CompiledSample(
         post_id=post.id,
         ball=ball,

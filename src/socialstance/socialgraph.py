@@ -1,8 +1,8 @@
 """Interaction and follower graph construction plus k-hop neighborhood queries.
 
 load_interactions reads the interaction CSV in chunks of lines into a
-columnar :class:`Interactions` table, users coded to sorted integer ids;
-one row function checks each line. build_social_graph works on those
+columnar :class:`Interactions` table, users coded to sorted integer ids
+and timestamps packed in one array; one row function checks each line. build_social_graph works on those
 integer pairs: it counts interactions per unordered user pair (one sort of
 pair keys), drops weak pairs (a mask over the counts), builds the graph of
 the rest and keeps its largest connected component, then (optionally)
@@ -48,15 +48,18 @@ class Interactions(Sequence):
 
     names is the sorted tuple of users; source and target are int arrays of
     indices into it, kind an int array of indices into INTERACTION_KINDS,
-    and timestamp a list of Python ints. Item i is the InteractionRecord of
-    row i, and the table compares equal to any sequence of equal records.
+    and timestamp one packed array of the timestamps: int64, 8 bytes a
+    record, or an object array of Python ints when one of them does not fit
+    in int64, so every timestamp stays exact. Item i is the
+    InteractionRecord of row i, its timestamp a Python int, and the table
+    compares equal to any sequence of equal records.
     """
 
     names: tuple
     source: np.ndarray
     target: np.ndarray
     kind: np.ndarray
-    timestamp: list
+    timestamp: np.ndarray
 
     def __len__(self):
         return len(self.timestamp)
@@ -65,7 +68,7 @@ class Interactions(Sequence):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(len(self)))]
         return InteractionRecord(self.names[self.source[i]], self.names[self.target[i]],
-                                 INTERACTION_KINDS[self.kind[i]], self.timestamp[i])
+                                 INTERACTION_KINDS[self.kind[i]], int(self.timestamp[i]))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -115,6 +118,15 @@ def _interaction_row(line):
     return None if source == target else (source, target, _KIND_CODES[kind], timestamp)
 
 
+def _timestamp_column(timestamps) -> np.ndarray:
+    """Python int timestamps as an int64 array, or as an object array when
+    one of them does not fit in int64."""
+    try:
+        return np.array(timestamps, dtype=np.int64)
+    except OverflowError:
+        return np.array(timestamps, dtype=object)
+
+
 def load_interactions(path) -> Interactions:
     """Read interaction records from CSV (source,target,kind,timestamp)
     into an Interactions table.
@@ -124,7 +136,7 @@ def load_interactions(path) -> Interactions:
     """
     index = {}  # user -> code, in the order users were first coded
     sources, targets = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    kinds, timestamps = [np.zeros(0, np.int8)], []
+    kinds, timestamps = [np.zeros(0, np.int8)], [np.zeros(0, np.int64)]
     with open(path, encoding="utf-8") as fh:
         checked_header(fh, INTERACTION_HEADER)
         lineno = 2
@@ -138,12 +150,12 @@ def load_interactions(path) -> Interactions:
             sources.append(np.fromiter(map(index.__getitem__, source), np.intp, len(source)))
             targets.append(np.fromiter(map(index.__getitem__, target), np.intp, len(target)))
             kinds.append(np.array(kind, dtype=np.int8))
-            timestamps += timestamp
+            timestamps.append(_timestamp_column(timestamp))
     names = tuple(sorted(index))
     rank = np.empty(len(names), dtype=np.intp)  # code -> sorted position
     rank[np.fromiter(map(index.__getitem__, names), np.intp, len(names))] = np.arange(len(names))
     return Interactions(names, rank[np.concatenate(sources)], rank[np.concatenate(targets)],
-                        np.concatenate(kinds), timestamps)
+                        np.concatenate(kinds), np.concatenate(timestamps))
 
 
 def _follower_row(line):

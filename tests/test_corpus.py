@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from socialstance.corpus import (
+    POST_KINDS,
     VACCINE_KEYWORDS,
     Corpus,
     Post,
@@ -196,6 +197,27 @@ class TestJsonl:
                                     "text": "x"}) + "\n")
         post = load_posts(path).by_id["-7"]
         assert post.author_id == "1" + "0" * 30
+
+    def test_loaded_posts_share_author_and_kind_strings(self, tmp_path):
+        rows = [{"id": f"p{i}", "author_id": author, "timestamp": i, "text": "x",
+                 "kind": kind, "source_post_id": None if kind == "original" else "p0"}
+                for i, (author, kind) in enumerate(
+                    [("u1", "original"), (7, "retweet"), ("u1", "quote"), (7, "reply"),
+                     ("u2", "retweet"), ("u1", "original"), (7, "original")])]
+        path = tmp_path / "posts.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        posts = load_posts(path).posts
+        assert [(p.author_id, p.kind) for p in posts] == [
+            ("u1", "original"), ("7", "retweet"), ("u1", "quote"), ("7", "reply"),
+            ("u2", "retweet"), ("u1", "original"), ("7", "original")]
+        for author in ("u1", "7"):
+            same = [p.author_id for p in posts if p.author_id == author]
+            assert len(same) == 3 and all(a is same[0] for a in same), author
+        assert all(p.kind is POST_KINDS[POST_KINDS.index(p.kind)] for p in posts)
+        # Sharing changes no value: the posts are the ones built directly.
+        assert posts == [Post(id=r["id"], author_id=str(r["author_id"]), timestamp=r["timestamp"],
+                              text="x", kind=r["kind"], source_post_id=r["source_post_id"])
+                         for r in rows]
 
     def test_label_is_name_string(self, tmp_path):
         path = tmp_path / "posts.jsonl"
@@ -505,7 +527,8 @@ def post_lines(draw):
 @settings(max_examples=400, deadline=None)
 @given(post_lines())
 def test_post_row_matches_one_json_loads_per_line(line):
-    assert row_outcome(_post_row, line) == row_outcome(reference_post_row, line)
+    assert (row_outcome(lambda text: _post_row(text, {}), line)
+            == row_outcome(reference_post_row, line))
 
 
 def bisect_recent(posts, user, before, limit):

@@ -108,6 +108,18 @@ class TestStore:
         with pytest.raises(KeyError, match="unknown post id"):
             store.vector("zzz")
 
+    def test_vectors_are_read_only(self, tmp_path):
+        built = PrecomputedStore({"a": [1.0, 2.0], "b": [0.0, 1.0]})
+        save_embedding_store(built, tmp_path / "store.txt")
+        for store in (built, load_embedding_store(tmp_path / "store.txt")):
+            matrix, rows = store.lend(["b", "zzz", "a"])
+            assert rows.tolist() == [1, -1, 0]
+            for vec in (store.vector("a"), store.embed_post(Post("a", "u", 0, "")),
+                        next(iter(store.items()))[1], matrix[0]):
+                with pytest.raises(ValueError, match="read-only"):
+                    vec[0] = 5.0
+            np.testing.assert_array_equal(store.vector("a"), [1.0, 2.0])
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(InputDataError):
             PrecomputedStore({"a": [1.0, 2.0], "b": [1.0]})

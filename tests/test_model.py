@@ -6,11 +6,14 @@ differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
 import inspect
+import math
 import tempfile
+import tracemalloc
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,10 +21,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hub_world
+
 from socialstance import autograd as ag
 from socialstance.autograd import Tensor
 from socialstance.corpus import Corpus, Post, StanceLabel, recent_posts
-from socialstance.embed import HashedNgramEncoder, precompute
+from socialstance.embed import HashedNgramEncoder, PrecomputedStore, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
 from socialstance.encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams,
                                   gat_aggregate)
@@ -970,6 +975,175 @@ class TestTrainingBatchMemory:
             (p1, logs1), (p2, logs2) = runs
             assert logs1 == logs2, layout
             assert grad_bytes(p1.tensors) == grad_bytes(p2.tensors), layout
+
+
+@contextmanager
+def forced_chunks(monkeypatch, cells):
+    """Run the block with every shell aggregate on the scatter layout, its
+    edges in chunks of at most `cells` cells, and check that some
+    aggregate took more than one chunk. cells=None scatters every shell
+    in one chunk, whatever its size, and checks that none took more."""
+    counts = []
+    chunks_of = ag._edge_chunks
+
+    def spy(segments, width):
+        chunks = chunks_of(segments, width)
+        counts.append(len(chunks))
+        return chunks
+
+    with monkeypatch.context() as patch:
+        # No shell is dense enough at infinite density, however small.
+        patch.setattr(ag, "DENSE_MIN_DENSITY", math.inf)
+        patch.setattr(ag, "DENSE_MAX_CELLS", 1 << 40 if cells is None else cells)
+        patch.setattr(ag, "_edge_chunks", spy)
+        yield
+    assert counts and (max(counts) > 1) == (cells is not None), cells
+
+
+@settings(max_examples=200, deadline=None)
+@given(sizes=st.lists(st.integers(0, 6), max_size=12), width=st.integers(1, 4),
+       cells=st.integers(0, 30))
+def test_edge_chunks_cut_between_segments_within_the_budget(sizes, width, cells):
+    segments = np.repeat(np.arange(len(sizes)), sizes)
+    with mock.patch.object(ag, "DENSE_MAX_CELLS", cells):
+        chunks = ag._edge_chunks(segments, width)
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+    assert chunks[-1][1] == segments.size
+    if segments.size * width <= cells:
+        assert chunks == [(0, segments.size)]
+    for start, stop in chunks:
+        part = segments[start:stop]
+        assert stop > start or segments.size == 0
+        assert (stop - start) * width <= cells or part[0] == part[-1]
+        # No segment is split between two chunks.
+        assert start == 0 or segments[start - 1] != segments[start]
+
+
+@pytest.mark.parametrize("aggregator", ["gat", "gcn"])
+@pytest.mark.parametrize("history", ["pe", "mean"])
+class TestChunkedScatter:
+    """The scatter layout in chunks of a few edges must give the bytes of
+    one chunk: forward, gradients and training."""
+
+    # With 4 hidden columns: chunks of one, three and ten edges. Only
+    # chunks of several segments hold a neighbour twice, which backward's
+    # running sum must add in edge order.
+    CELLS = (4, 12, 40)
+
+    def runs(self, monkeypatch, call):
+        outputs = []
+        for cells in (None,) + self.CELLS:
+            with forced_chunks(monkeypatch, cells):
+                outputs.append(call())
+        return outputs
+
+    def test_forward_and_gradients(self, aggregator, history, monkeypatch):
+        corpus, graph, store = mixed_world()
+        cfg = small_config(aggregator=aggregator, history=history, hidden_dim=4)
+        params = ModelParams(cfg)
+        batch = eligible_training_posts(corpus, graph)
+        one, *chunked = self.runs(monkeypatch, lambda: (
+            [forward(p, graph, corpus, store, params, cfg).probabilities.tobytes()
+             for p in batch],
+            grad_bytes(gradients(batch, graph, corpus, store, params, cfg))))
+        assert all(run == one for run in chunked)
+
+    def test_train(self, aggregator, history, monkeypatch):
+        corpus, graph, store = mixed_world()
+        cfg = small_config(aggregator=aggregator, history=history, hidden_dim=4,
+                           epochs=2, batch_size=4)
+
+        def trained():
+            params, logs = train(corpus, graph, store, cfg)
+            return grad_bytes(params.tensors), logs
+
+        one, *chunked = self.runs(monkeypatch, trained)
+        assert all(run == one for run in chunked)
+
+
+def test_chunked_hub_forward_memory_is_linear_in_edges(monkeypatch):
+    # A leaf of a 300-partner star with chords: its order-2 shell holds
+    # about 90k of the ball's E edges. Each (E, h) array of one chunk
+    # would take E * 64 * 8 bytes; in chunks of 2^14 cells the forward's
+    # peak (compile included) stays within 16 E-length arrays.
+    corpus, graph, store, params, cfg, post = hub_world.star_with_chords(300, hidden_dim=64)
+    ball = _compile_sample(post, graph, corpus, store, cfg).ball
+    edges = sum(centers.size for centers, _ in ball.shell_edges)
+    probs = forward(post, graph, corpus, store, params, cfg).probabilities
+    with forced_chunks(monkeypatch, 1 << 14):
+        tracemalloc.start()
+        try:
+            chunked = forward(post, graph, corpus, store, params, cfg).probabilities
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 16 * edges * 8, peak / (edges * 8)
+    assert chunked.tobytes() == probs.tobytes()
+
+
+def store_without(store, missing):
+    return PrecomputedStore({pid: vec for pid, vec in store.items() if pid not in missing},
+                            dim=store.dim)
+
+
+class TestEmbeddingMemo:
+    def test_history_is_read_from_the_store_in_place(self):
+        # 20,008 posts, most of them by a user outside the graph. The
+        # store's vectors take n * dim * 8 bytes; compiling one post must
+        # not copy them.
+        corpus, graph, _ = toy_world()
+        filler = [Post(id=f"x{i}", author_id="x", timestamp=i, text="")
+                  for i in range(20_000)]
+        corpus = Corpus(corpus.posts + filler)
+        rng = np.random.default_rng(0)
+        store = PrecomputedStore({p.id: rng.standard_normal(16) for p in corpus})
+        cfg = small_config(embed_dim=16)
+        post = corpus.by_id["u3t"]
+        corpus.graph_authors(graph)   # the history index and the author join
+        tracemalloc.start()
+        try:
+            sample = _compile_sample(post, graph, corpus, store, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(corpus) * store.dim * 8
+        names = recent_posts(corpus, "u3", post.timestamp, cfg.history_len)
+        row = int(np.searchsorted(sample.ball.nodes, graph.index("u3")))
+        np.testing.assert_array_equal(sample.hist[row, :len(names)],
+                                      [store.vector(p.id) for p in names])
+
+    def test_missing_vectors_name_the_lowest_corpus_row(self):
+        # Every ball of a 5-ring at hops 2 holds every user. The corpus
+        # runs newest user first, so u3h1 comes before u1h0 in corpus
+        # order, not in id order; the target post's own vector is missing
+        # too, and is checked after the history.
+        corpus, graph, full = toy_world(n_users=5)
+        corpus = Corpus(corpus.posts[::-1])
+        store = store_without(full, {"u1h0", "u3h1", "u0t"})
+        cfg = small_config()
+        post = corpus.by_id["u0t"]
+        calls = [lambda: forward(post, graph, corpus, store, ModelParams(cfg), cfg),
+                 lambda: train(corpus, graph, store, cfg)]
+        for call in calls:
+            with pytest.raises(KeyError, match="unknown post id: 'u3h1'"):
+                call()
+
+    def test_text_provider_fills_its_own_memo_once(self):
+        corpus, graph, store = toy_world()
+        encoder = HashedNgramEncoder(dim=8)
+        cfg = small_config()
+        params = ModelParams(cfg)
+        calls = []
+        embed_post = encoder.embed_post
+        encoder.embed_post = lambda p: calls.append(p.id) or embed_post(p)
+        for _ in range(2):
+            for user in ("u0", "u1"):
+                post = corpus.by_id[f"{user}t"]
+                got = forward(post, graph, corpus, encoder, params, cfg).probabilities
+                want = forward(post, graph, corpus, store, params, cfg).probabilities
+                assert got.tobytes() == want.tobytes()
+        history = [c for c in calls if not c.endswith("t")]
+        assert len(history) == len(set(history)) > 0
 
 
 class TestTraining:

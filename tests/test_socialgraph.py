@@ -334,6 +334,20 @@ class TestIO:
         with pytest.raises(TypeError):
             records[0] = want[0]
 
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    def test_timestamps_are_packed_and_exact(self, tmp_path, chunk):
+        inside = [0, -3, 2**63 - 1, -2**63]
+        beyond = [2**63, -2**63 - 1, 10**20]
+        for stamps, dtype in ((inside, np.int64), (inside + beyond, object)):
+            path = tmp_path / "inter.csv"
+            path.write_text(INTERACTION_HEADER + "\n"
+                            + "".join(f"u1,u2,mention,{ts}\n" for ts in stamps))
+            with mock.patch.object(socialgraph, "_CHUNK_LINES", chunk):
+                records = load_interactions(path)
+            assert records.timestamp.dtype == dtype
+            assert [r.timestamp for r in records] == stamps
+            assert all(type(r.timestamp) is int for r in records)
+
     def test_self_interactions_dropped_on_load(self, tmp_path):
         path = tmp_path / "inter.csv"
         path.write_text("source,target,kind,timestamp\nu1,u1,retweet,10\n")
