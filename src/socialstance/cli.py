@@ -264,6 +264,8 @@ def cmd_hesitancy(args) -> int:
         if period_end < period_start:
             raise InputDataError("--period-end is earlier than --period-start")
         margin_days = DEFAULT_MARGIN_DAYS if args.margin_days is None else args.margin_days
+        if not margin_days >= 1:
+            raise InputDataError("--margin-days must be >= 1")
         margin = margin_days * SECONDS_PER_DAY
         before = window_scores(corpus, period_start - margin, period_start,
                                args.min_posts)

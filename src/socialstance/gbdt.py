@@ -27,7 +27,6 @@ from .hesitancy import ChangeLabel, Theme
 from .metrics import (PROB_FLOOR, MetricReport, mean_log_loss,
                       multiclass_report, softmax)
 
-MODEL_MAGIC = "gbdt v1"
 N_CHANGE_CLASSES = len(ChangeLabel)
 
 # Residuals live in [-1, 1]; real split gains dwarf this, float noise does not.
@@ -318,159 +317,6 @@ def evaluate(model: GbdtModel, features, labels) -> MetricReport:
     predictions = np.argmax(decision_scores(model, features), axis=1)
     labels = _check_labels(labels, model.n_classes, len(predictions))
     return multiclass_report(list(predictions), list(labels), model.n_classes)
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def save_model(model: GbdtModel, path) -> None:
-    """Versioned text serialization; floats use repr for exact round-trip.
-
-    Trees are written in training order, each as a preorder walk with one
-    node per line.
-    """
-    lines = [
-        MODEL_MAGIC,
-        f"n_classes={model.n_classes}",
-        f"n_features={model.n_features}",
-        f"rounds={len(model.trees)}",
-        f"max_depth={model.config.max_depth}",
-        f"shrinkage={model.config.shrinkage!r}",
-        "base " + " ".join(repr(float(b)) for b in model.base_scores),
-    ]
-    for rnd, round_trees in enumerate(model.trees):
-        for c, tree in enumerate(round_trees):
-            lines.append(f"tree {rnd} {c} {tree.n_nodes()}")
-            lines.extend(f"leaf {node.value!r}" if node.is_leaf
-                         else f"split {node.feature} {node.threshold!r}"
-                         for node, _ in tree.walk())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-class _LineReader:
-    def __init__(self, lines):
-        self.lines = lines
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise InputDataError("model file ended early")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    @property
-    def lineno(self) -> int:
-        return self.pos
-
-
-def _read_tree(reader: _LineReader, max_depth: int, n_features: int) -> RegressionTree:
-    """The tree whose preorder node lines come next, read with an explicit
-    stack as walk() writes them; a node deeper than max_depth, a split on a
-    feature outside [0, n_features) and a non-finite number are errors."""
-    root = TreeNode()
-    stack = [(root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        line = reader.next()
-        if depth > max_depth:
-            raise InputDataError(
-                f"line {reader.lineno}: tree node deeper than max_depth={max_depth}")
-        parts = line.split()
-        try:
-            if parts[0] == "leaf" and len(parts) == 2:
-                node.value = float(parts[1])
-                if math.isfinite(node.value):
-                    continue
-            elif parts[0] == "split" and len(parts) == 3:
-                node.feature, node.threshold = int(parts[1]), float(parts[2])
-                if 0 <= node.feature < n_features and math.isfinite(node.threshold):
-                    node.left, node.right = TreeNode(), TreeNode()
-                    stack.extend(((node.right, depth + 1), (node.left, depth + 1)))
-                    continue
-        except (IndexError, ValueError):  # an empty line or a bad number
-            pass
-        raise InputDataError(f"line {reader.lineno}: bad tree node {line!r}")
-    return RegressionTree(root)
-
-
-def _header_value(reader: _LineReader, key: str, kind=int, least=None):
-    """The value of the key=value line that comes next, as `kind`; it must
-    be at least `least` when that is given."""
-    line = reader.next()
-    prefix = key + "="
-    if not line.startswith(prefix):
-        raise InputDataError(f"line {reader.lineno}: expected {key}=..., got {line!r}")
-    try:
-        value = kind(line[len(prefix):])
-    except ValueError:
-        what = "integer" if kind is int else "number"
-        raise InputDataError(f"line {reader.lineno}: bad {what} in {line!r}") from None
-    if least is not None and not value >= least:
-        raise InputDataError(f"line {reader.lineno}: {key} must be >= {least}")
-    return value
-
-
-def load_model(path) -> GbdtModel:
-    """Read a save_model file back; bit-exact inverse of save_model.
-
-    Every value is checked on the line that holds it, as fit would make
-    it: counts of at least 1, a valid GbdtConfig, finite base scores,
-    leaves and thresholds, and split features inside the feature range.
-    A model whose scores could overflow is refused too.
-    """
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    while lines and not lines[-1]:
-        lines.pop()
-    reader = _LineReader(lines)
-    if reader.next() != MODEL_MAGIC:
-        raise InputDataError(f"not a {MODEL_MAGIC!r} file")
-    n_classes, n_features = (_header_value(reader, key, least=1)
-                             for key in ("n_classes", "n_features"))
-    settings = {}
-    for key, kind in (("rounds", int), ("max_depth", int), ("shrinkage", float)):
-        settings[key] = _header_value(reader, key, kind)
-        try:  # the fields not read yet keep their valid defaults
-            config = GbdtConfig(**settings)
-        except InputDataError as exc:
-            raise InputDataError(f"line {reader.lineno}: {exc}") from None
-    base_line = reader.next().split()
-    try:
-        base_scores = np.array([float(v) for v in base_line[1:]])
-    except ValueError:
-        base_scores = None
-    if base_line[:1] != ["base"] or base_scores is None \
-            or len(base_scores) != n_classes or not np.all(np.isfinite(base_scores)):
-        raise InputDataError(f"line {reader.lineno}: bad base scores line")
-    model = GbdtModel(config=config, n_classes=n_classes,
-                      n_features=n_features, base_scores=base_scores)
-    # The largest score magnitude each class can reach, summed as
-    # decision_scores sums.
-    reach = [abs(b) for b in base_scores.tolist()]
-    for rnd in range(config.rounds):
-        round_trees = []
-        for c in range(n_classes):
-            head = reader.next().split()
-            if len(head) != 4 or head[:3] != ["tree", str(rnd), str(c)] \
-                    or not head[3].isdigit():
-                raise InputDataError(
-                    f"line {reader.lineno}: bad tree header {' '.join(head)!r}")
-            declared = int(head[3])
-            tree = _read_tree(reader, config.max_depth, n_features)
-            if tree.n_nodes() != declared:
-                raise InputDataError(
-                    f"tree {rnd}/{c}: declared {declared} nodes, read {tree.n_nodes()}")
-            round_trees.append(tree)
-            reach[c] += config.shrinkage * max(abs(node.value) for node, _ in tree.walk()
-                                               if node.is_leaf)
-        model.trees.append(round_trees)
-    if reader.pos != len(lines):
-        raise InputDataError(f"line {reader.lineno + 1}: trailing content")
-    if not all(map(math.isfinite, reach)):
-        raise InputDataError("scores can exceed the float range")
-    return model
 
 
 # -- training data files -----------------------------------------------------

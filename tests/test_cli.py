@@ -979,6 +979,14 @@ class TestHesitancy:
         assert hesitancy("300", "300") == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("margin", ["0", "-3"])
+    def test_margin_below_one_day_exit_2(self, tmp_path, capsys, margin):
+        posts = self.make_posts(tmp_path)
+        code = main(["hesitancy", "--posts", str(posts), "--period-start", "100",
+                     "--period-end", "200", "--margin-days", margin])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --margin-days must be >= 1\n"
+
     def test_margin_days_without_period_exit_2(self, tmp_path, capsys):
         posts = self.make_posts(tmp_path)
         code = main(["hesitancy", "--posts", str(posts), "--start", "0",

@@ -1,12 +1,11 @@
-"""Boosted-tree change predictor: fitting, prediction, and serialization.
+"""Boosted-tree change predictor: fitting, prediction and training files.
 
 The leaf-value and split tests verify against directly-computed formulas;
 the fitting tests use constructed datasets whose optimal behavior is known.
 """
 
-import tempfile
+import io
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,14 +24,12 @@ from socialstance.gbdt import (
     decision_scores,
     evaluate,
     fit,
-    load_model,
     load_training_csv,
     log_loss,
     majority_baseline_accuracy,
     predict,
     predict_proba,
     priors_log_loss,
-    save_model,
     training_csv_header,
     write_training_csv,
 )
@@ -236,34 +233,14 @@ def boosting_inputs(draw):
 
 
 def model_text(model):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.txt"
-        save_model(model, path)
-        return path.read_text()
-
-
-NUMBER_TEXT = st.one_of(st.floats().map(repr), st.integers(-3, 40).map(str))
-LINE_TOKEN = st.one_of(NUMBER_TEXT, st.sampled_from(
-    ["leaf", "split", "tree", "base", "gbdt", "v1", "n_classes=1", "rounds=2", ""]))
-
-
-def _edit_base_model():
-    rng = np.random.default_rng(14)
-    features, labels = separable_dataset(rng, n=40, n_features=3)
-    return model_text(fit(features, labels, GbdtConfig(rounds=3, max_depth=2)))
-
-
-EDIT_BASE = _edit_base_model()
-
-
-def assert_scores_finite(model):
-    """Scores and probabilities of finite rows, extremes included, are finite."""
-    rng = np.random.default_rng(15)
-    rows = np.concatenate([rng.standard_normal((20, model.n_features)) * 3,
-                           np.full((1, model.n_features), 1e308),
-                           np.full((1, model.n_features), -1e308)])
-    assert np.all(np.isfinite(decision_scores(model, rows)))
-    assert np.all(np.isfinite(predict_proba(model, rows)))
+    """A bit-exact fingerprint of a fitted model: its shape, config and base
+    scores, then every tree's nodes in training order, each tree as its
+    preorder walk. repr tells -0.0 from 0.0 and round-trips every float64."""
+    trees = [[(node.feature, repr(node.threshold), repr(node.value))
+              for node, _ in tree.walk()]
+             for round_trees in model.trees for tree in round_trees]
+    return repr((model.n_classes, model.n_features, model.config,
+                 [repr(b) for b in model.base_scores.tolist()], trees))
 
 
 class TestAgainstReference:
@@ -393,7 +370,7 @@ class TestFit:
 
     @pytest.mark.parametrize("field", ["rounds", "max_depth"])
     def test_fractional_count_rejected(self, field):
-        # fit cannot run 2.5 rounds, and load_model refuses max_depth=2.5.
+        # fit can neither run 2.5 rounds nor grow to depth 2.5.
         with pytest.raises(InputDataError,
                            match=f"^config key '{field}': expected int, got 2.5$"):
             GbdtConfig(**{field: 2.5})
@@ -480,198 +457,19 @@ class TestPredict:
         assert rep.accuracy == 1.0
 
 
-class TestSerialization:
-    def test_round_trip_preserves_predictions(self, tmp_path):
-        rng = np.random.default_rng(9)
-        features, labels = separable_dataset(rng)
-        model = fit(features, labels, GbdtConfig(rounds=7, max_depth=3))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(decision_scores(model, features),
-                                      decision_scores(loaded, features))
-        assert loaded.config == model.config
-        assert loaded.n_features == model.n_features
+def _training_csv_text():
+    out = io.StringIO()
+    write_training_csv(*change_benchmark(6, seed=1), out)
+    return out.getvalue()
 
-    def test_save_load_save_is_byte_identical(self, tmp_path):
-        rng = np.random.default_rng(10)
-        features, labels = separable_dataset(rng, n=50)
-        model = fit(features, labels, GbdtConfig(rounds=4))
-        p1, p2 = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_model(model, p1)
-        save_model(load_model(p1), p2)
-        assert p1.read_bytes() == p2.read_bytes()
 
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("gbdt v9\n")
-        with pytest.raises(InputDataError, match="gbdt v1"):
-            load_model(path)
-
-    def test_truncation_rejected(self, tmp_path):
-        rng = np.random.default_rng(11)
-        features, labels = separable_dataset(rng, n=50)
-        model = fit(features, labels, GbdtConfig(rounds=2))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(InputDataError):
-            load_model(path)
-
-    def test_trailing_garbage_rejected(self, tmp_path):
-        rng = np.random.default_rng(12)
-        features, labels = separable_dataset(rng, n=50)
-        model = fit(features, labels, GbdtConfig(rounds=2))
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        with open(path, "a") as fh:
-            fh.write("leaf 0.0\n")
-        with pytest.raises(InputDataError, match="trailing"):
-            load_model(path)
-
-    def test_deeply_nested_tree_is_an_input_error(self, tmp_path):
-        # 5,000 nested splits: the header is lines 1-8, so the first node
-        # deeper than max_depth=5 (depth 6) is line 15.
-        nested = 5000
-        lines = ["gbdt v1", "n_classes=1", "n_features=1", "rounds=1", "max_depth=5",
-                 "shrinkage=0.1", "base 0.0", f"tree 0 0 {2 * nested + 1}"]
-        lines += ["split 0 0.5"] * nested + ["leaf 0.0"] * (nested + 1)
-        path = tmp_path / "model.txt"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputDataError, match="^line 15: tree node deeper than max_depth=5$"):
-            load_model(path)
-
-    def test_node_past_declared_max_depth_is_named(self, tmp_path):
-        def model_file(max_depth):
-            # Nodes at depths 0, 1, 1, 2, 2 on lines 9-13.
-            path = tmp_path / f"model{max_depth}.txt"
-            path.write_text("\n".join([
-                "gbdt v1", "n_classes=1", "n_features=1", "rounds=1", f"max_depth={max_depth}",
-                "shrinkage=0.1", "base 0.0", "tree 0 0 5", "split 0 0.5", "leaf 1.0",
-                "split 0 0.7", "leaf 2.0", "leaf 3.0"]) + "\n")
-            return path
-
-        assert load_model(model_file(2)).trees[0][0].depth() == 2
-        with pytest.raises(InputDataError, match="^line 12: tree node deeper than max_depth=1$"):
-            load_model(model_file(1))
-
-    def test_empty_node_line_is_an_input_error(self, tmp_path):
-        path = tmp_path / "model.txt"
-        path.write_text("gbdt v1\nn_classes=1\nn_features=1\nrounds=1\nmax_depth=2\n"
-                        "shrinkage=0.1\nbase 0.0\ntree 0 0 3\nsplit 0 0.5\n\nleaf 1.0\n")
-        with pytest.raises(InputDataError, match="^line 10: bad tree node ''$"):
-            load_model(path)
-
-    @pytest.mark.parametrize("lineno, line, message", [
-        (6, "shrinkage=abc", "^line 6: bad number in 'shrinkage=abc'$"),
-        (7, "base x y z", "^line 7: bad base scores line$"),
-        (7, "", "^line 7: bad base scores line$"),
-    ])
-    def test_bad_header_value_names_its_line(self, tmp_path, lineno, line, message):
-        rng = np.random.default_rng(13)
-        features, labels = separable_dataset(rng, n=30)
-        path = tmp_path / "model.txt"
-        save_model(fit(features, labels, GbdtConfig(rounds=1, max_depth=2)), path)
-        lines = path.read_text().splitlines()
-        lines[lineno - 1] = line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputDataError, match=message):
-            load_model(path)
-
-    @settings(max_examples=40, deadline=None)
-    @given(boosting_inputs())
-    def test_save_load_round_trip_is_bit_exact(self, inputs):
-        features, labels, config = inputs
-        model = fit(features, labels, config)
-        text = model_text(model)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.txt"
-            path.write_text(text)
-            loaded = load_model(path)
-        assert model_text(loaded) == text
-        assert loaded.config == model.config
-        assert decision_scores(loaded, features).tobytes() == \
-            decision_scores(model, features).tobytes()
-
-    HAND_MODEL = ["gbdt v1", "n_classes=1", "n_features=2", "rounds=1", "max_depth=2",
-                  "shrinkage=0.1", "base 0.0", "tree 0 0 3", "split 1 0.5", "leaf 1.0",
-                  "leaf 2.0"]
-
-    @pytest.mark.parametrize("lineno, line, message", [
-        (2, "n_classes=0", "^line 2: n_classes must be >= 1$"),
-        (3, "n_features=0", "^line 3: n_features must be >= 1$"),
-        (4, "rounds=-1", "^line 4: rounds must be >= 0$"),
-        (5, "max_depth=0", "^line 5: max_depth must be >= 1$"),
-        (6, "shrinkage=nan", "^line 6: shrinkage must be finite and > 0$"),
-        (6, "shrinkage=0", "^line 6: shrinkage must be finite and > 0$"),
-        (7, "base nan", "^line 7: bad base scores line$"),
-        (7, "base -inf", "^line 7: bad base scores line$"),
-        (9, "split 2 0.5", "^line 9: bad tree node 'split 2 0.5'$"),
-        (9, "split -1 0.5", "^line 9: bad tree node 'split -1 0.5'$"),
-        (9, "split 0 nan", "^line 9: bad tree node 'split 0 nan'$"),
-        (10, "leaf nan", "^line 10: bad tree node 'leaf nan'$"),
-        (11, "leaf inf", "^line 11: bad tree node 'leaf inf'$"),
-    ])
-    def test_unusable_value_names_its_line(self, tmp_path, lineno, line, message):
-        path = tmp_path / "model.txt"
-        path.write_text("\n".join(self.HAND_MODEL) + "\n")
-        assert load_model(path).n_features == 2
-        lines = list(self.HAND_MODEL)
-        lines[lineno - 1] = line
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(InputDataError, match=message):
-            load_model(path)
-
-    def test_scores_past_float_range_rejected(self, tmp_path):
-        # One tree with leaves 1 and 2 at shrinkage 1e308 scores 2e308.
-        path = tmp_path / "model.txt"
-        text = "\n".join(self.HAND_MODEL)
-        path.write_text(text.replace("shrinkage=0.1", "shrinkage=1e308"))
-        with pytest.raises(InputDataError, match="^scores can exceed the float range$"):
-            load_model(path)
-        path.write_text(text.replace("shrinkage=0.1", "shrinkage=8e307"))
-        assert_scores_finite(load_model(path))
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.one_of(st.binary(max_size=300),
-                     st.binary(max_size=300).map(lambda b: b"gbdt v1\n" + b)))
-    def test_load_arbitrary_bytes(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.txt"
-            path.write_bytes(data)
-            try:
-                model = load_model(path)
-            except (InputDataError, UnicodeDecodeError):
-                return
-        assert_scores_finite(model)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.data())
-    def test_load_single_line_edit(self, data):
-        lines = EDIT_BASE.splitlines()
-        at = data.draw(st.integers(0, len(lines) - 1), label="line")
-        parts = lines[at].replace("=", "= ").split(" ")
-        edit = data.draw(st.sampled_from(["token", "line", "drop", "repeat"]), label="edit")
-        if edit == "token":
-            i = data.draw(st.integers(0, len(parts) - 1), label="token")
-            parts[i] = data.draw(NUMBER_TEXT | st.text(max_size=6), label="value")
-            lines[at] = " ".join(parts).replace("= ", "=")
-        elif edit == "line":
-            lines[at] = data.draw(st.lists(LINE_TOKEN, max_size=5).map(" ".join),
-                                  label="new line")
-        elif edit == "drop":
-            del lines[at]
-        else:
-            lines.insert(at, lines[at])
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "model.txt"
-            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-            try:
-                model = load_model(path)
-            except InputDataError:
-                return
-        assert_scores_finite(model)
+TRAINING_CSV = _training_csv_text()
+# Cells an edit writes: numbers that parse, overflow or are not finite,
+# label and column names, and nothing.
+CSV_TOKEN = st.one_of(
+    st.floats().map(repr), st.integers(-3, 40).map(str),
+    st.sampled_from(["1e999", "-inf", "nan", "", " ", "label", "prior_score",
+                     "PositiveNews", *(label.name for label in ChangeLabel)]))
 
 
 class TestTrainingCsv:
@@ -706,6 +504,35 @@ class TestTrainingCsv:
         path.write_text("\n".join([training_csv_header(), good, bad, good]) + "\n")
         with pytest.raises(InputDataError, match="^line 3: non-finite feature$"):
             load_training_csv(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_edited_file_loads_or_is_refused(self, tmp_path_factory, data):
+        lines = TRAINING_CSV.splitlines()
+        edit = data.draw(st.sampled_from(["token", "line", "bytes"]), label="edit")
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if edit == "token":
+            parts = lines[at].split(",")
+            i = data.draw(st.integers(0, len(parts) - 1), label="token")
+            parts[i] = data.draw(CSV_TOKEN | st.text(max_size=6), label="value")
+            lines[at] = ",".join(parts)
+        elif edit == "line":
+            lines[at] = data.draw(st.lists(CSV_TOKEN, max_size=14).map(",".join),
+                                  label="new line")
+        content = "\n".join(lines).encode() + b"\n"
+        if edit == "bytes":
+            # after the header, or in place of the whole file
+            content = data.draw(st.binary(max_size=300).map(
+                lambda b: content[:content.index(b"\n") + 1] + b) | st.binary(max_size=300),
+                label="bytes")
+        path = tmp_path_factory.mktemp("edited") / "train.csv"
+        path.write_bytes(content)
+        try:
+            features, labels = load_training_csv(path)
+        except (InputDataError, UnicodeDecodeError):
+            return
+        assert np.all(np.isfinite(features))
+        assert features.shape[0] == labels.shape[0]
 
 
 class TestMajorityBaseline:
