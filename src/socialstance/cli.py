@@ -23,7 +23,7 @@ from . import gbdt
 from .corpus import StanceLabel, load_posts
 from .errors import (EmptyResultError, InputDataError, TrainingDivergedError,
                      checked_lines, write_csv)
-from .hesitancy import (classify_change, daily_label_proportions,
+from .hesitancy import (DEFAULT_MIN_POSTS, classify_change, daily_label_proportions,
                         window_scores, write_hesitancy_csv, write_timeseries_csv)
 from .embed import load_embedding_store
 from .encoder import AGGREGATOR_KINDS
@@ -252,6 +252,8 @@ def cmd_track(args) -> int:
 
 
 def cmd_hesitancy(args) -> int:
+    if not args.min_posts >= 1:
+        raise InputDataError("--min-posts must be >= 1")
     corpus = load_posts(args.posts)
     if args.period_start or args.period_end:
         if not (args.period_start and args.period_end):
@@ -427,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--margin-days", type=int,
                      help="days before/after the period; only with "
                           f"--period-start/--period-end (default: {DEFAULT_MARGIN_DAYS})")
-    sub.add_argument("--min-posts", type=int, default=3,
+    sub.add_argument("--min-posts", type=int, default=DEFAULT_MIN_POSTS,
                      help="stance-bearing posts required per user "
                           "(default: %(default)s)")
     sub.add_argument("--out", help="output CSV path (default: stdout)")

@@ -13,7 +13,7 @@ bad line.
 """
 
 import string
-from itertools import islice, repeat
+from itertools import filterfalse, islice, repeat
 
 import numpy as np
 
@@ -173,8 +173,8 @@ def save_embedding_store(store: PrecomputedStore, path) -> None:
 
 def _store_rows(lines, lineno, dim, rows):
     """(ids, (k, dim) float64 matrix) of a chunk of store lines, lineno
-    being the first one's number; blank lines are skipped and `rows` holds
-    the ids of earlier chunks.
+    being the first one's number; lines of only whitespace are skipped and
+    `rows` holds the ids of earlier chunks.
 
     Each check runs once over the whole chunk, and all its floats are parsed
     by one np.array call of the lines' token lists, which accepts exactly
@@ -182,7 +182,7 @@ def _store_rows(lines, lineno, dim, rows):
     wrong width fails the shape check. A chunk that fails a check holds a
     bad line, which _raise_bad_store_line names.
     """
-    kept = list(filter(None, map(str.rstrip, lines, repeat("\n"))))
+    kept = list(map(str.rstrip, filterfalse(str.isspace, lines), repeat("\n")))
     if not kept:
         return (), np.zeros((0, dim))
     ids, seps, rests = zip(*map(str.partition, kept, repeat("\t")))
@@ -203,9 +203,9 @@ def _raise_bad_store_line(lines, lineno, dim, rows):
     _store_rows's checks; a line's rules apply in the order below."""
     seen = set()
     for lineno, line in enumerate(lines, start=lineno):
-        line = line.rstrip("\n")
-        if not line:
+        if line.isspace():
             continue
+        line = line.rstrip("\n")
         post_id, sep, rest = line.partition("\t")
         if not sep or not post_id:
             raise InputDataError(f"line {lineno}: expected '<post_id>\\t<floats>'")

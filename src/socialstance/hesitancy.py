@@ -24,6 +24,8 @@ HESITANCY_HEADER = "user,window_start,window_end,n_pos,n_neg,score"
 
 # Score changes smaller than this are reported as "unchanged".
 CHANGE_THRESHOLD = 0.05
+# Stance-bearing posts a user needs in a window to be scored, by default.
+DEFAULT_MIN_POSTS = 3
 
 
 class Theme(IntEnum):
@@ -143,7 +145,7 @@ def classify_change(before: float, after: float) -> ChangeLabel:
     return ChangeLabel.increased if delta > 0 else ChangeLabel.decreased
 
 
-def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = 3):
+def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = DEFAULT_MIN_POSTS):
     """Users with at least `min_posts` stance-bearing posts in the window.
 
     Stance-bearing means labelled PO, PD, or NG; NE posts express no

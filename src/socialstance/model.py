@@ -29,7 +29,8 @@ which derives its dense weight-block cells from the padded row indices.
 train, loss, gradients, evaluate and forward (a batch of one) all run it
 through the autograd engine, so analytic gradients come from the exact
 inference path. Logits become probabilities through metrics.softmax,
-which gbdt shares.
+which gbdt shares. train() is the one training path, and sweep is one
+train() call per grid cell.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -191,10 +192,6 @@ class ModelParams:
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
-
-    def load_from(self, other: "ModelParams") -> None:
-        for name, arr in self.tensors.items():
-            arr[...] = other.tensors[name]
 
     def encoder_params(self) -> EncoderParams:
         """View the encoder slice of the tensors as public EncoderParams."""
@@ -668,20 +665,11 @@ def train(corpus, graph, provider, config: TrainConfig):
     validation accuracy (earliest epoch wins ties). Also returns the per
     epoch EpochStats list.
     """
+    labelled = eligible_training_posts(corpus, graph)
     train_samples, val_samples = (
         [_compile_sample(p, graph, corpus, provider, config) for p in part]
-        for part in _train_val_posts(corpus, graph, config))
-    return _train_compiled(train_samples, val_samples, config)
-
-
-def _train_val_posts(corpus, graph, config: TrainConfig):
-    """The train and validation parts of train()'s split."""
-    labelled = eligible_training_posts(corpus, graph)
-    return split_dataset(labelled, config.split, config.seed)[:2]
-
-
-def _train_compiled(train_samples, val_samples, config: TrainConfig):
-    """train() on samples compiled for the config."""
+        for part in split_dataset(labelled, config.split, config.seed)[:2])
+    val_golds = [sample.gold for sample in val_samples]
     params = ModelParams(config)
     state = AdamState.fresh(params.tensors)
     rng = np.random.default_rng(config.seed)
@@ -707,16 +695,14 @@ def _train_compiled(train_samples, val_samples, config: TrainConfig):
                           config.weight_decay)
                 batch_losses.append(batch_loss)
             eval_ts = _make_tensors(params, requires_grad=False)
-            predicted = _predicted_labels(eval_ts, val_samples, config)
-            hits = sum(label == sample.gold for label, sample in zip(predicted, val_samples))
-            val_acc = hits / len(val_samples)
+            val_acc = stance_report(_predicted_labels(eval_ts, val_samples, config),
+                                    val_golds).accuracy
             logs.append(EpochStats(epoch=epoch, train_loss=float(np.mean(batch_losses)),
                                    val_accuracy=val_acc))
             if val_acc > best_acc:
                 best_acc = val_acc
                 best_params = params.copy()
-    params.load_from(best_params)
-    return params, logs
+    return best_params, logs
 
 
 def evaluate(posts, graph, corpus, provider, params: ModelParams,
@@ -736,36 +722,21 @@ def sweep(corpus, graph, provider, config: TrainConfig, hops_values,
           history_len_values):
     """Grid over (hops, history_len); reports best validation accuracy.
 
-    Each cell trains as train() would. Samples are compiled once per hops
-    value, at the widest history length; a narrower cell keeps the newest
-    history_len slots of each history, which is what compiling at that
-    length gathers.
+    Every cell's config is built before any training, so a bad grid value
+    fails before the first cell trains. Each cell is then one train()
+    call, so a sweep costs the train() runs of its cells.
     """
-    grid = [[replace(config, hops=hops, history_len=history_len)
-             for history_len in history_len_values] for hops in hops_values]
-    parts = _train_val_posts(corpus, graph, config)
+    cells = [replace(config, hops=hops, history_len=history_len)
+             for hops in hops_values for history_len in history_len_values]
     rows = []
-    for cells in grid:
-        widest = max(cells, key=lambda cell: cell.history_len)
-        compiled = [[_compile_sample(p, graph, corpus, provider, widest) for p in part]
-                    for part in parts]
-        for cell in cells:
-            train_samples, val_samples = (
-                [_narrowed(s, cell.history_len) for s in part] for part in compiled)
-            _, logs = _train_compiled(train_samples, val_samples, cell)
-            rows.append({
-                "hops": cell.hops,
-                "history_len": cell.history_len,
-                "val_accuracy": max(stat.val_accuracy for stat in logs),
-            })
+    for cell in cells:
+        _, logs = train(corpus, graph, provider, cell)
+        rows.append({
+            "hops": cell.hops,
+            "history_len": cell.history_len,
+            "val_accuracy": max(stat.val_accuracy for stat in logs),
+        })
     return rows
-
-
-def _narrowed(sample: _CompiledSample, history_len: int) -> _CompiledSample:
-    """The sample as compiled at a history length no wider than its own:
-    history slots run newest first, so the narrower one keeps the first."""
-    return replace(sample, hist=np.ascontiguousarray(sample.hist[:, :history_len]),
-                   hist_counts=np.minimum(sample.hist_counts, history_len))
 
 
 # -- metric log file ---------------------------------------------------------

@@ -987,6 +987,15 @@ class TestHesitancy:
         assert code == 2
         assert capsys.readouterr().err == "error: --margin-days must be >= 1\n"
 
+    @pytest.mark.parametrize("min_posts", ["0", "-1"])
+    @pytest.mark.parametrize("window", [["--start", "0", "--end", "1000"],
+                                        ["--period-start", "100", "--period-end", "200"]])
+    def test_min_posts_below_one_exit_2(self, tmp_path, capsys, min_posts, window):
+        posts = self.make_posts(tmp_path)
+        code = main(["hesitancy", "--posts", str(posts), *window, "--min-posts", min_posts])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --min-posts must be >= 1\n"
+
     def test_margin_days_without_period_exit_2(self, tmp_path, capsys):
         posts = self.make_posts(tmp_path)
         code = main(["hesitancy", "--posts", str(posts), "--start", "0",

@@ -214,7 +214,7 @@ def reference_load_store(path, dim=None):
             raise InputDataError(f"store declares d={file_dim}, expected d={dim}")
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
-            if not line:
+            if not line.strip():
                 continue
             post_id, sep, rest = line.partition("\t")
             if not sep or not post_id:
@@ -303,7 +303,8 @@ def test_store_round_trip_is_bit_identical(dim, chunk, data):
 _store_lines = st.one_of(
     st.builds(lambda pid, toks: f"{pid}\t{' '.join(toks)}", st.sampled_from(["a", "b", "c", " d"]),
               st.lists(_float_tokens, min_size=1, max_size=3)),
-    st.sampled_from(["", "a", "\t1.0", "e 1.0", "a\t", "a\t1.0  2.0", "b\t 1.0\t2.0 "]))
+    st.sampled_from(["", "   ", "\t", " \t ", "a", "\t1.0", "e 1.0", "a\t", "a\t1.0  2.0",
+                     "b\t 1.0\t2.0 "]))
 
 
 @settings(max_examples=300, deadline=None)

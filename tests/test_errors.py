@@ -6,9 +6,10 @@ from unittest import mock
 
 import pytest
 
-from socialstance import socialgraph
+from socialstance import embed, socialgraph
 from socialstance.cli import load_config_file
 from socialstance.corpus import load_posts
+from socialstance.embed import load_embedding_store
 from socialstance.errors import InputDataError, checked_header, checked_lines, write_csv
 from socialstance.gbdt import load_training_csv, training_csv_header
 from socialstance.hesitancy import load_theme_annotations
@@ -84,6 +85,7 @@ LOADERS = {
     "training": (load_training_csv, training_csv_header(), f"{_FEATURES},increased",
                  f"{_FEATURES},sideways", "unknown change label 'sideways'"),
     "config": (load_config_file, None, "epochs = 1", "epochs = 2", "duplicate key 'epochs'"),
+    "store": (load_embedding_store, "d=1", "a\t1.0", "q\tx", "non-numeric embedding value"),
 }
 
 
@@ -97,8 +99,10 @@ def test_bad_line_named_by_its_number_in_the_file(tmp_path, name, blanks):
     lines = ([] if header is None else [header]) + pad + [good] + pad + [bad, good]
     path = tmp_path / "input.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    # Chunks of two lines put the bad interaction in a later chunk.
+    # Chunks of two lines put the bad interaction or store row in a later
+    # chunk.
     with mock.patch.object(socialgraph, "_CHUNK_LINES", 2), \
+            mock.patch.object(embed, "_CHUNK_LINES", 2), \
             pytest.raises(InputDataError) as err:
         loader(path)
     assert str(err.value) == f"line {len(lines) - 1}: {message}"

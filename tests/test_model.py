@@ -41,7 +41,6 @@ from socialstance.model import (
     _dense_blocks,
     _gradients_from_samples,
     _make_tensors,
-    _narrowed,
     ModelParams,
     TrainConfig,
     adam_step,
@@ -1191,6 +1190,22 @@ class TestTraining:
         assert hits / len(val_posts) == pytest.approx(
             max(s.val_accuracy for s in logs))
 
+    def test_best_snapshot_is_the_shorter_run_byte_for_byte(self):
+        # Batch order comes from the seeded generator, so the first b epochs
+        # of a longer run repeat a run of b epochs exactly.
+        corpus, graph, store = toy_world(n_users=20, seed=2)
+        cfg = small_config(epochs=5, learning_rate=1e-2, seed=2)
+        params, logs = train(corpus, graph, store, cfg)
+        accuracies = [stat.val_accuracy for stat in logs]
+        best = accuracies.index(max(accuracies)) + 1
+        assert best < cfg.epochs
+        shorter, _ = train(corpus, graph, store, replace(cfg, epochs=best))
+        assert params.tensors.keys() == shorter.tensors.keys()
+        for name, arr in params.tensors.items():
+            assert arr.dtype == shorter.tensors[name].dtype
+            assert arr.shape == shorter.tensors[name].shape
+            assert arr.tobytes() == shorter.tensors[name].tobytes(), name
+
     def test_deterministic_and_log_bytes_identical(self, tmp_path):
         corpus, graph, store = toy_world(n_users=10)
         cfg = small_config(epochs=3)
@@ -1261,21 +1276,6 @@ class TestTraining:
         assert [(r["hops"], r["history_len"]) for r in rows] == [
             (1, 1), (1, 2), (2, 1), (2, 2)]
         assert all(0.0 <= r["val_accuracy"] <= 1.0 for r in rows)
-
-    def test_narrowed_sample_is_the_narrower_compile(self):
-        # Four history posts per user: at lengths 1 and 3 the histories
-        # are cut, at 5 they are not.
-        corpus, graph, store = toy_world(history=4)
-        wide = small_config(history_len=5)
-        for post in corpus.labelled():
-            widest = _compile_sample(post, graph, corpus, store, wide)
-            for history_len in (1, 3, 5):
-                got = _narrowed(widest, history_len)
-                want = _compile_sample(post, graph, corpus, store,
-                                       replace(wide, history_len=history_len))
-                np.testing.assert_array_equal(got.hist, want.hist)
-                np.testing.assert_array_equal(got.hist_counts, want.hist_counts)
-                assert got.hist_counts.dtype == want.hist_counts.dtype
 
     def test_sweep_cells_equal_train(self):
         corpus, graph, store = toy_world(n_users=10, history=4)
