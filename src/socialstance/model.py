@@ -7,23 +7,25 @@ summarized by a position-weighted aggregate of its recent post history.
 
 Each post is first compiled into index arrays, with array operations and
 no per-node Python loop, in two halves. The per-author half,
-_compile_ball, builds the author's k-hop ball by frontier expansion over
-the graph's CSR arrays and the exact-distance shell edges between all
-pairs of ball nodes by one multi-source BFS over the ball's induced CSR.
-The per-post half, _compile_post, gathers each ball node's last
-history_len posts before the post's timestamp by the corpus's one batch
-history query, Corpus.history_at, addressed by the corpus's join of graph
-node indices to author codes (built once per graph), their vectors by
-one gather from the corpus's memo for the provider (a store's own matrix,
-read in place), and the post's own embedding. _compile_sample runs both
-for one post. forward_author runs the ball half once for all of one
-author's posts (forward is it on one post), which is why CLI classify
-groups a corpus by author: the ball is most of compile, and an author
-with four posts would otherwise build it four times. One batched
+_compile_balls, builds the k-hop balls of many authors at once: one
+frontier BFS from every author over the graph's CSR arrays gives the
+balls, and one more BFS for each chunk of balls, from every row of the
+union of the subgraphs they induce, gives the exact-distance shell
+edges between all pairs of every ball's nodes. The per-post half,
+_compile_post, gathers each ball node's last history_len posts before
+the post's timestamp by the corpus's one batch history query,
+Corpus.history_at, addressed by the corpus's join of graph node indices
+to author codes (built once per graph), their vectors by one gather from
+the corpus's memo for the provider (a store's own matrix, read in
+place), and the post's own embedding. _compile_samples runs both for a
+batch of posts at a time. forward_author runs the ball half once for all
+of one author's posts (forward is it on one post), which is why CLI
+classify groups a corpus by author: the ball is most of compile, and an
+author with four posts would otherwise build it four times. One batched
 forward, _batch_logits, then joins a batch of compiled posts into one
 block-diagonal graph (each ball's node indices offset by the sizes of
-the balls before it), encodes it and applies a linear head to
-[z_social || z_text] at the author rows. Each (layer,
+the balls before it, in one whole-array add), encodes it and applies a
+linear head to [z_social || z_text] at the author rows. Each (layer,
 order) shell aggregate is one fused autograd op, autograd.shell_aggregate,
 which derives its dense weight-block cells from the padded row indices.
 train, loss, gradients, evaluate and forward (a batch of one) all run it
@@ -238,18 +240,65 @@ def _check_provider(provider, config: TrainConfig) -> None:
             f"provider dim {provider.dim} != config embed_dim {config.embed_dim}")
 
 
-def _compile_ball(author_id, graph, hops: int) -> _Ball:
-    """The author's ball and its shells: they depend on the author and
-    hops alone, not on the post."""
-    author = graph.index(author_id)
-    reached = exact_shells(graph.indptr, graph.indices, [author], hops)
-    ball = np.sort(np.concatenate([[author]] + [nodes for _, nodes in reached]))
-    # Exact-distance shells inside the induced subgraph, from every ball
-    # node at once; pairs come out sorted by (center, neighbor).
-    local_indptr, local_indices = induced_csr(graph.indptr, graph.indices, ball)
-    shell_edges = tuple(exact_shells(local_indptr, local_indices,
-                                     np.arange(ball.size), hops))
-    return _Ball(ball, int(np.searchsorted(ball, author)), shell_edges)
+def _chunks(sizes, n: int):
+    """(first, last) runs of consecutive balls that compile as one: a run's
+    position map (balls x n cells) and its pair cells (the sum of its
+    squared ball sizes, a bound on its shell pairs and so on its BFS
+    arrays) stay within ag.DENSE_MAX_CELLS, but for a ball that alone
+    exceeds it."""
+    first = cells = 0
+    for last, size in enumerate(sizes):
+        cells += size * size
+        if last > first and ((last - first + 1) * n > ag.DENSE_MAX_CELLS
+                             or cells > ag.DENSE_MAX_CELLS):
+            yield first, last
+            first, cells = last, size * size
+    if first < len(sizes):
+        yield first, len(sizes)
+
+
+def _compile_balls(author_ids, graph, hops: int) -> list:
+    """The _Ball of each author, in order: they depend on the author and
+    hops alone, not on the post.
+
+    One exact_shells call from every author at once gives every ball,
+    keyed slot * n + node. Then each chunk of balls (_chunks) takes three
+    whole-array steps. induced_csr joins the subgraphs its balls induce
+    into one CSR over their (ball, node) rows. One exact_shells call from
+    every row of that union gives every ball's shells, since no edge
+    leaves a ball, with pairs sorted by (center, neighbor). Last, the rows
+    split back into balls: each ball's arrays are slices of the chunk's,
+    renumbered from 0 in place.
+    """
+    n = len(graph)
+    authors = np.array([graph.index(author_id) for author_id in author_ids], dtype=np.intp)
+    bases = np.arange(authors.size) * n
+    own = bases + authors
+    reached = exact_shells(graph.indptr, graph.indices, authors, hops)
+    keys = np.concatenate([own] + [s * n + v for s, v in reached])
+    keys.sort()
+    # Ball i holds keys[bounds[i]:bounds[i + 1]], its author at author_rows[i].
+    found = np.searchsorted(keys, np.concatenate([own, bases + n])).tolist()
+    author_rows, bounds = found[:authors.size], [0] + found[authors.size:]
+    balls = []
+    for first, last in _chunks([b - a for a, b in zip(bounds, bounds[1:])], n):
+        union = keys[bounds[first]:bounds[last]] - first * n
+        union_indptr, union_indices = induced_csr(graph.indptr, graph.indices, union)
+        shells = exact_shells(union_indptr, union_indices, np.arange(union.size), hops)
+        nodes = union % n
+        rows = [bound - bounds[first] for bound in bounds[first:last + 1]]
+        cuts = [np.searchsorted(centers, rows).tolist() for centers, _ in shells]
+        for i, row in enumerate(rows[:-1]):
+            edges = []
+            for (centers, neighbors), cut in zip(shells, cuts):
+                pair = centers[cut[i]:cut[i + 1]], neighbors[cut[i]:cut[i + 1]]
+                if row:  # the chunk's first ball starts at row 0
+                    for array in pair:
+                        array -= row
+                edges.append(pair)
+            balls.append(_Ball(nodes[row:rows[i + 1]], author_rows[first + i] - bounds[first + i],
+                               tuple(edges)))
+    return balls
 
 
 def _compile_post(post, ball: _Ball, graph, corpus, provider,
@@ -276,13 +325,25 @@ def _compile_post(post, ball: _Ball, graph, corpus, provider,
     )
 
 
-def _compile_sample(post, graph, corpus, provider, config: TrainConfig) -> _CompiledSample:
-    """One post compiled whole: its author's ball, then its history.
+def _compile_samples(posts, graph, corpus, provider, config: TrainConfig) -> list:
+    """Each post compiled whole, in order, batch_size posts at a time: the
+    batch's balls from one _compile_balls call, then each post's history.
 
-    train, loss, gradients, evaluate and forward compile each post this
-    way; forward_author builds one ball for all of an author's posts."""
-    return _compile_post(post, _compile_ball(post.author_id, graph, config.hops),
-                         graph, corpus, provider, config)
+    train, loss, gradients and evaluate compile their posts this way;
+    forward_author builds one ball for all of an author's posts. Errors
+    come in post order, as a post-by-post compile gives them: a post whose
+    author is not a graph node raises its KeyError only once the posts
+    before it have compiled."""
+    samples = []
+    for start in range(0, len(posts), config.batch_size):
+        batch = posts[start:start + config.batch_size]
+        known = list(itertools.takewhile(lambda post: post.author_id in graph, batch))
+        balls = _compile_balls([post.author_id for post in known], graph, config.hops)
+        samples += [_compile_post(post, ball, graph, corpus, provider, config)
+                    for post, ball in zip(known, balls)]
+        if len(known) < len(batch):
+            graph.index(batch[len(known)].author_id)
+    return samples
 
 
 # -- engine ------------------------------------------------------------------
@@ -418,10 +479,17 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     slot[authors] = np.arange(n_samples)
     inner, last = [], []
     for order in range(k):
-        centers = np.concatenate([ball.shell_edges[order][0] + off
-                                  for ball, off in zip(balls, offsets)])
-        neighbors = np.concatenate([ball.shell_edges[order][1] + off
-                                    for ball, off in zip(balls, offsets)])
+        if n_samples == 1:
+            # A lone ball's rows are the batch's: its arrays serve as they are.
+            centers, neighbors = balls[0].shell_edges[order]
+        else:
+            pairs = [ball.shell_edges[order] for ball in balls]
+            shift = np.repeat(offsets, [c.size for c, _ in pairs])
+            centers = np.concatenate([c for c, _ in pairs])
+            centers += shift
+            neighbors = np.concatenate([nb for _, nb in pairs])
+            neighbors += shift
+            del shift  # as long as the batch's pairs: freed before the encoder runs
         inner.append(_Shell(centers, neighbors, centers, n, inner_block))
         keep = slot[centers] >= 0
         last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
@@ -464,12 +532,11 @@ def _batch_loss(ts, samples, config: TrainConfig) -> Tensor:
 
 
 def _predicted_labels(ts, samples, config: TrainConfig) -> list:
-    """Argmax class of each compiled sample, batch_size samples at a time,
-    so `samples` may be an iterator that compiles them lazily."""
-    samples = iter(samples)
+    """Argmax class of each compiled sample, batch_size samples at a time."""
     labels = []
-    while batch := list(itertools.islice(samples, config.batch_size)):
-        probs = softmax(_batch_logits(ts, batch, config).data)
+    for start in range(0, len(samples), config.batch_size):
+        probs = softmax(_batch_logits(ts, samples[start:start + config.batch_size],
+                                      config).data)
         labels.extend(int(label) for label in np.argmax(probs, axis=1))
     return labels
 
@@ -505,7 +572,7 @@ def forward_author(posts, graph, corpus, provider, params: ModelParams,
         raise ValueError("forward_author takes the posts of one author")
     if not posts:
         return
-    ball = _compile_ball(posts[0].author_id, graph, config.hops)
+    ball = _compile_balls([posts[0].author_id], graph, config.hops)[0]
     ts = _make_tensors(params, requires_grad=False)
     for post in posts:
         sample = _compile_post(post, ball, graph, corpus, provider, config)
@@ -521,7 +588,7 @@ def classify(post, graph, corpus, provider, params: ModelParams,
 def loss(batch, graph, corpus, provider, params: ModelParams,
          config: TrainConfig) -> float:
     """Mean cross-entropy of gold labels over a batch of labelled posts."""
-    samples = [_compile_sample(p, graph, corpus, provider, config) for p in batch]
+    samples = _compile_samples(list(batch), graph, corpus, provider, config)
     ts = _make_tensors(params, requires_grad=False)
     return float(_batch_loss(ts, samples, config).data)
 
@@ -534,7 +601,7 @@ def gradients(batch, graph, corpus, provider, params: ModelParams,
     sample) get zero gradients. Non-finite values raise immediately, naming
     the parameter.
     """
-    samples = [_compile_sample(p, graph, corpus, provider, config) for p in batch]
+    samples = _compile_samples(list(batch), graph, corpus, provider, config)
     ts = _make_tensors(params, requires_grad=True)
     return _gradients_from_samples(ts, samples, config)[1]
 
@@ -667,7 +734,7 @@ def train(corpus, graph, provider, config: TrainConfig):
     """
     labelled = eligible_training_posts(corpus, graph)
     train_samples, val_samples = (
-        [_compile_sample(p, graph, corpus, provider, config) for p in part]
+        _compile_samples(part, graph, corpus, provider, config)
         for part in split_dataset(labelled, config.split, config.seed)[:2])
     val_golds = [sample.gold for sample in val_samples]
     params = ModelParams(config)
@@ -713,8 +780,11 @@ def evaluate(posts, graph, corpus, provider, params: ModelParams,
         if post.label is None:
             raise ValueError(f"post {post.id!r} has no label")
     ts = _make_tensors(params, requires_grad=False)
-    samples = (_compile_sample(p, graph, corpus, provider, config) for p in posts)
-    preds = _predicted_labels(ts, samples, config)
+    preds = []
+    for start in range(0, len(posts), config.batch_size):
+        batch = _compile_samples(posts[start:start + config.batch_size], graph, corpus,
+                                 provider, config)
+        preds += _predicted_labels(ts, batch, config)
     return stance_report(preds, [int(post.label) for post in posts])
 
 

@@ -244,44 +244,55 @@ def exact_shells(indptr, indices, centers, depth: int):
     from centers[slots[i]]. Orders past the graph's reach are empty.
     """
     n = len(indptr) - 1
-    frontier = np.arange(len(centers)) * n + np.asarray(centers, dtype=np.intp)
-    seen = frontier
+    nodes = np.asarray(centers, dtype=np.intp)
+    frontier = np.arange(nodes.size) * n + nodes
+    merged = frontier * 2
     shells = []
     while frontier.size and len(shells) < depth:
-        slots, nodes = np.divmod(frontier, n)
         starts = indptr[nodes]
         counts = indptr[nodes + 1] - starts
-        reached = np.repeat(slots * n, counts) + indices[_ranges(starts, counts)]
+        reached = np.repeat(frontier - nodes, counts) + indices[_ranges(starts, counts)]
         # One sort of the seen keys (flag bit 0) with the reached ones (flag
         # bit 1): a key is fresh iff the first entry of its run has flag 1.
         # np.unique plus a seen lookup was several times slower (its
         # hash-based path on numpy 2.4 is slow on int keys).
-        merged = np.concatenate([seen * 2, reached * 2 + 1])
+        reached <<= 1
+        reached |= 1
+        merged = np.concatenate([merged & -2, reached])
         merged.sort()
         merged = merged[_run_starts(merged >> 1)]
-        seen = merged >> 1
         frontier = merged[(merged & 1) == 1] >> 1
         shells.append(np.divmod(frontier, n))
+        nodes = shells[-1][1]
     empty = np.zeros(0, dtype=np.intp)
     return shells + [(empty, empty)] * (depth - len(shells))
 
 
-def induced_csr(indptr, indices, keep):
-    """CSR of the subgraph induced by the sorted node indices `keep`, its
-    nodes renumbered 0..len(keep)-1 in the same order.
+def induced_csr(indptr, indices, keys):
+    """CSR of the subgraphs that sets of nodes induce, side by side.
 
-    A position map places the neighbours: an n-length array holds each
-    kept node's new number and -1 elsewhere, so one read at the targets
-    renumbers them and its sign masks the edges that leave `keep`.
+    keys are sorted slot * n + node over the graph's n nodes. Row i of the
+    result is node keys[i] % n of slot keys[i] // n, and its edges go to
+    the rows of its own slot's nodes, so no edge joins two slots. Sorted
+    node indices are the keys of one slot: the subgraph they induce, its
+    nodes renumbered 0..len(keys)-1 in the same order.
+
+    A position map places the neighbours: an array over the slots' keys
+    holds each kept key's row and -1 elsewhere, so one read at the target
+    keys renumbers them and its sign masks the edges that leave the slot.
     """
-    starts = indptr[keep]
-    counts = indptr[keep + 1] - starts
-    where = np.full(len(indptr) - 1, -1, dtype=np.intp)
-    where[keep] = np.arange(len(keep))
-    loc = where[indices[_ranges(starts, counts)]]
+    n = len(indptr) - 1
+    nodes = keys % max(n, 1)
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    where = np.full(keys[-1] - nodes[-1] + n if len(keys) else 0, -1, dtype=np.intp)
+    where[keys] = np.arange(len(keys))
+    targets = indices[_ranges(starts, counts)]
+    targets += (keys - nodes).repeat(counts)
+    loc = where[targets]
     inside = loc >= 0
-    sources = np.repeat(np.arange(len(keep)), counts)
-    degree = np.bincount(sources[inside], minlength=len(keep))
+    sources = np.repeat(np.arange(len(keys)), counts)
+    degree = np.bincount(sources[inside], minlength=len(keys))
     return np.concatenate([[0], np.cumsum(degree)]), loc[inside]
 
 

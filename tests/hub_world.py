@@ -7,9 +7,10 @@ leaf's ball holds every user and about partners² order-2 pairs.
 
 Run as a script, it measures one stage of that post in a fresh process
 and prints one JSON line: the process's peak RSS (ru_maxrss) in MB and
-the stage's seconds.
+the stage's seconds. The batch stage compiles BATCH copies of the post
+in one call, as train and evaluate compile a batch.
 
-    python tests/hub_world.py 2000 forward     # or: compile
+    python tests/hub_world.py 2000 forward     # or: compile, batch
 
 A limit in MB as a third argument makes the script exit 1 when the peak
 RSS exceeds it.
@@ -33,6 +34,7 @@ from socialstance.socialgraph import SocialGraph  # noqa: E402
 
 HISTORY = 3
 EMBED_DIM = 16
+BATCH = 8
 
 
 def star_with_chords(partners: int, hidden_dim: int = 16, seed: int = 0):
@@ -57,8 +59,9 @@ def main(argv) -> int:
     partners, stage = int(argv[0]), argv[1]
     corpus, graph, store, params, config, post = star_with_chords(partners)
     start = time.perf_counter()
-    if stage == "compile":
-        model._compile_sample(post, graph, corpus, store, config)
+    if stage in ("compile", "batch"):
+        copies = BATCH if stage == "batch" else 1
+        model._compile_samples([post] * copies, graph, corpus, store, config)
     else:
         model.forward(post, graph, corpus, store, params, config)
     seconds = time.perf_counter() - start

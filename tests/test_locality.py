@@ -18,7 +18,7 @@ from socialstance.corpus import Corpus, Post
 from socialstance.embed import HashedNgramEncoder
 from socialstance.encoder import AGGREGATOR_KINDS
 from socialstance.model import (HISTORY_KINDS, ModelParams, TrainConfig,
-                                _compile_sample, forward)
+                                _compile_samples, forward)
 from socialstance.socialgraph import SocialGraph, khop_neighborhood
 
 CUTOFF = 5  # the target post's timestamp
@@ -167,7 +167,7 @@ class TestLocality:
         encoder = HashedNgramEncoder(dim=DIM)
         with_twins = Corpus(world.posts + twins)
         without = Corpus(world.posts)
-        samples = [_compile_sample(post, graph, corpus, encoder, world.config)
+        samples = [_compile_samples([post], graph, corpus, encoder, world.config)[0]
                    for post in twins for corpus in (with_twins, without)]
         first = samples[0]
         for sample in samples[1:]:

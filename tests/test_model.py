@@ -24,6 +24,7 @@ from hypothesis.extra.numpy import arrays
 import hub_world
 
 from socialstance import autograd as ag
+from socialstance import model as model_module
 from socialstance.autograd import Tensor
 from socialstance.corpus import Corpus, Post, StanceLabel, recent_posts
 from socialstance.embed import HashedNgramEncoder, PrecomputedStore, precompute
@@ -37,7 +38,8 @@ from socialstance.model import (
     _Block,
     _Shell,
     _batch_logits,
-    _compile_sample,
+    _compile_balls,
+    _compile_samples,
     _dense_blocks,
     _gradients_from_samples,
     _make_tensors,
@@ -63,7 +65,7 @@ from socialstance.model import (
     train_text_baseline,
 )
 from socialstance.socialgraph import (SocialGraph, exact_order_neighborhood,
-                                      khop_neighborhood)
+                                      induced_subgraph, khop_neighborhood)
 
 
 def toy_world(n_users=8, history=2, embed_dim=8, seed=0):
@@ -705,7 +707,7 @@ class TestCompile:
         corpus = Corpus(posts)
         encoder = HashedNgramEncoder(dim=4)
         cfg = small_config(hops=k, history_len=lam, embed_dim=4)
-        sample = _compile_sample(target, graph, corpus, encoder, cfg)
+        sample = _compile_samples([target], graph, corpus, encoder, cfg)[0]
         ball, shells = oracle_compile(nodes, edges, author, k)
         assert sample.ball.nodes.size == len(ball)
         assert sample.ball.author_row == ball.index(author)
@@ -725,6 +727,110 @@ class TestCompile:
             assert np.array_equal(sample.hist[i], want)
 
 
+@st.composite
+def ball_worlds(draw):
+    """A random graph with isolated and degree-1 nodes, a list of its
+    nodes as authors (repeats allowed), a hop count of 1 to 3 and a chunk
+    size of 1 to 4 authors."""
+    n = draw(st.integers(1, 10))
+    nodes = [f"v{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(nodes) for b in nodes[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=14) if pairs else st.just([]))
+    authors = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=12))
+    return nodes, edges, authors, draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+
+class TestCompileBalls:
+    @settings(max_examples=150, deadline=None)
+    @given(ball_worlds())
+    def test_authors_compiled_together_match_each_alone_and_the_set_oracle(self, world):
+        nodes, edges, authors, k, chunk = world
+        graph = SocialGraph(edges, nodes=nodes)
+        alone = [_compile_balls([author], graph, k)[0] for author in authors]
+        calls = []
+        real = model_module.exact_shells
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        # A position map of at most `chunk` balls: one BFS from every
+        # author, then one BFS for each of several chunks.
+        with mock.patch.object(ag, "DENSE_MAX_CELLS", chunk * len(graph)), \
+                mock.patch.object(model_module, "exact_shells", spy):
+            together = _compile_balls(authors, graph, k)
+        assert len(calls[0][2]) == len(authors)
+        assert len(calls) - 1 >= -(-len(authors) // chunk)
+        assert len(together) == len(authors)
+        for author, got, want in zip(authors, together, alone):
+            assert got.nodes.dtype == want.nodes.dtype == np.intp
+            assert got.nodes.tolist() == want.nodes.tolist()
+            assert got.author_row == want.author_row
+            assert len(got.shell_edges) == len(want.shell_edges) == k
+            for (centers, neighbors), (want_c, want_n) in zip(got.shell_edges,
+                                                              want.shell_edges):
+                assert centers.dtype == neighbors.dtype == np.intp
+                assert centers.tolist() == want_c.tolist()
+                assert neighbors.tolist() == want_n.tolist()
+            ball = sorted(khop_neighborhood(graph, author, k))
+            assert [graph.node_ids[i] for i in got.nodes.tolist()] == ball
+            assert got.author_row == ball.index(author)
+            sub = induced_subgraph(graph, ball)
+            for order, (centers, neighbors) in enumerate(got.shell_edges, 1):
+                want_pairs = [(c, j) for c, center in enumerate(ball)
+                              for j, node in enumerate(ball)
+                              if node in exact_order_neighborhood(sub, center, order)]
+                assert list(zip(centers.tolist(), neighbors.tolist())) == want_pairs
+
+    @pytest.mark.parametrize("sizes, n, runs", [
+        # Pair cells 9, 18, 19, then 44: the fourth ball starts a chunk,
+        # and alone exceeds the budget of 20.
+        ([3, 3, 1, 5, 2], 4, [(0, 3), (3, 4), (4, 5)]),
+        # A position map of three balls over 8 nodes would take 24 cells.
+        ([1, 1, 1], 8, [(0, 2), (2, 3)]),
+        ([], 8, []),
+    ])
+    def test_chunks_keep_pair_cells_and_position_map_in_budget(self, sizes, n, runs,
+                                                               monkeypatch):
+        monkeypatch.setattr(ag, "DENSE_MAX_CELLS", 20)
+        assert list(model_module._chunks(sizes, n)) == runs
+
+    def test_compile_errors_come_in_post_order(self):
+        # The first post's history lacks a vector and the second post's
+        # author is not a graph node: compiled post by post, the first
+        # post's KeyError comes first.
+        corpus, graph, full = toy_world(n_users=5)
+        stranger = Post(id="s", author_id="stranger", timestamp=100, text="who",
+                        label=StanceLabel(0))
+        store = store_without(full, {"u1h0"})
+        cfg = small_config()
+        params = ModelParams(cfg)
+        posts = [corpus.by_id["u0t"], stranger]
+        for call in (loss, gradients, evaluate):
+            with pytest.raises(KeyError, match="unknown post id: 'u1h0'"):
+                call(posts, graph, corpus, store, params, cfg)
+        with pytest.raises(KeyError, match="user not in social graph: 'stranger'"):
+            loss(posts[::-1], graph, corpus, store, params, cfg)
+
+    def test_lone_sample_runs_on_its_balls_arrays(self, monkeypatch):
+        # A batch of one joins nothing: the first layer pools the ball's
+        # own shell arrays, with no offset added and no copy made.
+        corpus, graph, store = toy_world()
+        cfg = small_config()
+        sample = _compile_samples([corpus.by_id["u2t"]], graph, corpus, store, cfg)[0]
+        shells = []
+        real = ag.shell_aggregate
+
+        def spy(x, shell, attn=None):
+            shells.append(shell)
+            return real(x, shell, attn)
+
+        monkeypatch.setattr(ag, "shell_aggregate", spy)
+        _batch_logits(_make_tensors(ModelParams(cfg), False), [sample], cfg)
+        for shell, (centers, neighbors) in zip(shells, sample.ball.shell_edges):
+            assert shell.centers is centers and shell.neighbors is neighbors
+
+
 def join_world():
     """One corpus and two graphs over it. g0-g3, x0 and x1 post; g4 and g5
     do not. x0 and x1 are nodes of the second graph only, g1, g3 and g4 of
@@ -741,15 +847,15 @@ def join_world():
 
 
 class TestGraphCorpusJoin:
-    """_compile_sample reads history through the corpus's per-graph join of
+    """_compile_samples reads history through the corpus's per-graph join of
     node indices to authors; it must gather what recent_posts gives for the
     ball's node names."""
 
     def assert_compiles_as_by_name(self, graph, corpus, author, k=2, lam=2):
         encoder = HashedNgramEncoder(dim=4)
         target = Post(id="target", author_id=author, timestamp=25, text="the target")
-        sample = _compile_sample(target, graph, corpus, encoder,
-                                 small_config(hops=k, history_len=lam, embed_dim=4))
+        sample = _compile_samples([target], graph, corpus, encoder,
+                                 small_config(hops=k, history_len=lam, embed_dim=4))[0]
         names = sorted(khop_neighborhood(graph, author, k))
         recent = [recent_posts(corpus, name, target.timestamp, lam) for name in names]
         counts = np.array([len(posts) for posts in recent])
@@ -902,7 +1008,7 @@ class TestTrainingBatchMemory:
         corpus, graph, store = mixed_world()
         cfg = small_config(aggregator=aggregator, history=history, history_len=2)
         batch = eligible_training_posts(corpus, graph)
-        samples = [_compile_sample(p, graph, corpus, store, cfg) for p in batch]
+        samples = _compile_samples(batch, graph, corpus, store, cfg)
         return corpus, graph, store, cfg, ModelParams(cfg), batch, samples
 
     def test_workspace_gradients_equal_gradients(self, aggregator, history, monkeypatch):
@@ -1066,7 +1172,7 @@ def test_chunked_hub_forward_memory_is_linear_in_edges(monkeypatch):
     # would take E * 64 * 8 bytes; in chunks of 2^14 cells the forward's
     # peak (compile included) stays within 16 E-length arrays.
     corpus, graph, store, params, cfg, post = hub_world.star_with_chords(300, hidden_dim=64)
-    ball = _compile_sample(post, graph, corpus, store, cfg).ball
+    ball = _compile_samples([post], graph, corpus, store, cfg)[0].ball
     edges = sum(centers.size for centers, _ in ball.shell_edges)
     probs = forward(post, graph, corpus, store, params, cfg).probabilities
     with forced_chunks(monkeypatch, 1 << 14):
@@ -1101,7 +1207,7 @@ class TestEmbeddingMemo:
         corpus.graph_authors(graph)   # the history index and the author join
         tracemalloc.start()
         try:
-            sample = _compile_sample(post, graph, corpus, store, cfg)
+            sample = _compile_samples([post], graph, corpus, store, cfg)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -273,33 +273,37 @@ class TestInducedSubgraph:
 @st.composite
 def csr_and_keep(draw):
     """Target lists of a random CSR graph (self-loops, repeats and one-way
-    edges allowed) and a sorted node subset: empty, one node, every node or
-    any subset."""
+    edges allowed) and sorted keys slot * n + node over one to three slots,
+    each slot's nodes empty, one node, every node or any subset."""
     n = draw(st.integers(0, 12))
     rows = draw(st.lists(st.lists(st.integers(0, max(n - 1, 0)), max_size=6),
                          min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["empty", "single", "all", "subset"]))
-    if kind == "empty" or not n:
-        keep = []
-    elif kind == "single":
-        keep = [draw(st.integers(0, n - 1))]
-    elif kind == "all":
-        keep = list(range(n))
-    else:
-        keep = sorted(draw(st.sets(st.integers(0, n - 1))))
-    return rows, keep
+    keys = []
+    for slot in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["empty", "single", "all", "subset"]))
+        if kind == "empty" or not n:
+            keep = []
+        elif kind == "single":
+            keep = [draw(st.integers(0, n - 1))]
+        elif kind == "all":
+            keep = list(range(n))
+        else:
+            keep = sorted(draw(st.sets(st.integers(0, n - 1))))
+        keys += [slot * n + v for v in keep]
+    return rows, keys
 
 
 @settings(max_examples=300, deadline=None)
 @given(csr_and_keep())
 def test_induced_csr_matches_set_oracle(case):
-    rows, keep = case
+    rows, keys = case
+    n = len(rows)
     indptr = np.cumsum([0] + [len(row) for row in rows]).astype(np.intp)
     indices = np.array([t for row in rows for t in row], dtype=np.intp)
-    got_indptr, got_indices = induced_csr(indptr, indices, np.array(keep, dtype=np.intp))
-    inside = set(keep)
-    number = {v: i for i, v in enumerate(keep)}
-    want = [[number[t] for t in rows[v] if t in inside] for v in keep]
+    got_indptr, got_indices = induced_csr(indptr, indices, np.array(keys, dtype=np.intp))
+    number = {key: i for i, key in enumerate(keys)}
+    want = [[number[key - key % n + t] for t in rows[key % n] if key - key % n + t in number]
+            for key in keys]
     assert got_indptr.dtype == got_indices.dtype == np.intp
     assert got_indptr.tolist() == [0] + np.cumsum([len(w) for w in want]).tolist()
     assert got_indices.tolist() == [t for w in want for t in w]
