@@ -23,7 +23,9 @@ Each op is its forward value plus one vector-Jacobian product (VJP) per
 input, the map from the output's gradient g to that input's share of it.
 One-input ops are built by _unary, two-input ops by _binary, which sums
 each VJP back over broadcast axes. Every gather's VJP scatters through
-_scatter_add, one flat bincount that sums each bucket in row order.
+_scatter_add, one flat bincount that sums each bucket in row order; a
+chunked scatter shell adds its later chunks into that output with
+np.add.at, in the same order.
 
 Graphs are built per call and discarded, so there is no grad zeroing.
 backward() topologically sorts the tape iteratively (sample graphs are
@@ -31,18 +33,9 @@ deep enough to overflow Python's recursion limit), runs each node's VJP
 once, and then drops that node's gradient: only leaves (tensors no op
 made) keep theirs, so a gradient lives only until its inputs have their
 shares.
-
-Memory. While a Workspace is active (training makes one active for each
-gradient batch's forward), the ops that build the large forward values
-(add, mul, div, 2-D matmul, concat, position_sum and shell_aggregate)
-write them into it through numpy's out= instead of allocating, so every
-batch reuses the memory the first one touched. VJPs never take from it:
-backward's temporaries are freed as it goes.
 """
 
-import contextvars
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -82,78 +75,6 @@ def _scatter_add(values, index, num_rows):
     out = np.bincount(_flat_index(index, width), weights=values.reshape(-1),
                       minlength=num_rows * width)
     return out.astype(np.float64, copy=False).reshape((num_rows,) + tail)
-
-
-# Cells (float64) of a training run's Workspace: 16 MiB of address space,
-# of which a batch touches only what its forward values fill. Values that
-# do not fit are allocated by numpy as usual.
-WORKSPACE_CELLS = 1 << 21
-
-# The Workspace whose batch is running in this thread (or context), or
-# None: ops then allocate.
-_active = contextvars.ContextVar("workspace", default=None)
-
-
-class Workspace:
-    """One buffer that every gradient batch of a training run fills anew.
-
-    A bump allocator: take() hands out consecutive slices of the buffer,
-    and batch() rewinds it and makes it active for one batch's forward.
-    Leaving the with-block of the Workspace itself drops the buffer.
-    """
-
-    def __init__(self):
-        self._cells = np.empty(WORKSPACE_CELLS)
-        # Start every slice on a 64-byte boundary.
-        self._base = (-self._cells.ctypes.data % 64) // 8
-        self._top = self._base
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._cells = None
-
-    @contextmanager
-    def batch(self):
-        """Active in this thread, and empty, for the with-block: the
-        previous batch's values are overwritten. It is inactive again
-        however the block ends."""
-        self._top = self._base
-        token = _active.set(self)
-        try:
-            yield
-        finally:
-            _active.reset(token)
-
-    def take(self, shape):
-        """An uninitialised (shape) slice of the buffer, or None if the
-        rest of the buffer is too small."""
-        start = self._top
-        end = start + math.prod(shape)
-        if end > self._cells.size:
-            return None
-        self._top = end + (-end & 7)
-        return self._cells[start:end].reshape(shape)
-
-
-def _out(shape):
-    """An op's out= for a forward value of `shape`: workspace memory, or
-    None (numpy allocates) when no workspace is active or it is full."""
-    workspace = _active.get()
-    return None if workspace is None else workspace.take(shape)
-
-
-def _out_like(a, b):
-    """_out for the broadcast result of arrays a and b."""
-    return _out(a.shape if a.shape == b.shape else np.broadcast(a, b).shape)
-
-
-def empty(shape) -> np.ndarray:
-    """An uninitialised float64 forward array: workspace memory while a
-    workspace is active, a new array otherwise."""
-    out = _out(shape)
-    return np.empty(shape) if out is None else out
 
 
 class Tensor:
@@ -262,19 +183,18 @@ def _binary(a: Tensor, b: Tensor, value, vjp_a, vjp_b) -> Tensor:
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, np.add(a.data, b.data, out=_out_like(a.data, b.data)),
-                   lambda g: g, lambda g: g)
+    return _binary(a, b, a.data + b.data, lambda g: g, lambda g: g)
 
 
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, np.multiply(a.data, b.data, out=_out_like(a.data, b.data)),
+    return _binary(a, b, a.data * b.data,
                    lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _binary(a, b, np.divide(a.data, b.data, out=_out_like(a.data, b.data)),
+    return _binary(a, b, a.data / b.data,
                    lambda g: g / b.data,
                    lambda g: -g * a.data / (b.data * b.data))
 
@@ -294,8 +214,7 @@ def matmul(a, b) -> Tensor:
     def grad_2d(g):  # g as (rows of a, columns of b)
         return g.reshape(len(np.atleast_2d(ad)), len(np.atleast_2d(bd.T)))
 
-    out = _out((len(ad), bd.shape[1])) if ad.ndim == bd.ndim == 2 else None
-    return _binary(a, b, np.matmul(ad, bd, out=out),
+    return _binary(a, b, ad @ bd,
                    lambda g: (grad_2d(g) @ np.atleast_2d(bd.T)).reshape(ad.shape),
                    lambda g: (np.atleast_2d(ad).T @ grad_2d(g)).reshape(bd.shape))
 
@@ -327,9 +246,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 idx[axis] = slice(lo, hi)
                 t._accumulate(g[tuple(idx)])
 
-    shape = list(tensors[0].data.shape)
-    shape[axis] = int(bounds[-1])
-    return _node(np.concatenate([t.data for t in tensors], axis=axis, out=_out(tuple(shape))),
+    return _node(np.concatenate([t.data for t in tensors], axis=axis),
                  tensors, backward)
 
 
@@ -389,7 +306,7 @@ def position_sum(w, hist: np.ndarray) -> Tensor:
     """
     w = as_tensor(w)
     wd = w.data
-    out = np.multiply(hist[:, 0, :], wd[0], out=_out(hist[:, 0, :].shape))
+    out = hist[:, 0, :] * wd[0]
     for m in range(1, len(wd)):
         out += hist[:, m, :] * wd[m]
 
@@ -425,18 +342,13 @@ def dense_layout(samples: int, rows: int, width: int, edges: int, dim: int) -> b
 
 
 def _pad(rows, index, total: int, ordered: bool):
-    """(total, h) zeros holding rows[i] at row index[i], in workspace
-    memory while one is active (see _out).
+    """(total, h) zeros holding rows[i] at row index[i].
 
     An ordered index (increasing) that covers every row is the identity,
     so rows is returned as it is."""
     if ordered and len(index) == total:
         return rows
-    out = _out((total, rows.shape[1]))
-    if out is None:
-        out = np.zeros((total, rows.shape[1]))
-    else:
-        out[...] = 0.0
+    out = np.zeros((total, rows.shape[1]))
     out[index] = rows
     return out
 
@@ -445,9 +357,7 @@ def _unpad(padded, index, ordered: bool):
     """Rows `index` of the (total, h) array padded, as _pad places them."""
     if ordered and len(index) == len(padded):
         return padded
-    # mode="clip" writes straight into out (the default mode buffers it);
-    # the index is always in range.
-    return padded.take(index, axis=0, out=_out((len(index), padded.shape[1])), mode="clip")
+    return padded.take(index, axis=0)
 
 
 class _DensePool:
@@ -469,7 +379,7 @@ class _DensePool:
         self.cells = block.row_cell[shell.segments] + block.place[shell.neighbors]
         self.a = np.bincount(self.cells, weights=weights, minlength=end.cells.stop)
         self.xp = _pad(xd, block.pad, end.rows_in.stop, self.ordered)
-        pooled = empty((end.rows_out.stop, h))
+        pooled = np.empty((end.rows_out.stop, h))
         for (s, r, b), cells, rows_in, rows_out in block.bands:
             np.matmul(self.a[cells].reshape(s, r, b), self.xp[rows_in].reshape(s, b, h),
                       out=pooled[rows_out].reshape(s, r, h))
@@ -542,8 +452,7 @@ class _ScatterPool:
         self.chunks = _edge_chunks(segments, xd.shape[1])
         self.gathered = None
         if len(self.chunks) == 1:
-            self.gathered = xd.take(neighbors, axis=0, mode="clip",
-                                    out=_out((len(neighbors), xd.shape[1])))
+            self.gathered = xd.take(neighbors, axis=0)
             self.value = _scatter_add(weights[:, None] * self.gathered, segments, shell.size)
             return
         self.value = np.zeros((shell.size, xd.shape[1]))
@@ -621,19 +530,16 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
     else:
         attn = as_tensor(attn)
         ad = attn.data
-        raw = np.add((xd @ ad[:h])[centers], (xd @ ad[h:])[neighbors],
-                     out=_out(centers.shape))
+        raw = (xd @ ad[:h])[centers] + (xd @ ad[h:])[neighbors]
         scores = np.where(raw > 0, raw, LEAKY_SLOPE * raw)
         shift = np.full(size, -np.inf)
         np.maximum.at(shift, segments, scores)
         expd = np.exp(scores - shift[segments])
-        weights = np.divide(expd, _scatter_add(expd, segments, size)[segments],
-                            out=_out(centers.shape))
+        weights = expd / _scatter_add(expd, segments, size)[segments]
     pool = _DensePool(xd, shell, weights) if dense else _ScatterPool(xd, shell, weights)
     if attn is None:
         scale = 1.0 / np.maximum(np.bincount(segments, minlength=size), 1)[:, None]
-        value = np.multiply(pool.value, scale, out=_out(pool.value.shape))
-        return _node(value, (x,), lambda g: x._accumulate(
+        return _node(pool.value * scale, (x,), lambda g: x._accumulate(
             pool.grads(g * scale, weight_grad=False)[1]))
 
     def backward(g):

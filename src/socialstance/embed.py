@@ -18,7 +18,7 @@ from itertools import filterfalse, islice, repeat
 import numpy as np
 
 from .corpus import clean_text
-from .errors import InputDataError
+from .errors import InputDataError, checked_lines
 
 # 64-bit FNV-1a constants.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -180,7 +180,7 @@ def _store_rows(lines, lineno, dim, rows):
     by one np.array call of the lines' token lists, which accepts exactly
     the tokens float() accepts; a ragged chunk fails it and a chunk of the
     wrong width fails the shape check. A chunk that fails a check holds a
-    bad line, which _raise_bad_store_line names.
+    bad line, which a line-by-line pass of _store_row names.
     """
     kept = list(map(str.rstrip, filterfalse(str.isspace, lines), repeat("\n")))
     if not kept:
@@ -195,31 +195,38 @@ def _store_rows(lines, lineno, dim, rows):
         else:
             if block.shape == (len(ids), dim):
                 return ids, block
-    _raise_bad_store_line(lines, lineno, dim, rows)
+    seen = set(rows)
+    checked_lines(lines, lambda line: _store_row(line, dim, seen), lineno)
 
 
-def _raise_bad_store_line(lines, lineno, dim, rows):
-    """Raise InputDataError for the first bad line of a chunk that failed
-    _store_rows's checks; a line's rules apply in the order below."""
-    seen = set()
-    for lineno, line in enumerate(lines, start=lineno):
-        if line.isspace():
-            continue
-        line = line.rstrip("\n")
-        post_id, sep, rest = line.partition("\t")
-        if not sep or not post_id:
-            raise InputDataError(f"line {lineno}: expected '<post_id>\\t<floats>'")
-        parts = rest.split()
-        if len(parts) != dim:
-            raise InputDataError(
-                f"line {lineno}: expected {dim} floats, got {len(parts)}")
+def _store_row(line, dim, seen):
+    """Check one '<post_id>\\t<floats>' line of `dim` floats against the
+    rules below, in their order, and add its id to `seen`, the ids of the
+    lines before it."""
+    post_id, sep, rest = line.rstrip("\n").partition("\t")
+    if not sep or not post_id:
+        raise InputDataError("expected '<post_id>\\t<floats>'")
+    parts = rest.split()
+    if len(parts) != dim:
+        raise InputDataError(f"expected {dim} floats, got {len(parts)}")
+    try:
+        list(map(float, parts))
+    except ValueError:
+        raise InputDataError("non-numeric embedding value") from None
+    if post_id in seen:
+        raise InputDataError(f"duplicate embedding for post {post_id!r}")
+    seen.add(post_id)
+
+
+def _header_dim(header: str) -> int:
+    """The dimension a store's 'd=<int>' header line (stripped) declares."""
+    digits = header[2:]
+    if header.startswith("d=") and digits.isdecimal():
         try:
-            list(map(float, parts))
-        except ValueError:
-            raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
-        if post_id in seen or post_id in rows:
-            raise InputDataError(f"duplicate embedding for post {post_id!r}")
-        seen.add(post_id)
+            return int(digits)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise InputDataError(f"expected 'd=<int>' header, got {header!r}")
 
 
 def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
@@ -231,10 +238,7 @@ def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
     """
     rows, blocks = {}, []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("d=") or not header[2:].isdigit():
-            raise InputDataError(f"expected 'd=<int>' header, got {header!r}")
-        file_dim = int(header[2:])
+        file_dim = _header_dim(fh.readline().strip())
         if file_dim < 1:
             raise InputDataError("embedding dim must be >= 1")
         if dim is not None and dim != file_dim:

@@ -38,7 +38,6 @@ reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
 """
 
-import contextlib
 import itertools
 import json
 import math
@@ -494,8 +493,7 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
         keep = slot[centers] >= 0
         last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
                            last_block))
-    hist = np.concatenate([sample.hist for sample in samples],
-                          out=ag.empty((n,) + samples[0].hist.shape[1:]))
+    hist = np.concatenate([sample.hist for sample in samples])
     if config.history == "pe":
         z_hist = ag.position_sum(ts["position_weights"], hist)
     else:
@@ -606,12 +604,9 @@ def gradients(batch, graph, corpus, provider, params: ModelParams,
     return _gradients_from_samples(ts, samples, config)[1]
 
 
-def _gradients_from_samples(ts, samples, config, workspace=None):
-    """(loss, gradients) of one batch of compiled samples. With a
-    workspace, the forward fills it (see ag.Workspace); backward never
-    does."""
-    with workspace.batch() if workspace is not None else contextlib.nullcontext():
-        total = _batch_loss(ts, samples, config)
+def _gradients_from_samples(ts, samples, config):
+    """(loss, gradients) of one batch of compiled samples."""
+    total = _batch_loss(ts, samples, config)
     if not np.isfinite(total.data):
         raise ValueError("non-finite loss")
     total.backward()
@@ -718,6 +713,12 @@ def split_dataset(items, fractions=TrainConfig.split, seed: int = 0):
 # -- training ----------------------------------------------------------------
 
 
+# The float64 cells of the block train() frees before its first batch:
+# the engine's cell budget (16 MiB), read once here, so that forcing a
+# layout by narrowing or widening ag.DENSE_MAX_CELLS leaves it as it is.
+_FREED_BLOCK_CELLS = ag.DENSE_MAX_CELLS
+
+
 def eligible_training_posts(corpus, graph):
     """Labelled posts whose author is a graph node, in corpus order."""
     return [p for p in corpus.labelled() if p.author_id in graph]
@@ -742,11 +743,16 @@ def train(corpus, graph, provider, config: TrainConfig):
     rng = np.random.default_rng(config.seed)
     logs = []
     best_acc, best_params = -1.0, None
+    # glibc's malloc serves a block above its mmap threshold (128 KiB at
+    # first) by mmap and unmaps it on free, so every batch would fault its
+    # large arrays in anew. Freeing such a block of at most 32 MiB raises
+    # the threshold to its size (mallopt(3), M_MMAP_THRESHOLD). One freed
+    # block of the engine's cell budget lets the first batch reuse heap
+    # memory already; other allocators ignore it.
+    np.empty(_FREED_BLOCK_CELLS)
     # A diverging run overflows; the finite checks of the loss and the
     # gradients report that once, instead of a warning per operation.
-    # Every gradient batch's forward reuses the workspace's memory; it is
-    # dropped however train() ends.
-    with np.errstate(over="ignore", invalid="ignore"), ag.Workspace() as workspace:
+    with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
             order = rng.permutation(len(train_samples))
             batch_losses = []
@@ -754,8 +760,7 @@ def train(corpus, graph, provider, config: TrainConfig):
                 batch = [train_samples[i] for i in order[start:start + config.batch_size]]
                 ts = _make_tensors(params, requires_grad=True)
                 try:
-                    batch_loss, grads = _gradients_from_samples(ts, batch, config,
-                                                                workspace)
+                    batch_loss, grads = _gradients_from_samples(ts, batch, config)
                 except ValueError as exc:
                     raise TrainingDivergedError(epoch, str(exc)) from None
                 adam_step(params.tensors, grads, state, config.learning_rate,

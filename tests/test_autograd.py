@@ -1,7 +1,5 @@
 """Reverse-mode autodiff checked against central finite differences."""
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -328,64 +326,3 @@ class TestPositionSum:
         check_grad(lambda w: ag.tsum(ag.mul(ag.position_sum(w, hist), hist[:, 0, :])),
                    rng.standard_normal(3))
 
-
-class TestWorkspace:
-    def test_ops_fill_the_active_workspace_and_match_fresh_arrays(self):
-        rng = np.random.default_rng(8)
-        a0, b0 = rng.standard_normal((5, 3)), rng.standard_normal((3, 4))
-
-        def build():
-            a, b = ag.Tensor(a0), ag.Tensor(b0)
-            prod = ag.matmul(a, b)
-            return [prod, ag.add(prod, 1.0), ag.concat([prod, prod], axis=1)]
-
-        fresh = [t.data.copy() for t in build()]
-        with ag.Workspace() as workspace:
-            with workspace.batch():
-                held = build()
-            for t, want in zip(held, fresh):
-                assert t.data.base is not None  # a view of the workspace
-                assert t.data.tobytes() == want.tobytes()
-            with workspace.batch():
-                again = build()
-            # A new batch starts over from the buffer's start.
-            assert again[0].data.ctypes.data == held[0].data.ctypes.data
-
-    def test_full_workspace_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setattr(ag, "WORKSPACE_CELLS", 16)
-        with ag.Workspace() as workspace, workspace.batch():
-            small = ag.matmul(ag.Tensor(np.ones((2, 2))), ag.Tensor(np.ones((2, 2))))
-            big = ag.matmul(ag.Tensor(np.ones((5, 5))), ag.Tensor(np.ones((5, 5))))
-        assert small.data.base is not None
-        assert big.data.base is None
-        np.testing.assert_array_equal(big.data, np.full((5, 5), 5.0))
-
-    def test_inactive_after_the_batch_however_it_ends(self):
-        with ag.Workspace() as workspace:
-            with pytest.raises(KeyboardInterrupt):
-                with workspace.batch():
-                    assert ag._active.get() is workspace
-                    raise KeyboardInterrupt
-            assert ag._active.get() is None
-            out = ag.add(ag.Tensor(np.ones(3)), 1.0)
-            assert out.data.base is None
-
-    def test_active_only_in_its_own_thread(self):
-        seen = []
-        with ag.Workspace() as workspace, workspace.batch():
-            thread = threading.Thread(target=lambda: seen.append(ag._active.get()))
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive()
-        assert seen == [None]
-
-    def test_backward_takes_nothing_from_the_workspace(self):
-        x0 = np.arange(6.0).reshape(2, 3)
-        with ag.Workspace() as workspace:
-            with workspace.batch():
-                x = ag.Tensor(x0, requires_grad=True)
-                out = ag.tsum(ag.matmul(x, ag.Tensor(np.ones((3, 2)))))
-            top = workspace._top
-            out.backward()
-            assert workspace._top == top
-            assert x.grad.base is None or x.grad.base is not workspace._cells

@@ -357,6 +357,15 @@ class TestClassify:
                      "--edges", str(edges)])
         assert_input_error(code, capsys, f"line {len(lines)}: self-edge 'u3'")
 
+    def test_superscript_store_dim_exit_2(self, world, checkpoint, tmp_path, capsys):
+        # str.isdigit accepts "²", but int() does not.
+        store = tmp_path / "store.tsv"
+        store.write_text("d=²\n", encoding="utf-8")
+        code = main(["classify", "--checkpoint", str(checkpoint),
+                     "--posts", str(world["posts"]), "--embeddings", str(store),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "expected 'd=<int>' header, got 'd=²'")
+
     def test_unknown_authors_skipped_all_empty_exit_4(self, world, checkpoint,
                                                       tmp_path, capsys):
         stray = Corpus([Post(id="x1", author_id="stranger", timestamp=0,

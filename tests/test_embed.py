@@ -174,6 +174,14 @@ class TestStoreIO:
         with pytest.raises(InputDataError, match="header"):
             load_embedding_store(path)
 
+    # Both pass str.isdigit, but int() refuses them.
+    @pytest.mark.parametrize("digits", ["\u00b2", "1" * 4301], ids=["superscript", "4301-digits"])
+    def test_header_dim_int_refuses(self, tmp_path, digits):
+        path = tmp_path / "store.tsv"
+        path.write_text(f"d={digits}\n", encoding="utf-8")
+        with pytest.raises(InputDataError, match="header"):
+            load_embedding_store(path)
+
     def test_first_non_finite_row_named(self, tmp_path):
         path = tmp_path / "store.tsv"
         path.write_text("d=2\na\t1.0 2.0\nb\t1.0 inf\nc\tnan 0\n")
@@ -185,7 +193,7 @@ class TestStoreIO:
     def test_duplicate_post_rejected(self, tmp_path):
         path = tmp_path / "store.tsv"
         path.write_text("d=1\na\t1.0\na\t2.0\n")
-        with pytest.raises(InputDataError, match="duplicate"):
+        with pytest.raises(InputDataError, match="^line 3: duplicate"):
             load_embedding_store(path)
 
     @pytest.mark.parametrize("post_id", ["a\tb", "a\nb", "a\rb", "b\r", ""])
@@ -205,9 +213,12 @@ def reference_load_store(path, dim=None):
     vectors = {}
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if not header.startswith("d=") or not header[2:].isdigit():
-            raise InputDataError(f"expected 'd=<int>' header, got {header!r}")
-        file_dim = int(header[2:])
+        try:
+            if not header.startswith("d=") or not header[2:].isdecimal():
+                raise ValueError
+            file_dim = int(header[2:])
+        except ValueError:
+            raise InputDataError(f"expected 'd=<int>' header, got {header!r}") from None
         if file_dim < 1:
             raise InputDataError("embedding dim must be >= 1")
         if dim is not None and dim != file_dim:
@@ -228,7 +239,7 @@ def reference_load_store(path, dim=None):
             except ValueError:
                 raise InputDataError(f"line {lineno}: non-numeric embedding value") from None
             if post_id in vectors:
-                raise InputDataError(f"duplicate embedding for post {post_id!r}")
+                raise InputDataError(f"line {lineno}: duplicate embedding for post {post_id!r}")
             vectors[post_id] = vec
     for post_id, vec in vectors.items():
         if not np.all(np.isfinite(vec)):

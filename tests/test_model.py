@@ -1001,7 +1001,7 @@ def grad_bytes(grads):
 @pytest.mark.parametrize("aggregator", ["gat", "gcn"])
 @pytest.mark.parametrize("history", ["pe", "mean"])
 class TestTrainingBatchMemory:
-    """Training's gradient batches fill a reused workspace and pool dense
+    """Training's gradient batches take compiled samples and pool dense
     shells band by band; neither may change a byte."""
 
     def setup_world(self, aggregator, history):
@@ -1018,14 +1018,10 @@ class TestTrainingBatchMemory:
             with forced_layout(monkeypatch, layout):
                 want = grad_bytes(gradients(batch, graph, corpus, store, params, cfg))
                 want_loss = loss(batch, graph, corpus, store, params, cfg)
-                with ag.Workspace() as workspace:
-                    # The second batch overwrites the first one's memory.
-                    for _ in range(2):
-                        got_loss, got = _gradients_from_samples(
-                            _make_tensors(params, True), samples, cfg, workspace)
-                        assert grad_bytes(got) == want, layout
-                        assert got_loss == want_loss, layout
-                assert ag._active.get() is None
+                got_loss, got = _gradients_from_samples(_make_tensors(params, True),
+                                                        samples, cfg)
+                assert grad_bytes(got) == want, layout
+                assert got_loss == want_loss, layout
 
     def test_banded_engine_matches_one_band(self, aggregator, history, monkeypatch):
         # BLAS may pick its kernel by matrix shape, so a band's sums can
@@ -1339,22 +1335,20 @@ class TestTraining:
         before = outputs()
         with pytest.raises(TrainingDivergedError, match="training diverged at epoch"):
             train(corpus, graph, store, cfg)
-        # The diverged run's workspace is gone and inactive.
-        assert ag._active.get() is None
         assert outputs() == before
 
-    # train() reports a ValueError inside a batch as divergence.
+    # train() reports a ValueError inside a batch as divergence; any other
+    # exception propagates as it is.
     @pytest.mark.parametrize("error, reported", [(KeyboardInterrupt, KeyboardInterrupt),
                                                  (InputDataError, TrainingDivergedError)])
-    def test_interrupted_training_leaves_no_workspace_active(self, error, reported,
-                                                             monkeypatch):
+    def test_batch_error_is_mapped(self, error, reported, monkeypatch):
         corpus, graph, store = toy_world(n_users=10)
         cfg = small_config(epochs=2)
         real = ag.shell_aggregate
         calls = []
 
         def interrupt(*args):
-            calls.append(ag._active.get())
+            calls.append(args)
             if len(calls) == 3:
                 raise error("stop")
             return real(*args)
@@ -1362,8 +1356,7 @@ class TestTraining:
         monkeypatch.setattr(ag, "shell_aggregate", interrupt)
         with pytest.raises(reported):
             train(corpus, graph, store, cfg)
-        assert calls[-1] is not None  # raised inside a batch's forward
-        assert ag._active.get() is None
+        assert len(calls) == 3
 
     def test_evaluate_runs_and_bounds(self):
         corpus, graph, store = toy_world(n_users=10)
