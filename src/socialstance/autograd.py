@@ -12,12 +12,21 @@ per call from the shell's shape by dense_layout. The scatter layout
 gathers, weights and scatters one (h,) row per edge, in chunks of edges
 of at most DENSE_MAX_CELLS cells, so a hub's shell takes memory linear in
 its edges; its forward is bit-identical to the chain of elementary ops it
-fuses, and its chunks change no byte. The dense layout
-writes the edge weights into zero-padded (samples, rows, ball) blocks, one
-per size band of the batch, and pools each with one batched matmul; it
-matches that chain within 1e-12, not bit for bit. It is used only when the
-whole batch's block fits in DENSE_MAX_CELLS (16 MiB of float64) and the
-shell is dense enough (DENSE_MIN_DENSITY).
+fuses, and its chunks change no byte. The dense layout pools with batched
+matmuls over zero-padded blocks and matches that chain within 1e-12, not
+bit for bit. It is used only when the whole batch's block fits in
+DENSE_MAX_CELLS (16 MiB of float64) and the shell is dense enough
+(DENSE_MIN_DENSITY).
+
+The dense layout's format is this module's alone. A batch's Shell carries
+a _Block from dense_blocks, which places the batch's balls, row by row,
+in zero-padded (samples, rows, ball) blocks. An inner layer's block has
+one output row per ball row: its samples, sorted by ball size, are cut
+into up to DENSE_BANDS bands of equal count, each padded to its own
+widest ball. The last layer's block has one output row per sample and is
+one band, as are both blocks of a batch of one. The edge weights fill each
+band's block, and one batched matmul pools x's padded rows with it. Every
+pool pads x and unpads its output, even where the padding is the identity.
 
 Each op is its forward value plus one vector-Jacobian product (VJP) per
 input, the map from the output's gradient g to that input's share of it.
@@ -36,6 +45,7 @@ shares.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -341,68 +351,147 @@ def dense_layout(samples: int, rows: int, width: int, edges: int, dim: int) -> b
             and edges * dim >= DENSE_MIN_DENSITY * (cells + samples * width * dim))
 
 
-def _pad(rows, index, total: int, ordered: bool):
-    """(total, h) zeros holding rows[i] at row index[i].
+class _Band(NamedTuple):
+    """One size band of a _Block: its (S, R, B) shape, S samples of R
+    output rows padded to B ball rows each, and its slices of the block's
+    flat weight cells, padded input rows and padded output rows."""
 
-    An ordered index (increasing) that covers every row is the identity,
-    so rows is returned as it is."""
-    if ordered and len(index) == total:
-        return rows
+    shape: tuple
+    cells: slice
+    rows_in: slice
+    rows_out: slice
+
+
+class _Block(NamedTuple):
+    """A shell's coordinates in the dense layout (see the module docstring).
+
+    shape is (S, R, B): S samples of R output rows and B = the largest
+    ball's size each, the whole batch's block that dense_layout judges;
+    bands are laid out one after another. Input row i sits at row pad[i]
+    of the padded states and output row j at row out[j] of the padded
+    output; place[i] is row i's place in its ball, and row_cell[j] is the
+    flat weight cell of output row j's first column.
+    """
+
+    shape: tuple
+    bands: tuple
+    pad: np.ndarray
+    out: np.ndarray
+    row_cell: np.ndarray
+    place: np.ndarray
+
+    @classmethod
+    def padded(cls, shape, pad, out):
+        """One band: every sample padded to the widest ball, B = shape[2]."""
+        samples, rows, width = shape
+        band = _Band(shape, slice(0, samples * rows * width), slice(0, samples * width),
+                     slice(0, samples * rows))
+        return cls(shape, (band,), pad, out, out * width, pad % width)
+
+
+class Shell(NamedTuple):
+    """The edges of one shell order in a batch: edge i joins row centers[i]
+    to row neighbors[i] and feeds output row segments[i] of `size`. block
+    lets shell_aggregate pick the dense layout; without it the op scatters."""
+
+    centers: np.ndarray
+    neighbors: np.ndarray
+    segments: np.ndarray
+    size: int
+    block: _Block | None = None
+
+
+# Size bands of a training batch's inner dense blocks (see dense_blocks).
+# On 64-post train_small batches, three bands pool as fast as four or six,
+# and one or two bands are slower (timings in ROADMAP.md).
+DENSE_BANDS = 3
+
+
+def dense_blocks(sizes, offsets):
+    """The inner and the last-layer _Block of a batch of balls of these
+    sizes, each starting at its offset in the batch's rows.
+
+    Equal sizes keep their batch order in the bands, and the batch's rows
+    keep theirs; only their padded coordinates move. The last layer stays
+    one band: its products run as vector-matrix products, whose sums
+    depend on the padded width.
+    """
+    n_samples, width = len(sizes), int(sizes.max())
+    if n_samples == 1:
+        # Every forward is a batch of one. The general path below builds
+        # the same blocks at three to four times the cost of these two
+        # calls, which slowed forward by 6-9% on 200-user worlds.
+        rows = np.arange(width)
+        return (_Block.padded((1, width, width), rows, rows),
+                _Block.padded((1, 1, width), rows, rows[:1]))
+    place = np.arange(offsets[-1] + sizes[-1]) - np.repeat(offsets, sizes)
+    last = _Block.padded((n_samples, 1, width),
+                         place + np.repeat(np.arange(n_samples) * width, sizes),
+                         np.arange(n_samples))
+    rank = np.argsort(sizes, kind="stable")
+    in_base, cell_base, band_width = (np.empty(n_samples, dtype=np.intp) for _ in range(3))
+    bands = []
+    rows = cells = 0
+    for members in np.array_split(rank, min(DENSE_BANDS, n_samples)):
+        count, band = len(members), int(sizes[members[-1]])
+        local = np.arange(count)
+        in_base[members] = rows + local * band
+        cell_base[members] = cells + local * band * band
+        band_width[members] = band
+        bands.append(_Band((count, band, band), slice(cells, cells + count * band * band),
+                           slice(rows, rows + count * band), slice(rows, rows + count * band)))
+        rows += count * band
+        cells += count * band * band
+    pad = place + np.repeat(in_base, sizes)
+    row_cell = np.repeat(cell_base, sizes) + place * np.repeat(band_width, sizes)
+    return _Block((n_samples, width, width), tuple(bands), pad, pad, row_cell, place), last
+
+
+def _pad(rows, index, total: int):
+    """(total, h) zeros holding rows[i] at row index[i]."""
     out = np.zeros((total, rows.shape[1]))
     out[index] = rows
     return out
 
 
-def _unpad(padded, index, ordered: bool):
-    """Rows `index` of the (total, h) array padded, as _pad places them."""
-    if ordered and len(index) == len(padded):
-        return padded
-    return padded.take(index, axis=0)
-
-
 class _DensePool:
     """Weighted pooling through zero-padded weight blocks, one per band.
 
-    Each band's samples are padded to that band's widest ball. Edge i's
-    weight goes to cell row_cell[segments[i]] + place[neighbors[i]] of the
-    bands' flat weight cells, so repeated (row, neighbour) pairs add up,
-    and each band pools with one batched matmul of its (S, R, B) block and
-    its (S, B, h) padded rows of x. With one band this is one block padded
-    to the widest ball of the batch.
+    Edge i's weight goes to cell row_cell[segments[i]] + place[neighbors[i]]
+    of the bands' flat weight cells, so repeated (row, neighbour) pairs add
+    up, and each band pools with one batched matmul of its (S, R, B) block
+    and its (S, B, h) padded rows of x.
     """
 
     def __init__(self, xd, shell, weights):
         self.block = block = shell.block
-        self.ordered = len(block.bands) == 1
         end = block.bands[-1]
         h = xd.shape[1]
         self.cells = block.row_cell[shell.segments] + block.place[shell.neighbors]
         self.a = np.bincount(self.cells, weights=weights, minlength=end.cells.stop)
-        self.xp = _pad(xd, block.pad, end.rows_in.stop, self.ordered)
+        self.xp = _pad(xd, block.pad, end.rows_in.stop)
         pooled = np.empty((end.rows_out.stop, h))
         for (s, r, b), cells, rows_in, rows_out in block.bands:
             np.matmul(self.a[cells].reshape(s, r, b), self.xp[rows_in].reshape(s, b, h),
                       out=pooled[rows_out].reshape(s, r, h))
-        self.value = _unpad(pooled, block.out, self.ordered)
+        self.value = pooled.take(block.out, axis=0)
 
-    def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
+    def grads(self, g, weight_grad: bool = True):
         """(gradient of the E weights, gradient of x through the pool) for
-        the output gradient g; each is None when not asked for."""
+        the output gradient g; the first is None when weight_grad is False."""
         h = g.shape[1]
-        gp = _pad(g, self.block.out, self.block.bands[-1].rows_out.stop, self.ordered)
+        gp = _pad(g, self.block.out, self.block.bands[-1].rows_out.stop)
         product = np.empty(len(self.a)) if weight_grad else None
-        dxp = np.empty(self.xp.shape) if x_grad else None
+        dxp = np.empty(self.xp.shape)
         for (s, r, b), cells, rows_in, rows_out in self.block.bands:
             g_band = gp[rows_out].reshape(s, r, h)
             if weight_grad:
                 np.matmul(g_band, self.xp[rows_in].reshape(s, b, h).transpose(0, 2, 1),
                           out=product[cells].reshape(s, r, b))
-            if x_grad:
-                np.matmul(self.a[cells].reshape(s, r, b).transpose(0, 2, 1), g_band,
-                          out=dxp[rows_in].reshape(s, b, h))
+            np.matmul(self.a[cells].reshape(s, r, b).transpose(0, 2, 1), g_band,
+                      out=dxp[rows_in].reshape(s, b, h))
         dweights = product[self.cells] if weight_grad else None
-        dx = _unpad(dxp, self.block.pad, self.ordered) if x_grad else None
-        return dweights, dx
+        return dweights, dxp.take(self.block.pad, axis=0)
 
 
 def _edge_chunks(segments, width: int):
@@ -463,7 +552,7 @@ class _ScatterPool:
             self.value[first:last] = _scatter_add(rows, segments[start:stop] - first,
                                                   last - first)
 
-    def grads(self, g, x_grad: bool = True, weight_grad: bool = True):
+    def grads(self, g, weight_grad: bool = True):
         """As _DensePool.grads."""
         segments, neighbors = self.shell.segments, self.shell.neighbors
         n, h = self.xd.shape
@@ -475,13 +564,12 @@ class _ScatterPool:
                 gathered = (self.gathered if self.gathered is not None
                             else self.xd.take(neighbors[start:stop], axis=0))
                 dweights[start:stop] = np.einsum("ij,ij->i", spread, gathered)
-            if x_grad:
-                spread *= self.weights[start:stop, None]
-                if dx is None:
-                    dx = _scatter_add(spread, neighbors[start:stop], n)
-                else:
-                    np.add.at(dx.reshape(-1), _flat_index(neighbors[start:stop], h),
-                              spread.reshape(-1))
+            spread *= self.weights[start:stop, None]
+            if dx is None:
+                dx = _scatter_add(spread, neighbors[start:stop], n)
+            else:
+                np.add.at(dx.reshape(-1), _flat_index(neighbors[start:stop], h),
+                          spread.reshape(-1))
         return dweights, dx
 
 
@@ -543,7 +631,7 @@ def shell_aggregate(x, shell, attn=None) -> Tensor:
             pool.grads(g * scale, weight_grad=False)[1]))
 
     def backward(g):
-        dweights, dx = pool.grads(g, x.requires_grad)
+        dweights, dx = pool.grads(g)
         dscores = weights * (dweights
                              - _scatter_add(weights * dweights, segments, size)[segments])
         draw = np.where(raw > 0, dscores, LEAKY_SLOPE * dscores)

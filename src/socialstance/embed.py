@@ -83,6 +83,19 @@ class HashedNgramEncoder:
         return self.encode_text(clean_text(post.text))
 
 
+def _checked_dim(dim: int) -> int:
+    """dim, if a store's vectors may have it: at least 1, and small enough
+    for numpy to shape a (0, dim) float64 matrix. Both store constructors
+    check it here, before they shape any array."""
+    if dim < 1:
+        raise InputDataError("embedding dim must be >= 1")
+    try:
+        np.empty((0, dim))
+    except ValueError:  # beyond numpy's index or byte-size limits
+        raise InputDataError(f"embedding dim {dim} is too large") from None
+    return dim
+
+
 class PrecomputedStore:
     """Embedding lookup for posts whose vectors were computed elsewhere.
 
@@ -107,6 +120,7 @@ class PrecomputedStore:
             rows.append(arr)
         if dim is None:
             raise InputDataError("embedding store is empty and no dim was given")
+        dim = _checked_dim(dim)
         self._set(dict(zip(vectors, range(len(rows)))),
                   np.array(rows, dtype=np.float64).reshape(len(rows), dim))
 
@@ -238,9 +252,7 @@ def load_embedding_store(path, dim: int | None = None) -> PrecomputedStore:
     """
     rows, blocks = {}, []
     with open(path, encoding="utf-8") as fh:
-        file_dim = _header_dim(fh.readline().strip())
-        if file_dim < 1:
-            raise InputDataError("embedding dim must be >= 1")
+        file_dim = _checked_dim(_header_dim(fh.readline().strip()))
         if dim is not None and dim != file_dim:
             raise InputDataError(
                 f"store declares d={file_dim}, expected d={dim}")

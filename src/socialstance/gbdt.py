@@ -107,16 +107,16 @@ class RegressionTree:
         return max(d for _, d in self.walk())
 
 
-def _leaf_value(residuals: np.ndarray, n_classes: int, total=None) -> float:
-    """Newton step of one leaf; total, when given, is residuals.sum()."""
+def _leaf_value(residuals: np.ndarray, total) -> float:
+    """Newton step of one leaf; total is residuals.sum()."""
     # Newton step for the multiclass softmax objective: the hessian diagonal
     # for residual r = y - p is p(1-p) = |r|(1-|r|).
-    numerator = float(residuals.sum() if total is None else total)
+    numerator = float(total)
     magnitude = np.abs(residuals)
     denominator = float((magnitude * (1.0 - magnitude)).sum())
     if abs(denominator) < _MIN_HESSIAN:
         return 0.0
-    return (n_classes - 1.0) / n_classes * numerator / denominator
+    return (N_CHANGE_CLASSES - 1.0) / N_CHANGE_CLASSES * numerator / denominator
 
 
 def _best_split(block: np.ndarray, total, counts: np.ndarray):
@@ -154,7 +154,7 @@ def _best_split(block: np.ndarray, total, counts: np.ndarray):
     return feature, (float(sv[feature, i]) + float(sv[feature, i + 1])) / 2.0
 
 
-def _grow_tree(block, idx, depth, max_depth, n_classes, out, counts) -> TreeNode:
+def _grow_tree(block, idx, depth, max_depth, out, counts) -> TreeNode:
     """Grow the subtree over rows idx, ascending, whose block is as
     _best_split takes it; write each leaf's value to out[idx]."""
     node_r = block[-2]
@@ -163,7 +163,7 @@ def _grow_tree(block, idx, depth, max_depth, n_classes, out, counts) -> TreeNode
     if depth < max_depth and idx.size >= 2:
         split = _best_split(block, total, counts)
     if split is None:
-        out[idx] = value = _leaf_value(node_r, n_classes, total)
+        out[idx] = value = _leaf_value(node_r, total)
         return TreeNode(value=value)
     feature, threshold = split
     left = block[feature] <= threshold
@@ -172,9 +172,9 @@ def _grow_tree(block, idx, depth, max_depth, n_classes, out, counts) -> TreeNode
         feature=feature,
         threshold=threshold,
         left=_grow_tree(block.compress(left, axis=1), idx[left],
-                        depth + 1, max_depth, n_classes, out, counts),
+                        depth + 1, max_depth, out, counts),
         right=_grow_tree(block.compress(right, axis=1), idx[right],
-                         depth + 1, max_depth, n_classes, out, counts),
+                         depth + 1, max_depth, out, counts),
     )
 
 
@@ -183,15 +183,9 @@ class GbdtModel:
     """Fitted booster: per-class base scores plus rounds x classes trees."""
 
     config: GbdtConfig
-    n_classes: int
     n_features: int
-    base_scores: np.ndarray
+    base_scores: np.ndarray  # (N_CHANGE_CLASSES,)
     trees: list = field(default_factory=list)  # trees[round][class]
-
-    def __post_init__(self):
-        self.base_scores = np.asarray(self.base_scores, dtype=np.float64)
-        if self.base_scores.shape != (self.n_classes,):
-            raise InputDataError("base_scores shape does not match n_classes")
 
 
 def _check_features(features, n_features=None) -> np.ndarray:
@@ -208,17 +202,17 @@ def _check_features(features, n_features=None) -> np.ndarray:
     return arr
 
 
-def _check_labels(labels, n_classes: int, n: int | None = None) -> np.ndarray:
-    """labels as an int64 vector of class indices in [0, n_classes), of
-    length n when n is given."""
+def _check_labels(labels, n: int | None = None) -> np.ndarray:
+    """labels as an int64 vector of class indices in [0, N_CHANGE_CLASSES),
+    of length n when n is given."""
     labels = np.asarray(labels)
     if labels.ndim != 1 or (n is not None and labels.shape != (n,)):
         raise InputDataError("labels length does not match features")
     # Refuse bool and float labels rather than cast them: 1.7 would become 1.
     if labels.dtype.kind not in "iu" or (
-            labels.size and (labels.min() < 0 or labels.max() >= n_classes)):
+            labels.size and (labels.min() < 0 or labels.max() >= N_CHANGE_CLASSES)):
         raise InputDataError(
-            f"labels must be integer class indices in [0, {n_classes})")
+            f"labels must be integer class indices in [0, {N_CHANGE_CLASSES})")
     return labels.astype(np.int64)
 
 
@@ -233,12 +227,12 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
     n = features.shape[0]
     if n < 2:
         raise InputDataError("need at least 2 training samples")
-    labels = _check_labels(labels, N_CHANGE_CLASSES, n)
+    labels = _check_labels(labels, n)
 
     priors = np.bincount(labels, minlength=N_CHANGE_CLASSES) / n
     base_scores = np.log(np.maximum(priors, PROB_FLOOR))
-    model = GbdtModel(config=config, n_classes=N_CHANGE_CLASSES,
-                      n_features=features.shape[1], base_scores=base_scores)
+    model = GbdtModel(config=config, n_features=features.shape[1],
+                      base_scores=base_scores)
 
     scores = np.tile(base_scores, (n, 1))
     onehot = np.zeros((n, N_CHANGE_CLASSES))
@@ -260,8 +254,7 @@ def fit(features, labels, config: GbdtConfig = GbdtConfig()) -> GbdtModel:
             for c in range(N_CHANGE_CLASSES):
                 np.subtract(onehot[:, c], probs[:, c], out=root[f])
                 np.multiply(root[f], root[f], out=root[f + 1])
-                tree = _grow_tree(root, all_idx, 0, config.max_depth,
-                                  N_CHANGE_CLASSES, leaf_out, counts)
+                tree = _grow_tree(root, all_idx, 0, config.max_depth, leaf_out, counts)
                 round_trees.append(RegressionTree(tree))
                 scores[:, c] += config.shrinkage * leaf_out
         if not np.isfinite(scores).all():
@@ -299,13 +292,13 @@ def predict(model: GbdtModel, x):
 def log_loss(model: GbdtModel, features, labels) -> float:
     """Mean negative log-probability of the true class."""
     probs = softmax(decision_scores(model, features))
-    labels = _check_labels(labels, model.n_classes, len(probs))
+    labels = _check_labels(labels, len(probs))
     return mean_log_loss(probs[np.arange(labels.size), labels])
 
 
 def priors_log_loss(labels) -> float:
     """Log-loss of predicting the training priors for every sample."""
-    labels = _check_labels(labels, N_CHANGE_CLASSES)
+    labels = _check_labels(labels)
     priors = np.bincount(labels, minlength=N_CHANGE_CLASSES) / labels.size
     return mean_log_loss(priors[labels])
 
@@ -315,8 +308,8 @@ def evaluate(model: GbdtModel, features, labels) -> MetricReport:
     if np.size(labels) == 0:
         raise InputDataError("empty evaluation set")
     predictions = np.argmax(decision_scores(model, features), axis=1)
-    labels = _check_labels(labels, model.n_classes, len(predictions))
-    return multiclass_report(list(predictions), list(labels), model.n_classes)
+    labels = _check_labels(labels, len(predictions))
+    return multiclass_report(list(predictions), list(labels), N_CHANGE_CLASSES)
 
 
 # -- training data files -----------------------------------------------------
@@ -378,8 +371,8 @@ def write_training_csv(features, labels, path) -> None:
 
 def majority_baseline_accuracy(train_labels, test_labels) -> float:
     """Accuracy of always predicting the training majority class."""
-    train_labels = _check_labels(train_labels, N_CHANGE_CLASSES)
-    test_labels = _check_labels(test_labels, N_CHANGE_CLASSES)
+    train_labels = _check_labels(train_labels)
+    test_labels = _check_labels(test_labels)
     counts = np.bincount(train_labels, minlength=N_CHANGE_CLASSES)
     majority = int(np.argmax(counts))
     return float(np.mean(test_labels == majority))

@@ -27,12 +27,11 @@ block-diagonal graph (each ball's node indices offset by the sizes of
 the balls before it, in one whole-array add), encodes it and applies a
 linear head to [z_social || z_text] at the author rows. Each (layer,
 order) shell aggregate is one fused autograd op, autograd.shell_aggregate,
-which derives its dense weight-block cells from the padded row indices.
-train, loss, gradients, evaluate and forward (a batch of one) all run it
-through the autograd engine, so analytic gradients come from the exact
-inference path. Logits become probabilities through metrics.softmax,
-which gbdt shares. train() is the one training path, and sweep is one
-train() call per grid cell.
+over an autograd.Shell. train, loss, gradients, evaluate and forward (a
+batch of one) all run it through the autograd engine, so analytic
+gradients come from the exact inference path. Logits become
+probabilities through metrics.softmax, which gbdt shares. train() is the
+one training path, and sweep is one train() call per grid cell.
 
 reference_probabilities() recomputes forward() by composing the public
 numpy ops from encoder.py; tests hold the two routes to 1e-10.
@@ -353,115 +352,13 @@ def _make_tensors(params: ModelParams, requires_grad: bool):
             for name, arr in params.tensors.items()}
 
 
-class _Band(NamedTuple):
-    """One size band of a _Block: its (S, R, B) shape, S samples of R
-    output rows padded to B ball rows each, and its slices of the block's
-    flat weight cells, padded input rows and padded output rows."""
-
-    shape: tuple
-    cells: slice
-    rows_in: slice
-    rows_out: slice
-
-
-class _Block(NamedTuple):
-    """A shell's coordinates in the dense layout of ag.shell_aggregate.
-
-    shape is (S, R, B): S samples of R output rows and B = the largest
-    ball's size each, the whole batch's block that ag.dense_layout judges.
-    The op pools band by band instead (see _Band), the bands laid out one
-    after another. Input row i sits at row pad[i] of the padded states and
-    output row j at row out[j] of the padded output; place[i] is row i's
-    place in its ball, and row_cell[j] is the flat weight cell of output
-    row j's first column. One band keeps the batch's sample order, so pad
-    and out increase.
-    """
-
-    shape: tuple
-    bands: tuple
-    pad: np.ndarray
-    out: np.ndarray
-    row_cell: np.ndarray
-    place: np.ndarray
-
-    @classmethod
-    def padded(cls, shape, pad, out):
-        """One band: every sample padded to the widest ball, B = shape[2]."""
-        samples, rows, width = shape
-        band = _Band(shape, slice(0, samples * rows * width), slice(0, samples * width),
-                     slice(0, samples * rows))
-        return cls(shape, (band,), pad, out, out * width, pad % width)
-
-
-class _Shell(NamedTuple):
-    """The edges of one shell order in a batch: edge i joins row centers[i]
-    to row neighbors[i] and feeds output row segments[i] of `size`. block
-    lets the op pick the dense layout; without it the op scatters."""
-
-    centers: np.ndarray
-    neighbors: np.ndarray
-    segments: np.ndarray
-    size: int
-    block: _Block | None = None
-
-
-# Size bands of a training batch's inner dense blocks (see _dense_blocks).
-# On 64-post train_small batches, three bands pool as fast as four or six,
-# and one or two bands are slower (timings in ROADMAP.md).
-DENSE_BANDS = 3
-
-
-def _dense_blocks(sizes, offsets):
-    """The inner and the last-layer _Block of a batch of balls of these
-    sizes, each starting at its offset in the batch's rows.
-
-    Inner blocks have one output row per ball row. Their samples, sorted
-    by ball size (ties in batch order), are cut into up to DENSE_BANDS
-    bands of equal count, and each band pads its samples to its widest
-    ball. The rows of the batch keep their order; only their padded
-    coordinates move. Last-layer blocks have one output row per
-    sample and stay one band: their products run as vector-matrix
-    products, whose sums depend on the padded width. A batch of one is
-    one band in both, padded as the whole batch was before bands.
-    """
-    n_samples, width = len(sizes), int(sizes.max())
-    if n_samples == 1:
-        # Every forward is a batch of one. The general path below builds
-        # the same blocks at three to four times the cost of these two
-        # calls, which slowed forward by 6-9% on 200-user worlds.
-        rows = np.arange(width)
-        return (_Block.padded((1, width, width), rows, rows),
-                _Block.padded((1, 1, width), rows, rows[:1]))
-    place = np.arange(offsets[-1] + sizes[-1]) - np.repeat(offsets, sizes)
-    last = _Block.padded((n_samples, 1, width),
-                         place + np.repeat(np.arange(n_samples) * width, sizes),
-                         np.arange(n_samples))
-    rank = np.argsort(sizes, kind="stable")
-    in_base, cell_base, band_width = (np.empty(n_samples, dtype=np.intp) for _ in range(3))
-    bands = []
-    rows = cells = 0
-    for members in np.array_split(rank, min(DENSE_BANDS, n_samples)):
-        count, band = len(members), int(sizes[members[-1]])
-        local = np.arange(count)
-        in_base[members] = rows + local * band
-        cell_base[members] = cells + local * band * band
-        band_width[members] = band
-        bands.append(_Band((count, band, band), slice(cells, cells + count * band * band),
-                           slice(rows, rows + count * band), slice(rows, rows + count * band)))
-        rows += count * band
-        cells += count * band * band
-    pad = place + np.repeat(in_base, sizes)
-    row_cell = np.repeat(cell_base, sizes) + place * np.repeat(band_width, sizes)
-    return _Block((n_samples, width, width), tuple(bands), pad, pad, row_cell, place), last
-
-
 def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     """Logits (S, N_CLASSES) of S compiled samples, run as one disjoint-union graph.
 
     Each sample's ball becomes a block of rows offset by the sizes of the
     balls before it, so shell edges never cross samples and every op runs
-    once for the whole batch. The dense layout of the shell aggregates
-    reads the padded coordinates of _dense_blocks.
+    once for the whole batch. Each shell carries the batch's padded blocks
+    from ag.dense_blocks, for the aggregate's dense layout.
     """
     if not samples:
         raise ValueError("empty batch")
@@ -471,7 +368,7 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
     offsets = np.cumsum(sizes) - sizes
     n = int(offsets[-1] + sizes[-1])
     authors = offsets + np.array([ball.author_row for ball in balls])
-    inner_block, last_block = _dense_blocks(sizes, offsets)
+    inner_block, last_block = ag.dense_blocks(sizes, offsets)
     # Only author rows reach the head, so the last layer aggregates just
     # the edges centred on an author, into one row per sample.
     slot = np.full(n, -1)
@@ -489,10 +386,10 @@ def _batch_logits(ts, samples, config: TrainConfig) -> Tensor:
             neighbors = np.concatenate([nb for _, nb in pairs])
             neighbors += shift
             del shift  # as long as the batch's pairs: freed before the encoder runs
-        inner.append(_Shell(centers, neighbors, centers, n, inner_block))
+        inner.append(ag.Shell(centers, neighbors, centers, n, inner_block))
         keep = slot[centers] >= 0
-        last.append(_Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
-                           last_block))
+        last.append(ag.Shell(centers[keep], neighbors[keep], slot[centers[keep]], n_samples,
+                             last_block))
     hist = np.concatenate([sample.hist for sample in samples])
     if config.history == "pe":
         z_hist = ag.position_sum(ts["position_weights"], hist)

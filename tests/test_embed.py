@@ -133,6 +133,12 @@ class TestStore:
             PrecomputedStore({})
         assert PrecomputedStore({}, dim=4).dim == 4
 
+    @pytest.mark.parametrize("dim", [0, -1, 10**30], ids=["zero", "negative", "1e30"])
+    def test_dim_out_of_range_refused(self, dim):
+        # The loader refuses the same dims in a store's header.
+        with pytest.raises(InputDataError, match="^embedding dim"):
+            PrecomputedStore({}, dim=dim)
+
     def test_precompute_covers_corpus(self):
         corpus = Corpus([
             Post(id="a", author_id="u", timestamp=0, text="vaccine drive today"),
@@ -180,6 +186,18 @@ class TestStoreIO:
         path = tmp_path / "store.tsv"
         path.write_text(f"d={digits}\n", encoding="utf-8")
         with pytest.raises(InputDataError, match="header"):
+            load_embedding_store(path)
+
+    # int() converts both, but numpy cannot shape a (0, d) float64 matrix.
+    @pytest.mark.parametrize("text", [
+        "d=1000000000000000000000000000000\n",
+        "d=9223372036854775807\n",
+        "d=9223372036854775807\n\n  \n",
+    ], ids=["1e30", "int64-max", "int64-max-blank-lines"])
+    def test_unshapeable_header_dim_refused(self, tmp_path, text):
+        path = tmp_path / "store.tsv"
+        path.write_text(text)
+        with pytest.raises(InputDataError, match="^embedding dim .* is too large"):
             load_embedding_store(path)
 
     def test_first_non_finite_row_named(self, tmp_path):

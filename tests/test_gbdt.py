@@ -77,21 +77,21 @@ def reference_best_split(features, residuals, idx):
     return best
 
 
-def reference_grow_tree(features, residuals, idx, depth, max_depth, n_classes):
+def reference_grow_tree(features, residuals, idx, depth, max_depth):
     if depth >= max_depth or idx.size < 2:
-        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
+        return TreeNode(value=_leaf_value(residuals[idx], residuals[idx].sum()))
     split = reference_best_split(features, residuals, idx)
     if split is None:
-        return TreeNode(value=_leaf_value(residuals[idx], n_classes))
+        return TreeNode(value=_leaf_value(residuals[idx], residuals[idx].sum()))
     feature, threshold = split
     left_mask = features[idx, feature] <= threshold
     return TreeNode(
         feature=feature,
         threshold=threshold,
         left=reference_grow_tree(features, residuals, idx[left_mask],
-                                 depth + 1, max_depth, n_classes),
+                                 depth + 1, max_depth),
         right=reference_grow_tree(features, residuals, idx[~left_mask],
-                                  depth + 1, max_depth, n_classes),
+                                  depth + 1, max_depth),
     )
 
 
@@ -100,8 +100,8 @@ def reference_fit(features, labels, config, n_classes=3):
     n = features.shape[0]
     priors = np.bincount(labels, minlength=n_classes) / n
     base_scores = np.log(np.maximum(priors, PROB_FLOOR))
-    model = GbdtModel(config=config, n_classes=n_classes,
-                      n_features=features.shape[1], base_scores=base_scores)
+    model = GbdtModel(config=config, n_features=features.shape[1],
+                      base_scores=base_scores)
     scores = np.tile(base_scores, (n, 1))
     onehot = np.zeros((n, n_classes))
     onehot[np.arange(n), labels] = 1.0
@@ -110,8 +110,7 @@ def reference_fit(features, labels, config, n_classes=3):
         round_trees = []
         for c in range(n_classes):
             tree = RegressionTree(reference_grow_tree(
-                features, residuals[:, c], np.arange(n), 0, config.max_depth,
-                n_classes))
+                features, residuals[:, c], np.arange(n), 0, config.max_depth))
             round_trees.append(tree)
             scores[:, c] += config.shrinkage * np.array(
                 [tree.predict_one(row) for row in features])
@@ -140,11 +139,12 @@ class TestLeafValue:
         k = 3
         expected = ((k - 1) / k) * residuals.sum() / np.sum(
             np.abs(residuals) * (1 - np.abs(residuals)))
-        assert _leaf_value(residuals, k) == pytest.approx(expected, abs=1e-15)
+        assert _leaf_value(residuals, residuals.sum()) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_hessian_guard(self):
         # residuals of exactly 0 and 1 have zero curvature
-        assert _leaf_value(np.array([0.0, 1.0, -1.0]), 3) == 0.0
+        residuals = np.array([0.0, 1.0, -1.0])
+        assert _leaf_value(residuals, residuals.sum()) == 0.0
 
 
 class TestBestSplit:
@@ -239,7 +239,7 @@ def model_text(model):
     trees = [[(node.feature, repr(node.threshold), repr(node.value))
               for node, _ in tree.walk()]
              for round_trees in model.trees for tree in round_trees]
-    return repr((model.n_classes, model.n_features, model.config,
+    return repr((model.n_features, model.config,
                  [repr(b) for b in model.base_scores.tolist()], trees))
 
 

@@ -25,7 +25,7 @@ import hub_world
 
 from socialstance import autograd as ag
 from socialstance import model as model_module
-from socialstance.autograd import Tensor
+from socialstance.autograd import DENSE_BANDS, Shell, Tensor, _Block, dense_blocks
 from socialstance.corpus import Corpus, Post, StanceLabel, recent_posts
 from socialstance.embed import HashedNgramEncoder, PrecomputedStore, precompute
 from socialstance.errors import InputDataError, TrainingDivergedError
@@ -34,13 +34,9 @@ from socialstance.encoder import (AGGREGATOR_KINDS, LEAKY_SLOPE, AggregateParams
 from socialstance.model import (
     HISTORY_KINDS,
     AdamState,
-    DENSE_BANDS,
-    _Block,
-    _Shell,
     _batch_logits,
     _compile_balls,
     _compile_samples,
-    _dense_blocks,
     _gradients_from_samples,
     _make_tensors,
     ModelParams,
@@ -429,7 +425,7 @@ def oracle_shells():
     }
     for name, (c, nb, seg, size) in cases.items():
         c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
-        yield name, _Shell(c, nb, seg, size)
+        yield name, Shell(c, nb, seg, size)
 
 
 class TestShellAggregate:
@@ -464,7 +460,7 @@ class TestShellAggregate:
         rng = np.random.default_rng(4)
         states, w, attn = (rng.standard_normal(shape) for shape in ((6, 3), (3, 2), 4))
         centre = np.zeros(5, dtype=np.intp)
-        shell = _Shell(centre, np.arange(1, 6), centre, 1)
+        shell = Shell(centre, np.arange(1, 6), centre, 1)
         out = ag.shell_aggregate(Tensor(states @ w), shell, Tensor(attn)).data[0]
         want = gat_aggregate(states[0], states[1:], AggregateParams(w_proj=w, attn=attn))
         np.testing.assert_allclose(out, want, rtol=0, atol=1e-12)
@@ -485,10 +481,10 @@ def padded_shells():
     }
     for name, (c, nb, seg, size) in cases.items():
         c, nb, seg = (np.asarray(a, dtype=np.intp) for a in (c, nb, seg))
-        yield name, _Shell(c, nb, seg, size, _Block.padded((2, 5, 5), pad, pad))
+        yield name, Shell(c, nb, seg, size, _Block.padded((2, 5, 5), pad, pad))
     c, nb, seg = (np.array(a, dtype=np.intp) for a in ([1, 1, 1], [0, 2, 2], [0, 0, 0]))
-    yield "padded author rows", _Shell(c, nb, seg, 2,
-                                       _Block.padded((2, 1, 5), pad, np.arange(2)))
+    yield "padded author rows", Shell(c, nb, seg, 2,
+                                      _Block.padded((2, 1, 5), pad, np.arange(2)))
 
 
 def dense_shells():
@@ -531,6 +527,33 @@ class TestDenseLayout:
                                            err_msg=name)
 
 
+class TestConstantStates:
+    """A GAT aggregate over an x that takes no gradient, as an input that
+    is not trained: both pools still compute x's gradient, the op drops it,
+    and attn's gradient is the composed chain's within 1e-12."""
+
+    @pytest.mark.parametrize("layout", sorted(FORCED_LAYOUTS))
+    def test_attention_gradient_matches_composed_ops(self, layout, monkeypatch):
+        h = 3
+        rng = np.random.default_rng(2)
+        x0, attn0 = rng.standard_normal((8, h)), rng.standard_normal(2 * h)
+        for name, shell in dense_shells():
+            x = Tensor(x0[:len(shell.block.pad)])
+            grads = []
+            for route in ("fused", "composed"):
+                attn = Tensor(attn0, requires_grad=True)
+                if route == "composed":
+                    out = composed_aggregate(x, attn, shell, "gat")
+                else:
+                    with forced_layout(monkeypatch, layout):
+                        out = ag.shell_aggregate(x, shell, attn)
+                weights = np.arange(1.0, out.data.size + 1).reshape(out.data.shape)
+                (out * Tensor(np.sin(weights))).sum().backward()
+                grads.append(np.zeros_like(attn0) if attn.grad is None else attn.grad)
+            assert x.grad is None, name
+            np.testing.assert_allclose(grads[0], grads[1], rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestDensePoolBands:
     """A mixed-size batch's banded dense pool against the one-band pool,
     byte for byte. Weights are multiples of 1/8 and rows small integers,
@@ -541,7 +564,7 @@ class TestDensePoolBands:
         sizes = np.array([5, 3, 7, 2, 6, 4, 7, 1])
         offsets = np.cumsum(sizes) - sizes
         n, width, h = int(sizes.sum()), int(sizes.max()), 3
-        banded, _ = _dense_blocks(sizes, offsets)
+        banded, _ = dense_blocks(sizes, offsets)
         assert len(banded.bands) == DENSE_BANDS
         assert len({band.shape[2] for band in banded.bands}) == DENSE_BANDS
         pad = np.arange(n) + np.repeat(np.arange(len(sizes)) * width - offsets, sizes)
@@ -556,7 +579,7 @@ class TestDensePoolBands:
         g = rng.integers(-4, 5, (n, h)).astype(float)
         runs = []
         for block in (banded, one):
-            pool = ag._DensePool(x, _Shell(centers, neighbors, centers, n, block), weights)
+            pool = ag._DensePool(x, Shell(centers, neighbors, centers, n, block), weights)
             dweights, dx = pool.grads(g)
             runs.append((pool.value.tobytes(), dweights.tobytes(), dx.tobytes()))
         assert runs[0] == runs[1]
@@ -1033,7 +1056,7 @@ class TestTrainingBatchMemory:
         runs = []
         for bands in (DENSE_BANDS, 1):
             with forced_layout(monkeypatch, "dense"):
-                monkeypatch.setattr("socialstance.model.DENSE_BANDS", bands)
+                monkeypatch.setattr("socialstance.autograd.DENSE_BANDS", bands)
                 logits = _batch_logits(_make_tensors(params, False), samples, cfg)
                 _, grads = _gradients_from_samples(_make_tensors(params, True), samples, cfg)
             runs.append((logits.data, grads))
