@@ -21,9 +21,8 @@ from .encoder import (AggregateParams, EncoderParams, aggregate_history_mean,
 from .errors import EmptyResultError, InputDataError, TrainingDivergedError
 from .gbdt import GbdtConfig, GbdtModel
 from .hesitancy import (ChangeLabel, HesitancyRecord, Theme, classify_change,
-                        daily_label_proportions, eligible_users,
-                        hesitancy_score, perceived_theme_vector,
-                        select_popular, window_scores)
+                        daily_label_proportions, hesitancy_score,
+                        perceived_theme_vector, select_popular, window_scores)
 from .metrics import (MetricReport, agreement_report,
                       average_observed_agreement, fleiss_kappa,
                       krippendorff_alpha, multiclass_report, stance_report)

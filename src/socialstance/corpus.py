@@ -130,10 +130,6 @@ class Corpus:
     def _history(self) -> "_HistoryIndex":
         return _HistoryIndex(self.posts)
 
-    def users(self):
-        """Author ids present in the corpus, sorted."""
-        return list(self._history.users)
-
     def posts_by(self, user_id: str):
         """All posts by one user, oldest first. Unknown user yields []."""
         index = self._history

@@ -189,11 +189,9 @@ class GbdtModel:
 
 
 def _check_features(features, n_features=None) -> np.ndarray:
-    """Finite (n, f) float features; a 1-D vector is one row. n_features
-    None (fit) takes the width from the array."""
+    """Finite (n, f) float features. n_features None (fit) takes the width
+    from the array."""
     arr = np.asarray(features, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(1, -1)
     if arr.ndim != 2 or not arr.shape[1] or n_features not in (None, arr.shape[1]):
         raise InputDataError(
             f"expected (n, {n_features or 'f'}) features, got shape {arr.shape}")
@@ -274,19 +272,9 @@ def decision_scores(model: GbdtModel, features) -> np.ndarray:
     return scores
 
 
-def predict_proba(model: GbdtModel, x) -> np.ndarray:
-    """Class probabilities for one feature vector (or a batch)."""
-    arr = np.asarray(x, dtype=np.float64)
-    probs = softmax(decision_scores(model, arr))
-    return probs[0] if arr.ndim == 1 else probs
-
-
-def predict(model: GbdtModel, x):
-    """Most probable class; lowest index wins exact ties."""
-    arr = np.asarray(x, dtype=np.float64)
-    scores = decision_scores(model, arr)
-    labels = np.argmax(scores, axis=1)
-    return int(labels[0]) if arr.ndim == 1 else labels
+def predict(model: GbdtModel, features) -> np.ndarray:
+    """Most probable class of each (n, f) row; lowest index wins exact ties."""
+    return np.argmax(decision_scores(model, features), axis=1)
 
 
 def log_loss(model: GbdtModel, features, labels) -> float:

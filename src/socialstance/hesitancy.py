@@ -16,9 +16,8 @@ from operator import attrgetter
 import numpy as np
 
 from .corpus import Corpus, StanceLabel, rank_authored
-from .errors import InputDataError, checked_header, checked_lines, write_csv
+from .errors import InputDataError, write_csv
 
-THEME_ANNOTATION_HEADER = "post_id,theme"
 TIMESERIES_HEADER = ",".join(["date"] + [label.name for label in StanceLabel])
 HESITANCY_HEADER = "user,window_start,window_end,n_pos,n_neg,score"
 
@@ -145,15 +144,6 @@ def classify_change(before: float, after: float) -> ChangeLabel:
     return ChangeLabel.increased if delta > 0 else ChangeLabel.decreased
 
 
-def eligible_users(corpus: Corpus, start: int, end: int, min_posts: int = DEFAULT_MIN_POSTS):
-    """Users with at least `min_posts` stance-bearing posts in the window.
-
-    Stance-bearing means labelled PO, PD, or NG; NE posts express no
-    attitude and do not count toward eligibility.
-    """
-    return set(window_scores(corpus, start, end, min_posts))
-
-
 def _day_of(timestamp: int, named: int = None):
     """The UTC date of timestamp. An undatable one raises InputDataError
     naming `named` (default: timestamp), the bound the caller was given."""
@@ -216,32 +206,6 @@ def perceived_theme_vector(graph, corpus: Corpus, themes: dict, user: str,
             if theme is not None:
                 counts[int(theme)] += 1
     return counts
-
-
-def load_theme_annotations(path) -> dict:
-    """Read post_id,theme CSV into {post_id: Theme}.
-
-    Theme names must be canonical; duplicates and unknown names raise with
-    the line number.
-    """
-    seen = set()
-
-    def annotation(line):
-        parts = line.strip().split(",")
-        if len(parts) != 2 or not all(parts):
-            raise InputDataError("expected two non-empty fields")
-        post_id, name = parts
-        if post_id in seen:
-            raise InputDataError(f"duplicate theme for post {post_id!r}")
-        seen.add(post_id)
-        try:
-            return post_id, Theme[name]
-        except KeyError:
-            raise InputDataError(f"unknown theme {name!r}") from None
-
-    with open(path, encoding="utf-8") as fh:
-        checked_header(fh, THEME_ANNOTATION_HEADER)
-        return dict(checked_lines(fh, annotation, 2))
 
 
 def write_hesitancy_csv(records, out) -> None:

@@ -158,6 +158,28 @@ def social_code_dim(config: TrainConfig) -> int:
     return code_dim(config.hidden_dim, config.hops)
 
 
+def _param_layout(config: TrainConfig):
+    """(name, shape, init) of every parameter, in the order ModelParams
+    draws them. init is a Xavier draw's (fan_in, fan_out), or the function
+    that builds a constant vector of the given length. A generator, so a
+    reader can stop after any entry."""
+    d, h, k = config.embed_dim, config.hidden_dim, config.hops
+    if config.history == "pe":
+        yield "position_weights", (config.history_len,), init_position_weights
+    yield "input.w", (d, h), (d, h)
+    yield "input.b", (h,), np.zeros
+    for layer in range(1, k + 1):
+        in_dim = h if layer == 1 else k * h
+        for order in range(1, k + 1):
+            base = f"layer{layer}.order{order}"
+            yield base + ".w", (in_dim, h), (in_dim, h)
+            if config.aggregator == "gat":
+                yield base + ".a", (2 * h,), (2 * h, 1)
+    z_dim = social_code_dim(config) + d
+    yield "head.w", (z_dim, N_CLASSES), (z_dim, N_CLASSES)
+    yield "head.b", (N_CLASSES,), np.zeros
+
+
 class ModelParams:
     """Named float64 parameter arrays of one model instance.
 
@@ -173,22 +195,8 @@ class ModelParams:
             self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
             return
         rng = np.random.default_rng(config.seed)
-        d, h, k = config.embed_dim, config.hidden_dim, config.hops
-        self.tensors = {}
-        if config.history == "pe":
-            self.tensors["position_weights"] = init_position_weights(config.history_len)
-        self.tensors["input.w"] = _xavier(rng, d, h, (d, h))
-        self.tensors["input.b"] = np.zeros(h, dtype=np.float64)
-        for layer in range(1, k + 1):
-            in_dim = h if layer == 1 else k * h
-            for order in range(1, k + 1):
-                base = f"layer{layer}.order{order}"
-                self.tensors[base + ".w"] = _xavier(rng, in_dim, h, (in_dim, h))
-                if config.aggregator == "gat":
-                    self.tensors[base + ".a"] = _xavier(rng, 2 * h, 1, (2 * h,))
-        z_dim = social_code_dim(config) + d
-        self.tensors["head.w"] = _xavier(rng, z_dim, N_CLASSES, (z_dim, N_CLASSES))
-        self.tensors["head.b"] = np.zeros(N_CLASSES, dtype=np.float64)
+        self.tensors = {name: _xavier(rng, *init, shape) if isinstance(init, tuple)
+                        else init(*shape) for name, shape, init in _param_layout(config)}
 
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, {k: v.copy() for k, v in self.tensors.items()})
@@ -772,16 +780,24 @@ def load_checkpoint(path) -> ModelParams:
         if not isinstance(meta.get("config"), dict):
             raise InputDataError("checkpoint config is not a JSON object")
         config = TrainConfig.from_dict(meta["config"])
-        tensors = {key[len("param:"):]: _archive_array(data, key)
-                   for key in data.files if key.startswith("param:")}
-    expected = ModelParams(config).tensors
-    unexpected = sorted(set(tensors) - set(expected))
-    missing = sorted(set(expected) - set(tensors))
-    if unexpected or missing:
-        raise InputDataError("checkpoint parameter names do not match its config: "
-                             f"unexpected {unexpected}, missing {missing}")
+        names = [key[len("param:"):] for key in data.files if key.startswith("param:")]
+        present = set(names)
+        # The layout is read at most one entry past the file's parameters,
+        # so a config that claims a huge model costs what the file does.
+        layout = {name: shape for name, shape, _ in
+                  itertools.islice(_param_layout(config), len(names) + 1)}
+        if len(layout) > len(names):
+            first = next(name for name in layout if name not in present)
+            raise InputDataError("checkpoint parameter names do not match its config: it "
+                                 f"makes more than the file's {len(names)}, first missing {first!r}")
+        unexpected = sorted(present - set(layout))
+        missing = sorted(set(layout) - present)
+        if unexpected or missing:
+            raise InputDataError("checkpoint parameter names do not match its config: "
+                                 f"unexpected {unexpected}, missing {missing}")
+        tensors = {name: _archive_array(data, "param:" + name) for name in names}
     for name, arr in tensors.items():
-        if arr is None or arr.shape != expected[name].shape or arr.dtype != np.float64:
+        if arr is None or arr.shape != layout[name] or arr.dtype != np.float64:
             raise InputDataError(
                 f"checkpoint parameter {name!r} does not match its config")
         if not np.isfinite(arr).all():

@@ -346,10 +346,6 @@ class SocialGraph:
         return tuple(self.node_ids[j]
                      for j in self.indices[self.indptr[i]:self.indptr[i + 1]].tolist())
 
-    def degree(self, node) -> int:
-        i = self.index(node)
-        return int(self.indptr[i + 1] - self.indptr[i])
-
     def n_edges(self) -> int:
         return len(self.indices) // 2
 

@@ -29,8 +29,9 @@ from socialstance.embed import (HashedNgramEncoder, load_embedding_store, precom
 from socialstance.errors import InputDataError, write_csv
 from socialstance.model import (ModelParams, TrainConfig, forward, load_checkpoint,
                                 save_checkpoint)
-from socialstance.socialgraph import (DEFAULT_MIN_WEIGHT, build_social_graph,
-                                      load_interactions)
+from socialstance.socialgraph import (DEFAULT_MIN_WEIGHT, INTERACTION_HEADER,
+                                      build_social_graph, load_interactions)
+from socialstance.synthetic import heterophily_benchmark
 
 DAY = 86_400
 
@@ -491,6 +492,23 @@ class TestClassify:
         assert_input_error(code, capsys,
                            "unexpected ['layer1.order1.a'], missing []")
 
+    def test_checkpoint_claiming_a_huge_model_exit_2(self, world, checkpoint, tmp_path,
+                                                     capsys):
+        # The config claims a model of 10^14-cell matrices over the file's
+        # small arrays: refused as bad input, with nothing of the claim built.
+        with np.load(checkpoint) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"].update(embed_dim=10**7, hidden_dim=10**7)
+        arrays["__meta__"] = np.asarray(json.dumps(meta))
+        claimed = tmp_path / "model.npz"
+        np.savez(claimed, **arrays)
+        code = main(["classify", "--checkpoint", str(claimed),
+                     "--posts", str(world["posts"]),
+                     "--embeddings", str(world["embeddings"]),
+                     "--interactions", str(world["interactions"])])
+        assert_input_error(code, capsys, "parameter 'input.w' does not match its config")
+
     def test_missing_checkpoint_named_exit_2(self, world, tmp_path, capsys):
         code = main(["classify", "--checkpoint", str(tmp_path / "x.npz"),
                      "--posts", str(world["posts"]),
@@ -525,6 +543,44 @@ class TestClassify:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {needle}\n"
+
+    def test_shuffled_input_lines_classify_the_same(self, tmp_path, capsys):
+        # Interaction users get the codes of their sorted order and store rows
+        # are found through their id map, so neither file's line order may
+        # reach the output. Each shuffle keeps the header first.
+        world = heterophily_benchmark(60, embed_dim=8, seed=1)
+        posts, store = tmp_path / "posts.jsonl", tmp_path / "emb.tsv"
+        write_posts(world.corpus, posts)
+        save_embedding_store(world.store, store)
+        interactions = tmp_path / "inter.csv"
+        interactions.write_text("".join(
+            [INTERACTION_HEADER + "\n"]
+            + [f"{u},{v},mention,{i}\n{v},{u},retweet,{i}\n"
+               for i, (u, v) in enumerate(world.graph.edges())]), encoding="utf-8")
+        model = tmp_path / "model.npz"
+        assert main(["train", "--posts", str(posts), "--interactions", str(interactions),
+                     "--embeddings", str(store), "--epochs", "2", "--learning-rate", "5e-3",
+                     "--embed-dim", "8", "--hidden-dim", "8",
+                     "--checkpoint-out", str(model)]) == 0
+        rng = np.random.default_rng(0)
+        shuffled = {}
+        for path in (interactions, store):
+            header, *lines = path.read_text(encoding="utf-8").splitlines()
+            order = rng.permutation(len(lines))
+            assert order.tolist() != sorted(order.tolist())
+            shuffled[path] = tmp_path / f"shuffled_{path.name}"
+            shuffled[path].write_text(
+                "\n".join([header] + [lines[i] for i in order]) + "\n", encoding="utf-8")
+        outputs = set()
+        for inter_file in (interactions, shuffled[interactions]):
+            for store_file in (store, shuffled[store]):
+                out = tmp_path / "pred.csv"
+                assert main(["classify", "--checkpoint", str(model), "--posts", str(posts),
+                             "--embeddings", str(store_file),
+                             "--interactions", str(inter_file), "--out", str(out)]) == 0
+                outputs.add(out.read_bytes())
+        capsys.readouterr()
+        assert len(outputs) == 1
 
 
 class TestTrack:

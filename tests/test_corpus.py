@@ -108,7 +108,6 @@ class TestCorpus:
         assert corpus.by_id["b"].author_id == "u2"
         assert [p.id for p in corpus.posts_by("u1")] == ["c", "a"]  # by timestamp
         assert corpus.posts_by("nobody") == []
-        assert corpus.users() == ["u1", "u2"]
 
     def test_duplicate_id_rejected(self):
         with pytest.raises(InputDataError):

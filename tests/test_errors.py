@@ -12,7 +12,6 @@ from socialstance.corpus import load_posts
 from socialstance.embed import load_embedding_store
 from socialstance.errors import InputDataError, checked_header, checked_lines, write_csv
 from socialstance.gbdt import load_training_csv, training_csv_header
-from socialstance.hesitancy import load_theme_annotations
 from socialstance.metrics import load_ratings_csv
 from socialstance.socialgraph import load_follower_edges, load_interactions
 
@@ -80,8 +79,6 @@ LOADERS = {
     "posts": (load_posts, None, _POST, "[1]", "expected a JSON object"),
     "ratings": (load_ratings_csv, "item_id,rater_id,label", "i,r,PO", "i,r,NG",
                 "duplicate rating for item 'i' by 'r'"),
-    "themes": (load_theme_annotations, "post_id,theme", "p,PositiveNews", "p,Misinformation",
-               "duplicate theme for post 'p'"),
     "training": (load_training_csv, training_csv_header(), f"{_FEATURES},increased",
                  f"{_FEATURES},sideways", "unknown change label 'sideways'"),
     "config": (load_config_file, None, "epochs = 1", "epochs = 2", "duplicate key 'epochs'"),

@@ -28,7 +28,6 @@ from socialstance.gbdt import (
     log_loss,
     majority_baseline_accuracy,
     predict,
-    predict_proba,
     priors_log_loss,
     training_csv_header,
     write_training_csv,
@@ -426,22 +425,6 @@ class TestScoringLabels:
 
 
 class TestPredict:
-    def test_proba_rows_sum_to_one(self):
-        rng = np.random.default_rng(5)
-        features, labels = separable_dataset(rng, n=60)
-        model = fit(features, labels, GbdtConfig(rounds=10))
-        probs = predict_proba(model, features)
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(probs >= 0)
-
-    def test_single_sample_shape(self):
-        rng = np.random.default_rng(6)
-        features, labels = separable_dataset(rng, n=60)
-        model = fit(features, labels, GbdtConfig(rounds=5))
-        p = predict_proba(model, features[0])
-        assert p.shape == (3,)
-        assert predict(model, features[0]) == np.argmax(p)
-
     def test_feature_width_checked(self):
         rng = np.random.default_rng(7)
         features, labels = separable_dataset(rng, n=60)

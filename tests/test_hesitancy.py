@@ -1,12 +1,7 @@
 """Hesitancy scores, change labels, time series, and theme exposure counts."""
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.errors import InputDataError
@@ -18,9 +13,7 @@ from socialstance.hesitancy import (
     Theme,
     classify_change,
     daily_label_proportions,
-    eligible_users,
     hesitancy_score,
-    load_theme_annotations,
     perceived_theme_vector,
     select_popular,
     window_scores,
@@ -149,14 +142,14 @@ class TestEligibleUsers:
             post("c1", "cara", 1, StanceLabel.PO),
             post("c2", "cara", 2),
         ]
-        assert eligible_users(Corpus(posts), 0, 10) == {"alice"}
-        assert eligible_users(Corpus(posts), 0, 10, min_posts=1) == {"alice", "bob", "cara"}
+        assert list(window_scores(Corpus(posts), 0, 10, 3)) == ["alice"]
+        assert list(window_scores(Corpus(posts), 0, 10, 1)) == ["alice", "bob", "cara"]
 
     def test_window_limits_count(self):
         posts = [post(f"p{i}", "u", i * 10, StanceLabel.PO) for i in range(4)]
         # [0, 20) holds two posts, [0, 21) holds three
-        assert eligible_users(Corpus(posts), 0, 20, min_posts=3) == set()
-        assert eligible_users(Corpus(posts), 0, 21, min_posts=3) == {"u"}
+        assert list(window_scores(Corpus(posts), 0, 20, 3)) == []
+        assert list(window_scores(Corpus(posts), 0, 21, 3)) == ["u"]
 
 
 class TestWindowScores:
@@ -267,52 +260,6 @@ class TestPerceivedThemes:
         graph = SocialGraph([("a", "b")])
         with pytest.raises(KeyError, match="not in social graph"):
             perceived_theme_vector(graph, Corpus([]), {}, "zzz", 0, 10)
-
-
-class TestThemeAnnotations:
-    def test_load(self, tmp_path):
-        path = tmp_path / "themes.csv"
-        path.write_text("post_id,theme\np1,Conspiracy\np2,PositiveNews\n")
-        themes = load_theme_annotations(path)
-        assert themes == {"p1": Theme.Conspiracy, "p2": Theme.PositiveNews}
-
-    def test_unknown_theme_rejected(self, tmp_path):
-        path = tmp_path / "themes.csv"
-        path.write_text("post_id,theme\np1,Vibes\n")
-        with pytest.raises(InputDataError, match="line 2"):
-            load_theme_annotations(path)
-
-    def test_duplicate_rejected(self, tmp_path):
-        path = tmp_path / "themes.csv"
-        path.write_text("post_id,theme\np1,Conspiracy\np1,HealthBeliefs\n")
-        with pytest.raises(InputDataError, match="duplicate"):
-            load_theme_annotations(path)
-
-
-# Theme-shaped lines (two cells from ids, theme names and junk, or another
-# number of cells), raw byte lines, or a file of raw bytes.
-_theme_lines = st.lists(
-    st.lists(st.sampled_from(["p1", "p2", "Conspiracy", "PositiveNews", "conspiracy",
-                              "", " ", "post_id", "theme"]) | st.text(max_size=3),
-             min_size=1, max_size=3).map(lambda cells: ",".join(cells).encode())
-    | st.binary(max_size=20), max_size=6)
-_theme_files = st.builds(lambda header, lines: b"\n".join([header] + lines),
-                         st.sampled_from([b"post_id,theme", b"post_id,theme ", b"x"]),
-                         _theme_lines) | st.binary(max_size=60)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=_theme_files)
-def test_theme_annotations_on_arbitrary_bytes_raise_only_input_errors(data):
-    with tempfile.TemporaryDirectory() as root:
-        path = Path(root) / "themes.csv"
-        path.write_bytes(data)
-        try:
-            themes = load_theme_annotations(path)
-        except (InputDataError, UnicodeDecodeError):
-            return
-    assert all(isinstance(post_id, str) and post_id and isinstance(theme, Theme)
-               for post_id, theme in themes.items())
 
 
 class TestCsvWriters:

@@ -6,8 +6,13 @@ differences, and the optimizer against a hand-stepped scalar oracle.
 """
 
 import inspect
+import json
 import math
+import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 from collections import deque
 from contextlib import contextmanager
@@ -62,6 +67,7 @@ from socialstance.model import (
 )
 from socialstance.socialgraph import (SocialGraph, exact_order_neighborhood,
                                       induced_subgraph, khop_neighborhood)
+from socialstance.synthetic import heterophily_benchmark
 
 
 def toy_world(n_users=8, history=2, embed_dim=8, seed=0):
@@ -938,6 +944,35 @@ class TestPermutationInvariance:
         assert ref.tobytes() == ref_renamed.tobytes()
         assert np.max(np.abs(got - got_renamed)) <= 1e-12
 
+    @pytest.fixture(scope="class")
+    def renamed_worlds(self):
+        """A world's store, then its (corpus, graph) under the original user
+        names and under a permutation of them that changes their order."""
+        world = heterophily_benchmark(300, mean_degree=4, embed_dim=16, seed=5)
+        names = list(world.graph.node_ids)
+        rename = dict(zip(names, np.random.default_rng(0).permutation(names).tolist()))
+        assert sorted(names, key=rename.get) != names
+        renamed = (Corpus([replace(p, author_id=rename[p.author_id]) for p in world.corpus]),
+                   SocialGraph([(rename[u], rename[v]) for u, v in world.graph.edges()],
+                               nodes=[rename[v] for v in names]))
+        return world.store, (world.corpus, world.graph), renamed
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    @pytest.mark.parametrize("history", HISTORY_KINDS)
+    @pytest.mark.parametrize("aggregator", AGGREGATOR_KINDS)
+    def test_renamed_users_train_the_same(self, renamed_worlds, aggregator, history, hops):
+        # Renaming reorders every ball's rows, so training's sums run in
+        # another order: parameters agree within rounding, not byte for byte.
+        store, *worlds = renamed_worlds
+        cfg = TrainConfig(epochs=3, learning_rate=5e-3, weight_decay=0.0, hops=hops,
+                          history_len=3, embed_dim=16, hidden_dim=16, batch_size=64,
+                          seed=0, aggregator=aggregator, history=history)
+        (got, _), (got_renamed, _) = (train(corpus, graph, store, cfg)
+                                      for corpus, graph in worlds)
+        assert got.tensors.keys() == got_renamed.tensors.keys()
+        for name, arr in got.tensors.items():
+            assert np.max(np.abs(arr - got_renamed.tensors[name])) <= 1e-12, name
+
 
 class TestAdam:
     def test_scalar_oracle_with_decay(self):
@@ -1447,6 +1482,64 @@ class TestCheckpoint:
         np.savez(tampered, **arrays)
         with pytest.raises(InputDataError, match="version"):
             load_checkpoint(tampered)
+
+    @staticmethod
+    def claimed_checkpoint(path, **claim):
+        """An 8-wide checkpoint whose config claims `claim` over its arrays."""
+        save_checkpoint(ModelParams(small_config(hidden_dim=8)), path)
+        with np.load(path) as data:
+            arrays = dict(data)
+        meta = json.loads(str(arrays["__meta__"]))
+        meta["config"].update(claim)
+        arrays["__meta__"] = np.asarray(json.dumps(meta))
+        np.savez(path, **arrays)
+        return path
+
+    @pytest.mark.parametrize("claim, needle", [
+        ({"embed_dim": 400, "hidden_dim": 400}, "parameter 'input.w' does not match"),
+        ({"hops": 40}, "first missing 'layer1.order3.w'"),
+        ({"history_len": 10**7}, "parameter 'position_weights' does not match"),
+    ], ids=["400-dims", "hops-40", "history-1e7"])
+    def test_claimed_model_is_not_allocated(self, tmp_path, claim, needle):
+        # The loader compares the file against the claimed config's layout;
+        # it builds nothing of the model the config claims.
+        path = self.claimed_checkpoint(tmp_path / "model.npz", **claim)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputDataError, match=re.escape(needle)):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20, peak
+
+    @pytest.mark.skipif(not Path("/proc/self/statm").exists(),
+                        reason="the child reads its size from Linux's /proc")
+    def test_deep_claim_refused_in_under_a_second(self, tmp_path):
+        # hops = 300 claims 90,000 (layer, order) blocks. A loader that
+        # built them would take minutes and gigabytes, so the child caps its
+        # own address space 100 MB above its size after import.
+        path = self.claimed_checkpoint(tmp_path / "model.npz", hops=300)
+        child = textwrap.dedent("""
+            import resource, sys, time
+            from socialstance.errors import InputDataError
+            from socialstance.model import load_checkpoint
+            with open("/proc/self/statm") as fh:
+                size = int(fh.read().split()[0]) * resource.getpagesize()
+            resource.setrlimit(resource.RLIMIT_AS,
+                               (size + (100 << 20), resource.RLIM_INFINITY))
+            start = time.perf_counter()
+            try:
+                load_checkpoint(sys.argv[1])
+            except InputDataError as exc:
+                print(time.perf_counter() - start, exc)
+        """)
+        done = subprocess.run([sys.executable, "-c", child, str(path)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        seconds, message = done.stdout.split(" ", 1)
+        assert float(seconds) < 1.0
+        assert "first missing 'layer1.order3.w'" in message
 
     @settings(max_examples=40, deadline=None)
     @given(config=st.builds(

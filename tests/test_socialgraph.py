@@ -100,7 +100,7 @@ class TestSocialGraph:
     def test_isolated_nodes_kept(self):
         g = SocialGraph([("a", "b")], nodes=["a", "b", "lonely"])
         assert "lonely" in g
-        assert g.degree("lonely") == 0
+        assert g.neighbors("lonely") == ()
         assert len(g) == 3
 
     def test_unknown_node_raises_keyerror(self):
@@ -267,7 +267,7 @@ class TestInducedSubgraph:
         sub = induced_subgraph(g, ["a", "b", "d"])
         assert set(sub.node_ids) == {"a", "b", "d"}
         assert sub.neighbors("a") == ("b",)
-        assert sub.degree("d") == 0
+        assert sub.neighbors("d") == ()
 
 
 @st.composite
