@@ -13,8 +13,7 @@ from socialstance.corpus import Corpus, Post, StanceLabel
 from socialstance.embed import HashedNgramEncoder, precompute
 from socialstance.model import (TrainConfig, classify, eligible_training_posts,
                                 evaluate, split_dataset, train)
-from socialstance.socialgraph import (InteractionRecord, build_social_graph,
-                                      graph_stats)
+from socialstance.socialgraph import build_social_graph, graph_stats
 
 SUPPORT_PHRASES = [
     "got my shot today and it was painless, book yours",
@@ -49,16 +48,15 @@ def build_world(n_users=40, seed=7):
     corpus = Corpus(posts)
 
     # arguments fly across the camps: most interactions are cross-camp
-    records = []
+    pairs = []
     for _ in range(n_users * 6):
         a = users[int(rng.integers(n_users))]
         pool = [u for u in users if camps[u] != camps[a]] \
             if rng.random() < 0.85 else [u for u in users if u != a]
         b = pool[int(rng.integers(len(pool)))]
         if a != b:
-            kind = "retweet" if rng.random() < 0.5 else "mention"
-            records.append(InteractionRecord(a, b, kind, 500))
-    graph = build_social_graph(records, min_weight=1)
+            pairs.append((a, b))
+    graph = build_social_graph(pairs, min_weight=1)
     return corpus, graph
 
 

@@ -29,10 +29,9 @@ from .metrics import (MetricReport, agreement_report,
 from .model import (ModelParams, Prediction, TrainConfig, classify, evaluate,
                     forward, load_checkpoint, save_checkpoint, split_dataset,
                     sweep, train)
-from .socialgraph import (InteractionRecord, Interactions, SocialGraph,
-                          build_social_graph, exact_order_neighborhood,
-                          induced_subgraph, khop_neighborhood,
-                          largest_weakly_connected_component)
+from .socialgraph import (Interactions, SocialGraph, build_social_graph,
+                          exact_order_neighborhood, induced_subgraph,
+                          khop_neighborhood, largest_weakly_connected_component)
 
 __version__ = "0.1.0"
 

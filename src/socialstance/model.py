@@ -750,8 +750,18 @@ _UNREADABLE = (ValueError, EOFError, zipfile.BadZipFile, zlib.error, RuntimeErro
 
 def _archive_array(data, key):
     """Member `key` of an open .npz archive as an array; None for an object
-    array or a member that is damaged or not .npy data."""
+    array, a member that is damaged or not .npy data, or one whose .npy
+    header claims more bytes than the member holds. The header is read
+    first, so a huge claim costs what the file does."""
+    member = key if key in data.zip.namelist() else key + ".npy"  # as np.load finds it
     try:
+        with data.zip.open(member) as fh:
+            version = np.lib.format.read_magic(fh)
+            read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                           else np.lib.format.read_array_header_2_0)
+            shape, _, dtype = read_header(fh)
+        if dtype.itemsize * math.prod(shape) > data.zip.getinfo(member).file_size:
+            return None
         value = data[key]
     except (*_UNREADABLE, OSError):  # OSError: a member offset outside the file
         return None

@@ -1,24 +1,25 @@
 """Interaction and follower graph construction plus k-hop neighborhood queries.
 
-load_interactions reads the interaction CSV in chunks of lines into a
-columnar :class:`Interactions` table, users coded to sorted integer ids
-and timestamps packed in one array; one row function checks each line. build_social_graph works on those
-integer pairs: it counts interactions per unordered user pair (one sort of
-pair keys), drops weak pairs (a mask over the counts), builds the graph of
-the rest and keeps its largest connected component, then (optionally)
-restricts a follower edge list to those core users and keeps its largest
-component. There is one graph type, :class:`SocialGraph`, index arrays in
-CSR form, the input the stance encoder aggregates over. Balls and
-exact-distance shells all come from one vectorized frontier BFS,
-:func:`exact_shells`, which sample compilation also runs inside each ball;
-components come from vectorized min-label hooking (FastSV).
+load_interactions reads the interaction CSV in chunks of lines into an
+:class:`Interactions` table of user pairs, users coded to sorted integer
+ids; one row function checks each line, kind and timestamp included, and
+keeps only its pair. build_social_graph works on those integer pairs: it
+counts interactions per unordered user pair (one sort of pair keys), drops
+weak pairs (a mask over the counts), builds the graph of the rest and keeps
+its largest connected component, then (optionally) restricts a follower
+edge list to those core users and keeps its largest component. There is
+one graph type, :class:`SocialGraph`, index arrays in CSR form, the input
+the stance encoder aggregates over. Balls and exact-distance shells all
+come from one vectorized frontier BFS, :func:`exact_shells`, which sample
+compilation also runs inside each ball; components come from vectorized
+min-label hooking (FastSV).
 """
 
 import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,52 +29,21 @@ INTERACTION_HEADER = "source,target,kind,timestamp"
 FOLLOWER_HEADER = "u,v"
 INTERACTION_KINDS = ("retweet", "mention")
 DEFAULT_MIN_WEIGHT = 2  # interactions a user pair needs to become an edge
-_KIND_CODES = {kind: code for code, kind in enumerate(INTERACTION_KINDS)}
 # Lines parsed and checked together by load_interactions. Small, so that a
 # chunk's row tuples are freed before the garbage collector promotes them.
 _CHUNK_LINES = 1024
 
 
-@dataclass(frozen=True)
-class InteractionRecord:
-    source: str
-    target: str
-    kind: str
-    timestamp: int
-
-
-@dataclass(frozen=True, eq=False)
-class Interactions(Sequence):
-    """Interaction records as a read-only columnar table.
+class Interactions(NamedTuple):
+    """Interaction records as the user pairs the graph is built from.
 
     names is the sorted tuple of users; source and target are int arrays of
-    indices into it, kind an int array of indices into INTERACTION_KINDS,
-    and timestamp one packed array of the timestamps: int64, 8 bytes a
-    record, or an object array of Python ints when one of them does not fit
-    in int64, so every timestamp stays exact. Item i is the
-    InteractionRecord of row i, its timestamp a Python int, and the table
-    compares equal to any sequence of equal records.
+    indices into it, one entry a record, in file order.
     """
 
     names: tuple
     source: np.ndarray
     target: np.ndarray
-    kind: np.ndarray
-    timestamp: np.ndarray
-
-    def __len__(self):
-        return len(self.timestamp)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        return InteractionRecord(self.names[self.source[i]], self.names[self.target[i]],
-                                 INTERACTION_KINDS[self.kind[i]], int(self.timestamp[i]))
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 def _code_pairs(edges, nodes=()):
@@ -100,8 +70,8 @@ def _count_pairs(n, us, vs):
 
 
 def _interaction_row(line):
-    """(source, target, kind code, timestamp) of one CSV line, the ids
-    stripped; None for a self-interaction."""
+    """(source, target) of one CSV line, the ids stripped, once its kind and
+    timestamp are checked; None for a self-interaction."""
     parts = line.strip().split(",")
     if len(parts) != 4:
         raise InputDataError(f"expected 4 fields, got {len(parts)}")
@@ -109,53 +79,40 @@ def _interaction_row(line):
     source, target = source.strip(), target.strip()
     if not source or not target:
         raise InputDataError("empty source or target")
-    if kind not in _KIND_CODES:
+    if kind not in INTERACTION_KINDS:
         raise InputDataError(f"unknown interaction kind {kind!r}")
     try:
-        timestamp = int(ts)
+        int(ts)
     except ValueError:
         raise InputDataError(f"non-integer timestamp {ts!r}") from None
-    return None if source == target else (source, target, _KIND_CODES[kind], timestamp)
-
-
-def _timestamp_column(timestamps) -> np.ndarray:
-    """Python int timestamps as an int64 array, or as an object array when
-    one of them does not fit in int64."""
-    try:
-        return np.array(timestamps, dtype=np.int64)
-    except OverflowError:
-        return np.array(timestamps, dtype=object)
+    return None if source == target else (source, target)
 
 
 def load_interactions(path) -> Interactions:
     """Read interaction records from CSV (source,target,kind,timestamp)
-    into an Interactions table.
+    into an Interactions table of their user pairs.
 
+    Every line's kind and timestamp are checked, but not kept.
     Self-interactions are dropped here, so every record relates two distinct
     users. Raises InputDataError with a line number on malformed rows.
     """
     index = {}  # user -> code, in the order users were first coded
-    sources, targets = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)]
-    kinds, timestamps = [np.zeros(0, np.int8)], [np.zeros(0, np.int64)]
+    codes = [np.zeros(0, np.intp)]  # each chunk's source, target codes, interleaved
     with open(path, encoding="utf-8") as fh:
         checked_header(fh, INTERACTION_HEADER)
         lineno = 2
         while lines := list(islice(fh, _CHUNK_LINES)):
-            rows = checked_lines(lines, _interaction_row, lineno)
+            ids = list(chain.from_iterable(checked_lines(lines, _interaction_row, lineno)))
             lineno += len(lines)
-            source, target, kind, timestamp = (list(map(operator.itemgetter(i), rows))
-                                               for i in range(4))
-            new = set(source).union(target).difference(index)
+            new = set(ids).difference(index)
             index.update(zip(new, range(len(index), len(index) + len(new))))
-            sources.append(np.fromiter(map(index.__getitem__, source), np.intp, len(source)))
-            targets.append(np.fromiter(map(index.__getitem__, target), np.intp, len(target)))
-            kinds.append(np.array(kind, dtype=np.int8))
-            timestamps.append(_timestamp_column(timestamp))
+            codes.append(np.fromiter(map(index.__getitem__, ids), np.intp, len(ids)))
     names = tuple(sorted(index))
     rank = np.empty(len(names), dtype=np.intp)  # code -> sorted position
     rank[np.fromiter(map(index.__getitem__, names), np.intp, len(names))] = np.arange(len(names))
-    return Interactions(names, rank[np.concatenate(sources)], rank[np.concatenate(targets)],
-                        np.concatenate(kinds), np.concatenate(timestamps))
+    codes = np.concatenate(codes)  # rebound, so the chunks are freed before ranking
+    source, target = rank[codes].reshape(-1, 2).T
+    return Interactions(names, source, target)
 
 
 def _follower_row(line):
@@ -408,23 +365,22 @@ def build_social_graph(records, follower_edges=None,
                        min_weight: int = DEFAULT_MIN_WEIGHT) -> SocialGraph:
     """End-to-end graph construction.
 
-    records is an Interactions table or a sequence of InteractionRecords
-    (self-interactions skipped). Interactions are counted per unordered user
+    records is an Interactions table or any iterable of (source, target)
+    pairs (self-pairs skipped). Interactions are counted per unordered user
     pair, pairs seen fewer than min_weight times are dropped (their users
     stay until the component step), and the largest component of what is
     left is the interaction core. When follower_edges is given, those edges
     are restricted to the core's users and the largest component of that
     follower graph becomes the result; follower direction is ignored.
     """
-    if not records:
+    if isinstance(records, Interactions):
+        names, us, vs = records
+    else:
+        names, us, vs = _code_pairs((u, v) for u, v in records if u != v)
+    if not us.size:
         raise InputDataError("no interaction records")
     if not min_weight >= 1:
         raise InputDataError("min_weight must be >= 1")
-    if isinstance(records, Interactions):
-        names, us, vs = records.names, records.source, records.target
-    else:
-        names, us, vs = _code_pairs((r.source, r.target) for r in records
-                                    if r.source != r.target)
     keys, counts = _count_pairs(len(names), us, vs)
     core = SocialGraph.__new__(SocialGraph)
     core._build(names, *np.divmod(keys[counts >= min_weight], max(len(names), 1)))

@@ -11,16 +11,17 @@ import io
 import json
 import re
 import tempfile
+import tracemalloc
 import warnings
 import zipfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from socialstance import gbdt
+from socialstance import cli, gbdt
 from socialstance.cli import (CLASSIFY_HEADER, build_parser, load_config_file, main,
                               parse_timestamp)
 from socialstance.corpus import Corpus, Post, StanceLabel, write_posts
@@ -742,6 +743,14 @@ def _npy_bytes(array) -> bytes:
     return buffer.getvalue()
 
 
+def _npy_claim(shape) -> bytes:
+    """A float64 .npy header claiming `shape`, over 64 bytes of data."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": shape})
+    return buffer.getvalue() + bytes(64)
+
+
 def _npz_bytes(members, method) -> bytearray:
     """A zip of {array name: member bytes}, laid out as np.savez lays it out."""
     archive = io.BytesIO()
@@ -792,11 +801,43 @@ def test_damaged_checkpoint_archive_exit_2(world, checkpoint, tmp_path, capsys, 
     assert_input_error(code, capsys, needle)
 
 
+@pytest.mark.parametrize("member, needle", [
+    ("param:input.w", "parameter 'input.w' does not match"),
+    ("__meta__", "not a model checkpoint"),
+], ids=["input.w", "meta"])
+def test_header_claiming_a_huge_array_exit_2(world, checkpoint, tmp_path, capsys,
+                                             monkeypatch, member, needle):
+    # The loader reads a member's .npy header before its data, so a header
+    # claiming a (10^12, 8) array over 64 bytes costs what the file does.
+    with np.load(checkpoint) as data:
+        members = {name: _npy_bytes(data[name]) for name in data.files}
+    members[member] = _npy_claim((10**12, 8))
+    bad = tmp_path / "model.npz"
+    bad.write_bytes(_npz_bytes(members, zipfile.ZIP_STORED))
+    peaks = []
+
+    def traced(path):
+        tracemalloc.start()
+        try:
+            return load_checkpoint(path)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "load_checkpoint", traced)
+    code = main(["classify", "--checkpoint", str(bad), "--posts", str(world["posts"]),
+                 "--embeddings", str(world["embeddings"]),
+                 "--interactions", str(world["interactions"])])
+    assert_input_error(code, capsys, needle)
+    assert len(peaks) == 1 and peaks[0] <= 1 << 20, peaks
+
+
 # Edits of a checkpoint archive: a member dropped (None), replaced by a
-# same-shape fill (a float), by another array, or by raw bytes.
+# same-shape fill (a float), by another array, or by raw bytes, among them a
+# header that claims 58 TiB.
 _member_edits = st.dictionaries(
     st.sampled_from(["__meta__", "param:input.w", "param:head.b", "param:extra"]),
-    st.none() | st.floats() | st.binary(max_size=20)
+    st.none() | st.floats() | st.binary(max_size=20) | st.just(_npy_claim((10**12, 8)))
     | st.sampled_from([np.asarray("{}"), np.asarray("[1]"), np.zeros(2, dtype=object),
                        np.zeros((0,)), np.arange(3), np.asarray(b"x")]),
     max_size=2)
@@ -805,6 +846,8 @@ _member_edits = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 @given(edits=_member_edits, deflate=st.booleans(), flip=st.none() | st.integers(0, 10**6),
        cut=st.none() | st.integers(0, 10**6), raw=st.none() | st.binary(max_size=60))
+@example(edits={"param:input.w": _npy_claim((10**12, 8))}, deflate=False, flip=None,
+         cut=None, raw=None)
 def test_classify_on_arbitrary_checkpoint_never_exits_3(world, checkpoint, edits, deflate,
                                                         flip, cut, raw):
     with np.load(checkpoint) as data:

@@ -6,6 +6,7 @@ BFS / union-find oracles written inline, on randomly generated graphs.
 
 import re
 import tempfile
+import tracemalloc
 from collections import Counter, deque
 from pathlib import Path
 from unittest import mock
@@ -19,7 +20,7 @@ from socialstance import socialgraph
 from socialstance.errors import InputDataError
 from socialstance.socialgraph import (
     INTERACTION_HEADER,
-    InteractionRecord,
+    INTERACTION_KINDS,
     Interactions,
     SocialGraph,
     _component_labels,
@@ -120,21 +121,13 @@ class TestInteractionGraph:
 
     def test_weights_count_interactions(self):
         # u1-u2 twice, once in each direction; u1-u3 once
-        records = [
-            InteractionRecord("u1", "u2", "retweet", 0),
-            InteractionRecord("u2", "u1", "mention", 1),
-            InteractionRecord("u1", "u3", "mention", 2),
-        ]
+        records = [("u1", "u2"), ("u2", "u1"), ("u1", "u3")]
         assert build_social_graph(records, min_weight=2).edges() == [("u1", "u2")]
         assert build_social_graph(records, min_weight=1).edges() == [("u1", "u2"),
                                                                      ("u1", "u3")]
 
     def test_prune_keeps_nodes_drops_light_edges(self):
-        records = [
-            InteractionRecord("u1", "u2", "retweet", 0),
-            InteractionRecord("u1", "u2", "retweet", 0),
-            InteractionRecord("u2", "u3", "mention", 2),
-        ]
+        records = [("u1", "u2"), ("u1", "u2"), ("u2", "u3")]
         g = build_social_graph(records, min_weight=2)
         assert g.edges() == [("u1", "u2")] and "u3" not in g
         # Users of pruned pairs keep their seat until the component step:
@@ -143,16 +136,14 @@ class TestInteractionGraph:
         assert lone.node_ids == ("u1",) and lone.n_edges() == 0
 
     def test_prune_min_weight_one_is_identity(self):
-        records = [InteractionRecord(u, v, "mention", 0)
-                   for u, v in [("a", "b"), ("c", "b"), ("x", "y")]]
+        records = [("a", "b"), ("c", "b"), ("x", "y")]
         g = build_social_graph(records, min_weight=1)
-        want = largest_weakly_connected_component(
-            SocialGraph([(r.source, r.target) for r in records]))
+        want = largest_weakly_connected_component(SocialGraph(records))
         assert g.node_ids == want.node_ids == ("a", "b", "c")
         assert g.edges() == want.edges()
 
     def test_prune_min_weight_below_one_is_input_error(self):
-        records = [InteractionRecord("a", "b", "mention", 0)]
+        records = [("a", "b")]
         with pytest.raises(InputDataError, match="^min_weight must be >= 1$"):
             build_social_graph(records, min_weight=0)
 
@@ -314,48 +305,48 @@ def test_induced_csr_matches_set_oracle(case):
 class TestIO:
     def test_interactions_csv(self, tmp_path):
         path = tmp_path / "inter.csv"
-        path.write_text(
-            "source,target,kind,timestamp\nu1,u2,retweet,10\nu1,u2,mention,11\n")
-        records = load_interactions(path)
-        assert len(records) == 2
-        assert records[0].kind == "retweet"
-        assert records[1].timestamp == 11
-
-    def test_interactions_table_is_a_read_only_sequence(self, tmp_path):
-        path = tmp_path / "inter.csv"
         path.write_text("source,target,kind,timestamp\n"
                         "u2,u1,mention,-3\nu1,u1,retweet,5\n\nu1,u3,retweet,7\n")
         records = load_interactions(path)
-        want = [InteractionRecord("u2", "u1", "mention", -3),
-                InteractionRecord("u1", "u3", "retweet", 7)]
-        assert records == want and want == records and records != want[:1]
-        assert records[-1] == want[-1] and records[:1] == want[:1]
-        assert list(reversed(records)) == want[::-1] and want[0] in records
+        assert records._fields == ("names", "source", "target")
         assert records.names == ("u1", "u2", "u3")
-        assert records.source.tolist() == [1, 0] and records.kind.tolist() == [1, 0]
-        with pytest.raises(IndexError):
-            records[2]
-        with pytest.raises(TypeError):
-            records[0] = want[0]
+        assert records.source.tolist() == [1, 0] and records.target.tolist() == [0, 2]
+        assert records.source.dtype == records.target.dtype == np.intp
 
     @pytest.mark.parametrize("chunk", [1, 2, 1024])
-    def test_timestamps_are_packed_and_exact(self, tmp_path, chunk):
-        inside = [0, -3, 2**63 - 1, -2**63]
-        beyond = [2**63, -2**63 - 1, 10**20]
-        for stamps, dtype in ((inside, np.int64), (inside + beyond, object)):
-            path = tmp_path / "inter.csv"
-            path.write_text(INTERACTION_HEADER + "\n"
-                            + "".join(f"u1,u2,mention,{ts}\n" for ts in stamps))
-            with mock.patch.object(socialgraph, "_CHUNK_LINES", chunk):
-                records = load_interactions(path)
-            assert records.timestamp.dtype == dtype
-            assert [r.timestamp for r in records] == stamps
-            assert all(type(r.timestamp) is int for r in records)
+    def test_timestamps_beyond_int64_load(self, tmp_path, chunk):
+        stamps = [0, -3, 2**63 - 1, -2**63, 2**63, -2**63 - 1, 10**20, -10**40]
+        path = tmp_path / "inter.csv"
+        path.write_text(INTERACTION_HEADER + "\n"
+                        + "".join(f"u1,u{i + 2},mention,{ts}\n" for i, ts in enumerate(stamps)))
+        with mock.patch.object(socialgraph, "_CHUNK_LINES", chunk):
+            records = load_interactions(path)
+        assert records.source.tolist() == [0] * len(stamps)
+        assert [records.names[i] for i in records.target.tolist()] == [
+            f"u{i + 2}" for i in range(len(stamps))]
+
+    def test_table_retains_two_codes_a_record(self, tmp_path):
+        # 16 bytes a record: the source and target codes, nothing else.
+        n = 50_000
+        path = tmp_path / "inter.csv"
+        path.write_text(INTERACTION_HEADER + "\n" + "".join(
+            f"u{i % 7},v{i % 5},{INTERACTION_KINDS[i % 2]},{i * 10**6}\n" for i in range(n)))
+        tracemalloc.start()
+        try:
+            records = load_interactions(path)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(records.source) == n
+        assert retained <= 17 * n + (64 << 10), retained
 
     def test_self_interactions_dropped_on_load(self, tmp_path):
         path = tmp_path / "inter.csv"
         path.write_text("source,target,kind,timestamp\nu1,u1,retweet,10\n")
-        assert load_interactions(path) == []
+        records = load_interactions(path)
+        assert records.names == () and records.source.size == records.target.size == 0
+        with pytest.raises(InputDataError, match="^no interaction records$"):
+            build_social_graph(records)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "inter.csv"
@@ -427,7 +418,7 @@ def test_edge_list_round_trip_of_built_graphs(pairs):
         (root / "inter.csv").write_text("\n".join([INTERACTION_HEADER, *lines]) + "\n",
                                         encoding="utf-8")
         records = load_interactions(root / "inter.csv")
-        if not records:  # every pair a self-interaction
+        if not records.names:  # every pair a self-interaction
             return
         graph = build_social_graph(records, min_weight=1)
         write_edge_list(graph, root / "edges.csv")
@@ -443,11 +434,7 @@ def test_edge_list_round_trip_of_built_graphs(pairs):
 class TestBuildSocialGraph:
     def test_interaction_core_plus_followers(self):
         # u1-u2 interact twice (survives pruning); u3 brushes past once
-        records = [
-            InteractionRecord("u1", "u2", "retweet", 0),
-            InteractionRecord("u1", "u2", "mention", 1),
-            InteractionRecord("u2", "u3", "mention", 2),
-        ]
+        records = [("u1", "u2"), ("u1", "u2"), ("u2", "u3")]
         # follower edges only count between core members
         followers = [("u1", "u2"), ("u2", "u3"), ("u3", "u1")]
         g = build_social_graph(records, followers, min_weight=2)
@@ -455,8 +442,7 @@ class TestBuildSocialGraph:
         assert g.neighbors("u1") == ("u2",)
 
     def test_repeated_reversed_and_self_follows_collapse(self):
-        records = [InteractionRecord(u, v, "mention", 0)
-                   for u, v in [("a", "b"), ("b", "c"), ("c", "d")] * 2]
+        records = [("a", "b"), ("b", "c"), ("c", "d")] * 2
         clean = build_social_graph(records, [("a", "b"), ("c", "b")])
         noisy = build_social_graph(records, [("a", "b"), ("b", "a"), ("c", "b"),
                                              ("a", "b"), ("d", "d"), ("c", "c")])
@@ -469,14 +455,12 @@ class TestBuildSocialGraph:
             build_social_graph([], [])
 
     def test_no_follower_edges_among_core_is_error(self):
-        records = [InteractionRecord("u1", "u2", "retweet", 0),
-                   InteractionRecord("u1", "u2", "retweet", 0)]
+        records = [("u1", "u2"), ("u1", "u2")]
         with pytest.raises(InputDataError, match="follower"):
             build_social_graph(records, [("u9", "u8")], min_weight=2)
 
     def test_interaction_only_when_no_followers_given(self):
-        records = [InteractionRecord("u1", "u2", "retweet", 0),
-                   InteractionRecord("u1", "u2", "retweet", 0)]
+        records = [("u1", "u2"), ("u1", "u2")]
         g = build_social_graph(records, None, min_weight=2)
         assert set(g.node_ids) == {"u1", "u2"}
         assert g.n_edges() == 1
@@ -494,7 +478,8 @@ class TestStats:
 # -- generative: chunked loading and array counting vs line-by-line + dicts ----
 
 def reference_load_interactions(path):
-    """The per-line loader the chunked one replaced, one record per line."""
+    """The per-line loader the chunked one replaced: the (source, target)
+    pair of each line that is not a self-interaction."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -514,12 +499,12 @@ def reference_load_interactions(path):
             if kind not in ("retweet", "mention"):
                 raise InputDataError(f"line {lineno}: unknown interaction kind {kind!r}")
             try:
-                timestamp = int(ts)
+                int(ts)
             except ValueError:
                 raise InputDataError(f"line {lineno}: non-integer timestamp {ts!r}") from None
             if source == target:
                 continue
-            records.append(InteractionRecord(source, target, kind, timestamp))
+            records.append((source, target))
     return records
 
 
@@ -541,8 +526,8 @@ def reference_graph(records, min_weight, follower_edges=None):
     and CSR lists."""
     if not records:
         raise InputDataError("no interaction records")
-    weights = Counter(tuple(sorted((r.source, r.target))) for r in records)
-    adj = {u: set() for r in records for u in (r.source, r.target)}
+    weights = Counter(tuple(sorted(pair)) for pair in records)
+    adj = {u: set() for pair in records for u in pair}
     for (u, v), w in weights.items():
         if w >= min_weight:
             adj[u].add(v)
@@ -572,7 +557,7 @@ def pick_followers(picks, records, min_weight):
     outsiders."""
     core = outcome(reference_graph, records, min_weight)[0]
     core = () if core == "error" else core
-    others = sorted({u for r in records for u in (r.source, r.target)}.difference(core))
+    others = sorted({u for pair in records for u in pair}.difference(core))
     users = [*core, *others, "z", "outsider"]
     return [(users[a % len(users)], users[b % len(users)]) for a, b in picks]
 
@@ -617,8 +602,9 @@ def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight
         assert got == want
         return
     assert isinstance(got, Interactions)
-    assert got == want and list(got) == want and len(got) == len(want)
-    assert got.names == tuple(sorted({u for r in want for u in (r.source, r.target)}))
+    assert [(got.names[u], got.names[v])
+            for u, v in zip(got.source.tolist(), got.target.tolist())] == want
+    assert got.names == tuple(sorted({u for pair in want for u in pair}))
     followers = None if picks is None else pick_followers(picks, want, min_weight)
     expected = outcome(reference_graph, want, min_weight, followers)
     for records in (got, want):
@@ -636,7 +622,7 @@ def test_loading_and_graph_match_line_by_line_reference(lines, chunk, min_weight
 def test_follower_restriction_matches_reference(pairs, min_weight, picks):
     """The follower path on interaction cores of several users, which files
     of random lines rarely load."""
-    records = [InteractionRecord(f"u{a}", f"u{b}", "mention", 0) for a, b in pairs if a != b]
+    records = [(f"u{a}", f"u{b}") for a, b in pairs if a != b]
     followers = pick_followers(picks, records, min_weight)
     expected = outcome(reference_graph, records, min_weight, followers)
     graph = outcome(build_social_graph, records, followers, min_weight)
